@@ -12,7 +12,6 @@ import os
 import random
 import sys
 import tempfile
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,12 +42,10 @@ class HilbertResult:
     pole_order: int
     methods: tuple
     version: str
-    timing: float = None       # seconds; not serialized
 
     @classmethod
-    def compute(cls, rep, threads=None):
-        t0 = time.perf_counter()
-        series = hilbert_series(rep, threads=threads)
+    def compute(cls, rep):
+        series = hilbert_series(rep)
         if rep.degrees and not rep.trivial_count:
             res = gammas(rep)
             gamma, methods = res.gamma, res.methods
@@ -59,8 +56,7 @@ class HilbertResult:
             pole = laurent_at_one(series, 1).pole_order
         degrees = (0,) * rep.trivial_count + rep.degrees
         return cls(degrees, list(series.num.c), series.den.items_sorted(),
-                   gamma, a_inv, pole, methods, __version__,
-                   time.perf_counter() - t0)
+                   gamma, a_inv, pole, methods, __version__)
 
     def series(self):
         return RationalFunction(Polynomial(self.numerator),
@@ -113,12 +109,8 @@ class FixtureRow:
 
 
 def _rf(num, den):
-    if isinstance(num, dict):
-        coeffs = [0] * (max(num) + 1)
-        for e, c in num.items():
-            coeffs[e] = c
-        num = coeffs
-    return RationalFunction(Polynomial(num), FactoredDenominator(den))
+    num = Polynomial.from_dict(num) if isinstance(num, dict) else Polynomial(num)
+    return RationalFunction(num, FactoredDenominator(den))
 
 
 def _g(*vals):
@@ -201,12 +193,12 @@ def store_cached(rep, result):
         raise
 
 
-def _get_result(rep, threads=None, use_cache=True):
+def _get_result(rep, use_cache=True):
     if use_cache:
         cached = load_cached(rep)
         if cached is not None:
             return cached
-    result = HilbertResult.compute(rep, threads=threads)
+    result = HilbertResult.compute(rep)
     if use_cache:
         store_cached(rep, result)
     return result
@@ -265,7 +257,7 @@ def _print_series(result, fmt, terms, out):
 def cmd_series(args, out=None):
     out = out or sys.stdout
     rep = parse_rep(args.spec)
-    result = _get_result(rep, threads=args.threads, use_cache=not args.no_cache)
+    result = _get_result(rep, use_cache=not args.no_cache)
     _print_series(result, args.format, args.terms, out)
     return EXIT_OK
 
@@ -273,7 +265,7 @@ def cmd_series(args, out=None):
 def cmd_expand(args, out=None):
     out = out or sys.stdout
     rep = parse_rep(args.spec)
-    result = _get_result(rep, threads=args.threads, use_cache=not args.no_cache)
+    result = _get_result(rep, use_cache=not args.no_cache)
     coeffs = taylor_coeffs(result.series(), args.terms)
     if args.format == "json":
         json.dump({"rep": list(result.rep_degrees), "coefficients": coeffs},
@@ -289,7 +281,7 @@ def cmd_gamma(args, out=None):
     rep = parse_rep(args.spec)
     if not rep.degrees or rep.trivial_count:
         raise RepParseError("trivial summand not allowed for gamma", 0)
-    result = _get_result(rep, threads=args.threads, use_cache=not args.no_cache)
+    result = _get_result(rep, use_cache=not args.no_cache)
     if args.format == "json":
         json.dump(result.to_json_dict(), out, indent=2, sort_keys=True)
         out.write("\n")
@@ -308,7 +300,7 @@ def cmd_gamma(args, out=None):
     return EXIT_OK
 
 
-def _verify_rep(rep, max_degree, draws, seed, threads, out):
+def _verify_rep(rep, max_degree, draws, seed, out):
     failures = []
 
     def check(name, ok, detail=""):
@@ -319,7 +311,7 @@ def _verify_rep(rep, max_degree, draws, seed, threads, out):
         if not ok:
             failures.append(name)
 
-    series = hilbert_series(rep, threads=threads)
+    series = hilbert_series(rep)
     want = truncated_series(rep, max_degree)
     got = taylor_coeffs(series, max_degree + 1)
     bad = next((n for n in range(max_degree + 1) if got[n] != want[n]), None)
@@ -383,8 +375,7 @@ def _verify_rep(rep, max_degree, draws, seed, threads, out):
 def cmd_verify(args, out=None):
     out = out or sys.stdout
     rep = parse_rep(args.spec)
-    return _verify_rep(rep, args.max_degree, args.draws, args.seed,
-                       args.threads, out)
+    return _verify_rep(rep, args.max_degree, args.draws, args.seed, out)
 
 
 def cmd_table(args, out=None):
@@ -392,7 +383,7 @@ def cmd_table(args, out=None):
     bad = 0
     for row in FIXTURES:
         rep = parse_rep(row.key)
-        series = hilbert_series(rep, threads=args.threads)
+        series = hilbert_series(rep)
         res = gammas(rep)
         problems = []
         if not rf_equal(series, row.series):
@@ -411,6 +402,13 @@ def cmd_table(args, out=None):
     return EXIT_VERIFY if bad else EXIT_OK
 
 
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("expected a nonnegative integer, got %s" % text)
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="sl2hilb",
@@ -422,19 +420,18 @@ def build_parser():
             p.add_argument("spec", help="representation, e.g. V6, 2V3+V4, '2,3,3'")
         p.add_argument("--format", choices=["text", "json", "latex"],
                        default="text")
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--no-cache", action="store_true",
                        help="skip the result cache")
 
     p = sub.add_parser("series", help="exact Hilbert series")
     common(p)
-    p.add_argument("--terms", type=int, default=0,
+    p.add_argument("--terms", type=_nonnegative_int, default=0,
                    help="also print this many leading coefficients")
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("expand", help="leading series coefficients")
     common(p)
-    p.add_argument("--terms", type=int, default=10)
+    p.add_argument("--terms", type=_nonnegative_int, default=10)
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("gamma", help="Laurent coefficients and a-invariant")
@@ -443,8 +440,8 @@ def build_parser():
 
     p = sub.add_parser("verify", help="oracle and identity checks")
     common(p)
-    p.add_argument("--max-degree", type=int, default=20)
-    p.add_argument("--draws", type=int, default=5)
+    p.add_argument("--max-degree", type=_nonnegative_int, default=20)
+    p.add_argument("--draws", type=_nonnegative_int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 

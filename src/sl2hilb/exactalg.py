@@ -47,9 +47,6 @@ class Polynomial:
             return self.c == other.c
         return NotImplemented
 
-    def __hash__(self):
-        return hash(tuple(self.c))
-
     def __add__(self, other):
         a, b = self.c, other.c
         if len(a) < len(b):
@@ -61,9 +58,6 @@ class Polynomial:
 
     def __neg__(self):
         return Polynomial([-v for v in self.c])
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -116,10 +110,7 @@ class Polynomial:
             q = rem[i + len(dc) - 1]
             if q == 0:
                 continue
-            q = Fraction(q, lead) if lead != 1 else q
-            if isinstance(q, Fraction) and q.denominator == 1:
-                q = int(q)
-            out[i] = q
+            q = out[i] = _normalize(Fraction(q, lead))
             for j, v in enumerate(dc):
                 rem[i + j] -= q * v
         if any(rem):
@@ -182,9 +173,6 @@ class FactoredDenominator:
             return self.factors == other.factors
         return NotImplemented
 
-    def __hash__(self):
-        return hash(tuple(sorted(self.factors.items())))
-
     def expand(self):
         out = ONE
         for m in sorted(self.factors):
@@ -245,22 +233,13 @@ class RationalFunction:
     def __add__(self, other):
         fs, fo = self.den.factors, other.den.factors
         common = {m: max(fs.get(m, 0), fo.get(m, 0)) for m in set(fs) | set(fo)}
-        ns = self.num * FactoredDenominator(
-            {m: e - fs.get(m, 0) for m, e in common.items()}
-        ).expand()
-        no = other.num * FactoredDenominator(
-            {m: e - fo.get(m, 0) for m, e in common.items()}
-        ).expand()
-        return RationalFunction(ns + no, FactoredDenominator(common))
+        num = self.num * _cofactor(common, fs) + other.num * _cofactor(common, fo)
+        return RationalFunction(num, FactoredDenominator(common))
 
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def mul_poly(self, p):
-        return RationalFunction(self.num * p, self.den)
+    def __mul__(self, other):
+        fs, fo = self.den.factors, other.den.factors
+        den = {m: fs.get(m, 0) + fo.get(m, 0) for m in set(fs) | set(fo)}
+        return RationalFunction(self.num * other.num, FactoredDenominator(den))
 
     def derivative(self):
         """d/dt, with every denominator exponent raised by one."""
@@ -319,23 +298,29 @@ def rf_equal(f, g):
     fs, gs = f.den.factors, g.den.factors
     # cancel shared factored part first; keeps the cross products small
     shared = {m: min(fs.get(m, 0), gs.get(m, 0)) for m in set(fs) & set(gs)}
-    fd = FactoredDenominator({m: e - shared.get(m, 0) for m, e in fs.items()})
-    gd = FactoredDenominator({m: e - shared.get(m, 0) for m, e in gs.items()})
-    return f.num * gd.expand() == g.num * fd.expand()
+    return f.num * _cofactor(gs, shared) == g.num * _cofactor(fs, shared)
+
+
+def _cofactor(factors, part):
+    """prod (1 - t^m)^(factors[m] - part[m]) expanded; part divides factors."""
+    return FactoredDenominator({m: e - part.get(m, 0) for m, e in factors.items()}).expand()
 
 
 def taylor_coeffs(f, count):
     """First `count` Maclaurin coefficients of f; denominator must be 1 at 0."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    q = f.den.expand().c
+    # q[0] == 1 for factored denominators; only the nonzero tail matters
+    q = [(j, v) for j, v in enumerate(f.den.expand().c) if j and v]
     p = f.num.c
     out = []
     for n in range(count):
         acc = p[n] if n < len(p) else 0
-        for j in range(1, min(n, len(q) - 1) + 1):
-            acc -= q[j] * out[n - j]
-        out.append(acc)  # q[0] == 1 for factored denominators
+        for j, v in q:
+            if j > n:
+                break
+            acc -= v * out[n - j]
+        out.append(acc)
     return out
 
 

@@ -7,27 +7,26 @@ Closed forms evaluate them as ratios of Schur polynomials at the positive
 weights; reps outside their range fall back to expanding the series.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
 from .exactalg import laurent_at_one
-from .repmodel import classify_case, weight_system
+from .repmodel import GAMMA0_EXCEPTIONS, Representation, classify_case, weight_system
 from .schur import power_sum, schur_eval
 from .series import hilbert_series
 
 
+@dataclass(frozen=True)
 class GammaResult:
     """Laurent coefficients, pole order, a-invariant and how each was found."""
 
-    __slots__ = ("rep", "gamma", "pole_order", "a_invariant", "methods", "case")
-
-    def __init__(self, rep, gamma, pole_order, a_invariant, methods, case):
-        self.rep = rep
-        self.gamma = tuple(gamma)
-        self.pole_order = pole_order
-        self.a_invariant = a_invariant
-        self.methods = tuple(methods)
-        self.case = case
+    rep: Representation
+    gamma: tuple
+    pole_order: int
+    a_invariant: int
+    methods: tuple
+    case: str
 
     def __repr__(self):
         parts = ", ".join(str(g) for g in self.gamma)
@@ -102,9 +101,6 @@ def gamma3(rep):
     return Fraction(5, 2) * (g2 - g0)
 
 
-_SMALL_DEGREE_A = {(1,): None, (1, 1): None, (2,): None, (3,): None, (4,): None}
-
-
 def a_invariant(rep):
     """Degree of the Hilbert series as a rational function.
 
@@ -115,7 +111,7 @@ def a_invariant(rep):
         raise ValueError("a-invariant undefined for trivial representations")
     if rep.trivial_count:
         raise ValueError("a-invariant undefined with trivial summands")
-    if rep.degrees in _SMALL_DEGREE_A:
+    if rep.degrees in GAMMA0_EXCEPTIONS:
         return hilbert_series(rep).degree()
     return -rep.dim
 
@@ -144,8 +140,8 @@ def gammas(rep):
         g3 = Fraction(5, 2) * (g2 - g0)
         gamma = [g0, g1, g2, g3]
         methods = ["ClosedForm", "ClosedForm", m2, "ClosedForm"]
-    return GammaResult(rep, gamma, exp.pole_order, a_invariant(rep),
-                       methods, tag.case)
+    return GammaResult(rep, tuple(gamma), exp.pole_order, a_invariant(rep),
+                       tuple(methods), tag.case)
 
 
 _FIRST_COEFF_EXCEPTIONS = {

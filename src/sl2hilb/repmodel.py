@@ -191,12 +191,17 @@ def grouped_weights(rep):
     return GroupedWeights(ew, em, ow, om)
 
 
+# Largest total dimension, trivial summands included, that a spec may have.
+MAX_DIM = 1000
+
+
 def parse_rep(text):
     """Parse a rep spec: either 'V3+2V2' style terms or a '3,2,2' list.
 
     Multiplicities allow an optional '*': '2*V3' and '2V3' agree.  The
     letter V is case insensitive and whitespace is ignored.  Degree 0
-    terms are recorded as trivial summands.
+    terms are recorded as trivial summands.  Specs of dimension above
+    MAX_DIM are rejected.
     """
     if not isinstance(text, str):
         raise RepParseError("rep spec must be a string")
@@ -220,6 +225,7 @@ def _parse_list(text, stripped):
     chunks.append(cur)
     degrees = []
     trivial = 0
+    dim = 0
     pos_after = len(text)
     for chunk in chunks:
         if not chunk:
@@ -232,6 +238,7 @@ def _parse_list(text, stripped):
             raise RepParseError("expected an integer degree, got %r" % s, start) from None
         if d < 0:
             raise RepParseError("negative degree %d" % d, start)
+        dim = _add_dim(dim, 1, d, start)
         if d == 0:
             trivial += 1
         else:
@@ -251,14 +258,23 @@ def _parse_terms(stripped):
     terms.append(cur)
     degrees = []
     trivial = 0
+    dim = 0
     end_pos = stripped[-1][0] + 1
     for term in terms:
         mult, degree = _parse_term(term, end_pos)
+        dim = _add_dim(dim, mult, degree, term[0][0])
         if degree == 0:
             trivial += mult
         else:
             degrees.extend([degree] * mult)
     return Representation(tuple(degrees), trivial)
+
+
+def _add_dim(dim, mult, degree, position):
+    dim += mult * (degree + 1)
+    if dim > MAX_DIM:
+        raise RepParseError("dimension exceeds %d" % MAX_DIM, position)
+    return dim
 
 
 def _parse_term(term, end_pos):
@@ -274,7 +290,11 @@ def _parse_term(term, end_pos):
             pos += 1
         if pos == start:
             return None
-        return int("".join(ch for _, ch in term[start:pos]))
+        digits = "".join(ch for _, ch in term[start:pos])
+        try:
+            return int(digits)
+        except ValueError:  # digits int() refuses, or too many of them
+            raise RepParseError("bad integer", term[start][0]) from None
 
     mult = take_int()
     if pos < n and term[pos][1] == "*":

@@ -16,9 +16,9 @@ brute force monomial counts before being returned.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd
-from concurrent.futures import ThreadPoolExecutor
 
-from .exactalg import Polynomial, FactoredDenominator, RationalFunction, taylor_coeffs
+from .exactalg import (Polynomial, FactoredDenominator, RationalFunction, _mul_trunc,
+                       rf_equal, taylor_coeffs)
 from .repmodel import grouped_weights
 from . import oracle
 
@@ -41,24 +41,15 @@ class ZRationalFunction:
     """Laurent numerator over a product of (1 - z^b)^e factors, b >= 1.
 
     The numerator is a dict exponent -> coefficient and may reach into
-    negative exponents; the denominator factors are always expanded as
-    power series in z when coefficients are extracted.
+    negative exponents.  Arithmetic factors out the lowest power of z
+    and runs on RationalFunction in z.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num=None, den=None):
         self.num = {e: c for e, c in (num or {}).items() if c}
-        self.den = {}
-        for b, e in (den or {}).items():
-            if b < 1 or e < 0:
-                raise ValueError("bad factor (1 - z^%d)^%d" % (b, e))
-            if e:
-                self.den[b] = self.den.get(b, 0) + e
-
-    @classmethod
-    def monomial(cls, coeff, exp=0):
-        return cls({exp: coeff})
+        self.den = den if isinstance(den, FactoredDenominator) else FactoredDenominator(den)
 
     @property
     def is_zero(self):
@@ -73,59 +64,35 @@ class ZRationalFunction:
     def __mul__(self, other):
         if self.is_zero or other.is_zero:
             return ZRationalFunction()
-        num = {}
-        for e1, c1 in self.num.items():
-            for e2, c2 in other.num.items():
-                e = e1 + e2
-                num[e] = num.get(e, 0) + c1 * c2
-        den = dict(self.den)
-        for b, e in other.den.items():
-            den[b] = den.get(b, 0) + e
-        return ZRationalFunction(num, den)
+        v, w = min(self.num), min(other.num)
+        return _from_rf(v + w, _to_rf(self, v) * _to_rf(other, w))
 
     def __add__(self, other):
         if self.is_zero:
             return other
         if other.is_zero:
             return self
-        common = {
-            b: max(self.den.get(b, 0), other.den.get(b, 0))
-            for b in set(self.den) | set(other.den)
-        }
-        ns = _num_times_factors(
-            self.num, {b: e - self.den.get(b, 0) for b, e in common.items()}
-        )
-        no = _num_times_factors(
-            other.num, {b: e - other.den.get(b, 0) for b, e in common.items()}
-        )
-        for e, c in no.items():
-            ns[e] = ns.get(e, 0) + c
-        return ZRationalFunction(ns, common)
+        v = min(min(self.num), min(other.num))
+        return _from_rf(v, _to_rf(self, v) + _to_rf(other, v))
 
     def __repr__(self):
         return "ZRationalFunction(%r, %r)" % (self.num, self.den)
 
 
-def _num_times_factors(num, factors):
-    out = dict(num)
-    for b, e in factors.items():
-        for _ in range(e):
-            nxt = {}
-            for exp, c in out.items():
-                nxt[exp] = nxt.get(exp, 0) + c
-                nxt[exp + b] = nxt.get(exp + b, 0) - c
-            out = {e2: c for e2, c in nxt.items() if c}
-    return out
+def _to_rf(f, v):
+    """z^-v f as a RationalFunction in z; v must not exceed the valuation of f."""
+    return RationalFunction(Polynomial.from_dict({e - v: c for e, c in f.num.items()}), f.den)
+
+
+def _from_rf(v, g):
+    """z^v g as a ZRationalFunction."""
+    return ZRationalFunction({v + i: c for i, c in enumerate(g.num.c)}, g.den)
 
 
 def zr_equal(f, g):
     """Exact equality of z-side functions by cross multiplication."""
-    shared = {
-        b: min(f.den.get(b, 0), g.den.get(b, 0)) for b in set(f.den) & set(g.den)
-    }
-    fn = _num_times_factors(f.num, {b: e - shared.get(b, 0) for b, e in g.den.items()})
-    gn = _num_times_factors(g.num, {b: e - shared.get(b, 0) for b, e in f.den.items()})
-    return fn == gn
+    v = min(f.num.keys() | g.num.keys(), default=0)
+    return rf_equal(_to_rf(f, v), _to_rf(g, v))
 
 
 def _inv_one_minus(c, e):
@@ -200,7 +167,7 @@ def partial_fraction(weights, mults):
     return terms
 
 
-def ua_transform(f, a, degree_budget=None):
+def ua_transform(f, a):
     """Extract every a-th z-coefficient of f into a rational function of t.
 
     U_a sends sum c_n z^n to sum c_{an} t^n.  Each denominator factor
@@ -212,80 +179,32 @@ def ua_transform(f, a, degree_budget=None):
     if a < 0:
         raise ValueError("a must be nonnegative")
     if f.is_zero:
-        return RationalFunction(Polynomial(), FactoredDenominator())
+        return RationalFunction(0)
     if a == 0:
-        c0 = _z_coefficient(f, 0)
-        return RationalFunction(Polynomial([c0]), FactoredDenominator({1: 1}))
+        return RationalFunction(Polynomial(_z_coeffs(f, 0, 0)), FactoredDenominator({1: 1}))
     den_t = {}
-    for b, e in f.den.items():
+    for b, e in f.den.factors.items():
         g = gcd(a, b)
-        m = b // g
-        den_t[m] = den_t.get(m, 0) + g * e
-    q = sum(b * e for b, e in f.den.items())
-    p = max(f.num)
+        den_t[b // g] = den_t.get(b // g, 0) + g * e
+    q = f.den.degree
+    # the part of f with exponents >= 0 is M / den, deg M <= max(f.num); once
+    # f reaches into negative exponents M may have any degree below q as well
+    p = max(f.num) if min(f.num) >= 0 else max(max(f.num), q - 1)
     bound = max(0, (p + (a - 1) * q) // a)
-    if degree_budget is not None and degree_budget > bound:
-        bound = degree_budget
     margin = 2
-    sub = _z_subsequence(f, a, bound + margin)
-    qpoly = FactoredDenominator(den_t).expand().c
-    num = []
-    for k in range(bound + margin + 1):
-        acc = 0
-        for u in range(min(k, len(qpoly) - 1) + 1):
-            if qpoly[u]:
-                acc += qpoly[u] * sub[k - u]
-        num.append(acc)
-    for k in range(bound + 1, bound + margin + 1):
-        if num[k] != 0:
-            raise RuntimeError("numerator degree bound violated in U_%d" % a)
-    return RationalFunction(Polynomial(num[:bound + 1]), FactoredDenominator(den_t))
+    sub = _z_coeffs(f, a, bound + margin)
+    den_t = FactoredDenominator(den_t)
+    num = _mul_trunc(den_t.expand().c, sub, bound + margin)
+    if any(num[bound + 1:]):
+        raise RuntimeError("numerator degree bound violated in U_%d" % a)
+    return RationalFunction(Polynomial(num[:bound + 1]), den_t)
 
 
-def _expanded_den(f):
-    out = [1]
-    for b, e in f.den.items():
-        for _ in range(e):
-            nxt = [0] * (len(out) + b)
-            for i, c in enumerate(out):
-                if c:
-                    nxt[i] += c
-                    nxt[i + b] -= c
-            out = nxt
-    return out
-
-
-def _z_series(f, top):
-    """Laurent coefficients of f from its valuation up to z^top, as (offset, list)."""
-    vmin = min(f.num)
-    qz = _expanded_den(f)
-    length = top - vmin + 1
-    if length <= 0:
-        return vmin, []
-    coeffs = [0] * length
-    for j in range(length):
-        acc = f.num.get(vmin + j, 0)
-        for u in range(1, min(j, len(qz) - 1) + 1):
-            if qz[u]:
-                acc -= qz[u] * coeffs[j - u]
-        coeffs[j] = acc
-    return vmin, coeffs
-
-
-def _z_subsequence(f, a, count):
+def _z_coeffs(f, a, count):
     """[z^0]f, [z^a]f, ..., [z^(a*count)]f."""
-    vmin, coeffs = _z_series(f, a * count)
-    out = []
-    for i in range(count + 1):
-        j = a * i - vmin
-        out.append(coeffs[j] if 0 <= j < len(coeffs) else 0)
-    return out
-
-
-def _z_coefficient(f, n):
-    vmin, coeffs = _z_series(f, n)
-    j = n - vmin
-    return coeffs[j] if 0 <= j < len(coeffs) else 0
+    v = min(f.num)
+    series = taylor_coeffs(_to_rf(f, v), max(a * count - v + 1, 0))
+    return [series[a * i - v] if a * i >= v else 0 for i in range(count + 1)]
 
 
 def dn_apply(f, n):
@@ -298,73 +217,53 @@ def dn_apply(f, n):
     return out
 
 
+# Terms of the series compared with the brute force counts, at most.
+CHECK_DEPTH = 30
+
 _MEMO = {}
 
 
-def hilbert_series(rep, check_cap=30, threads=None):
+def hilbert_series(rep):
     """Hilbert series of the invariant ring of rep, as num / factored den.
 
     The result is reduced and verified against brute force monomial
-    counts up to min(check_cap, denominator degree); a mismatch raises
+    counts up to min(CHECK_DEPTH, denominator degree); a mismatch raises
     SeriesConsistencyError.  Trivial summands contribute 1/(1-t) each.
+    Every call returns a fresh object; the memo keeps its own.
     """
     memo_key = (rep.degrees, rep.trivial_count)
-    hit = _MEMO.get(memo_key)
-    if hit is not None:
-        return hit
+    if memo_key not in _MEMO:
+        _MEMO[memo_key] = _compute(rep)
+    f = _MEMO[memo_key]
+    return RationalFunction(Polynomial(f.num.c), FactoredDenominator(f.den.factors))
+
+
+def _compute(rep):
     if not rep.degrees:
-        total = RationalFunction(
-            Polynomial([1]),
-            FactoredDenominator({1: rep.trivial_count} if rep.trivial_count else {}),
-        )
-        _MEMO[memo_key] = total
-        return total
+        return RationalFunction(1, {1: rep.trivial_count})
     gw = grouped_weights(rep)
     weights = list(gw.even_weights) + list(gw.odd_weights)
     mults = list(gw.even_mults) + list(gw.odd_mults)
     one_minus_z2 = ZRationalFunction({0: 1, 2: -1})
-    jobs = []
+    total = RationalFunction(0)
     for alpha, mult in zip(weights, mults):
         if alpha < 0:
             continue
         omitted = weights.index(-alpha)
-        jobs.append((alpha, mult, omitted))
-
-    def run_job(job):
-        alpha, mult, omitted = job
-        parts = []
         for j, g in enumerate(_coeffs_for_index(weights, mults, omitted)):
             order = mult - j
             piece = ua_transform(one_minus_z2 * g, alpha)
             piece = dn_apply(piece, order - 1).scaled(Fraction(1, factorial(order - 1)))
-            parts.append(piece)
-        return parts
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_job = list(pool.map(run_job, jobs))
-    else:
-        per_job = [run_job(job) for job in jobs]
-    total = RationalFunction(Polynomial(), FactoredDenominator())
-    for parts in per_job:
-        for piece in parts:
             total = total + piece
     total = total.reduce()
     if rep.trivial_count:
-        factors = dict(total.den.factors)
-        factors[1] = factors.get(1, 0) + rep.trivial_count
-        total = RationalFunction(total.num, FactoredDenominator(factors))
-    _verify_against_counts(rep, total, check_cap)
-    _MEMO[memo_key] = total
-    return total
-
-
-def _verify_against_counts(rep, total, check_cap):
+        total = total * RationalFunction(1, {1: rep.trivial_count})
     if total.num.is_zero or total.degree() > 0:
         raise SeriesConsistencyError(rep, 0, repr(total), "a power series of degree <= 0")
-    depth = min(check_cap, total.den.degree)
+    depth = min(CHECK_DEPTH, total.den.degree)
     got = taylor_coeffs(total, depth + 1)
     want = oracle.truncated_series(rep, depth)
     for n, (g, w) in enumerate(zip(got, want)):
         if g != w:
             raise SeriesConsistencyError(rep, n, g, w)
+    return total

@@ -99,8 +99,21 @@ def test_parse_error_exit_code(capsys):
     assert "position" in err
 
 
+USAGE_ERRORS = [
+    ["frobnicate"],
+    ["expand", "V3", "--terms", "-1"],
+    ["series", "V3", "--terms", "-2"],
+    ["series", "99999999999999999999V1"],
+    ["series", "V" + "9" * 5000],
+    ["verify", "V3", "--max-degree", "-1", "--draws", "0"],
+]
+
+
 def test_usage_error_exit_code(capsys):
-    assert main(["frobnicate"]) == 2
+    for argv in USAGE_ERRORS:
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "error:" in err and "Traceback" not in err, argv
 
 
 def test_verify_pass(capsys):
@@ -182,9 +195,3 @@ def test_big_int_serialization():
     assert _int_out(12) == 12
     assert _int_in(str(big)) == big
     assert _int_in(-5) == -5
-
-
-def test_threads_flag(capsys):
-    code, out, _ = run(capsys, "series", "V8", "--threads", "2")
-    assert code == 0
-    assert "(1-t^" in out

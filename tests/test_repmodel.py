@@ -1,7 +1,8 @@
 import pytest
 
-from sl2hilb.repmodel import (Representation, RepParseError, classify_case,
-                              grouped_weights, parse_rep, weight_system)
+from sl2hilb.repmodel import (MAX_DIM, Representation, RepParseError,
+                              classify_case, grouped_weights, parse_rep,
+                              weight_system)
 
 
 def test_parse_basic_forms():
@@ -127,3 +128,10 @@ def test_grouped_weights_nested_even():
     assert gw.even_weights == (4, 2, 0, -2, -4)
     # weight 2 appears in both summands, weight 4 only in V4
     assert gw.even_mults == (1, 2, 2, 2, 1)
+
+
+def test_parse_rejects_dimension_over_limit():
+    assert parse_rep("%dV0" % MAX_DIM).trivial_count == MAX_DIM
+    for text in ["%dV0" % (MAX_DIM + 1), "99999999999999999999V1", "5,%d" % MAX_DIM]:
+        with pytest.raises(RepParseError):
+            parse_rep(text)

@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sl2hilb.series as series_mod
 from sl2hilb.exactalg import (FactoredDenominator, Polynomial,
-                              RationalFunction, rf_equal)
+                              RationalFunction, rf_equal, taylor_coeffs)
 from sl2hilb.repmodel import parse_rep
 from sl2hilb.series import (SeriesConsistencyError, ZRationalFunction,
                             dn_apply, hilbert_series, partial_fraction,
@@ -95,13 +97,6 @@ def test_hilbert_series_numerator_degree_bounded():
         assert f.num.c[0] == 1
 
 
-def test_threads_agree():
-    rep = parse_rep("V8")
-    a = hilbert_series(rep)
-    b = hilbert_series(rep, threads=2)
-    assert rf_equal(a, b)
-
-
 def test_consistency_check_trips_on_bad_oracle(monkeypatch):
     rep = parse_rep("V1+V5")
     monkeypatch.setattr(series_mod, "_MEMO", {})
@@ -120,3 +115,54 @@ def test_zrational_arithmetic():
     # spot value: both sides as series in z must agree; cross-multiplied equality
     assert zr_equal(total, total)
     assert not zr_equal(a, b)
+
+
+def test_memo_hands_out_copies(monkeypatch):
+    monkeypatch.setattr(series_mod, "_MEMO", {})
+    rep = parse_rep("V5")
+    first = hilbert_series(rep)                     # computed
+    num, den = list(first.num.c), dict(first.den.factors)
+    first.num.c.append(7)
+    first.den.factors[99] = 1
+    second = hilbert_series(rep)                    # served by the memo
+    assert second.num.c == num and second.den.factors == den
+    second.num.c.append(7)
+    assert hilbert_series(rep).num.c == num
+
+
+def _expand(f, top):
+    """Coefficients of f up to z^top, multiplying out geometric series."""
+    coeffs = dict(f.num)
+    for b, e in f.den.factors.items():
+        for _ in range(e):
+            nxt = {}
+            for n, c in coeffs.items():
+                for k in range(n, top + 1, b):
+                    nxt[k] = nxt.get(k, 0) + c
+            coeffs = nxt
+    return coeffs
+
+
+z_functions = st.builds(
+    ZRationalFunction,
+    st.dictionaries(st.integers(-6, 6),
+                    st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4),
+                    min_size=1, max_size=4),
+    st.dictionaries(st.integers(1, 4), st.integers(1, 2), max_size=3))
+
+
+@given(z_functions, z_functions)
+@settings(max_examples=80, deadline=None)
+def test_z_side_matches_brute_force(f, g):
+    top = 24
+    ef, eg = _expand(f, top), _expand(g, top)
+    for a in range(1, 5):
+        got = taylor_coeffs(ua_transform(f, a), top // a + 1)
+        assert got == [ef.get(a * i, 0) for i in range(top // a + 1)]
+    esum, eprod = _expand(f + g, top), _expand(f * g, top)
+    for n in range(-12, top + 1):
+        assert esum.get(n, 0) == ef.get(n, 0) + eg.get(n, 0)
+    # exponents start at -6 on both sides, so ef is needed up to n + 6
+    for n in range(-12, top - 5):
+        want = sum(ef.get(k, 0) * eg.get(n - k, 0) for k in range(-6, n + 7))
+        assert eprod.get(n, 0) == want
