@@ -21,7 +21,7 @@ from .exactalg import (FactoredDenominator, Polynomial, RationalFunction,
 from .laurent import first_coeff_sum, gammas, random_params, sigma_sum_raw, \
     sigma_sum_schur
 from .oracle import truncated_series
-from .repmodel import RepParseError, parse_rep
+from .repmodel import FIRST_COEFF_EXCEPTIONS, RepParseError, parse_rep
 from .series import SeriesConsistencyError, hilbert_series
 
 EXIT_OK = 0
@@ -329,7 +329,7 @@ def _verify_rep(rep, max_degree, draws, seed, out):
               series.degree() == res.a_invariant,
               "degree %d vs %d" % (series.degree(), res.a_invariant))
 
-        if rep.degrees not in {(1,), (1, 1), (2,)}:
+        if rep.degrees not in FIRST_COEFF_EXCEPTIONS:
             check("pole order %d" % (dim - 3), res.pole_order == dim - 3,
                   "got %d" % res.pole_order)
             flip = series.at_reciprocal()
@@ -338,8 +338,7 @@ def _verify_rep(rep, max_degree, draws, seed, out):
             check("functional equation", rf_equal(flip, shifted))
 
         fcs = first_coeff_sum(rep)
-        expected_fcs = {(1,): Fraction(1), (2,): Fraction(-1, 4),
-                        (1, 1): Fraction(-1)}.get(rep.degrees, Fraction(0))
+        expected_fcs = FIRST_COEFF_EXCEPTIONS.get(rep.degrees, Fraction(0))
         check("leading coefficient sum", fcs == expected_fcs,
               "got %s want %s" % (fcs, expected_fcs))
 
@@ -348,9 +347,8 @@ def _verify_rep(rep, max_degree, draws, seed, out):
 
         row = next((r for r in FIXTURES if r.key == rep.key), None)
         if row is not None:
-            check("fixture table row", res.gamma == row.gamma
-                  and res.a_invariant == row.a_invariant
-                  and rf_equal(series, row.series))
+            problems = _fixture_mismatches(row, series, res)
+            check("fixture table row", not problems, "; ".join(problems))
 
         if draws:
             rng = random.Random(seed)
@@ -372,6 +370,19 @@ def _verify_rep(rep, max_degree, draws, seed, out):
     return EXIT_VERIFY if failures else EXIT_OK
 
 
+def _fixture_mismatches(row, series, res):
+    """How a computed series and GammaResult differ from a fixture row, as text."""
+    problems = []
+    if not rf_equal(series, row.series):
+        problems.append("series %r vs %r" % (series, row.series))
+    if res.gamma != row.gamma:
+        problems.append("gamma %s vs %s" %
+                        (list(map(str, res.gamma)), list(map(str, row.gamma))))
+    if res.a_invariant != row.a_invariant:
+        problems.append("a %d vs %d" % (res.a_invariant, row.a_invariant))
+    return problems
+
+
 def cmd_verify(args, out=None):
     out = out or sys.stdout
     rep = parse_rep(args.spec)
@@ -383,16 +394,7 @@ def cmd_table(args, out=None):
     bad = 0
     for row in FIXTURES:
         rep = parse_rep(row.key)
-        series = hilbert_series(rep)
-        res = gammas(rep)
-        problems = []
-        if not rf_equal(series, row.series):
-            problems.append("series %r vs %r" % (series, row.series))
-        if res.gamma != row.gamma:
-            problems.append("gamma %s vs %s" %
-                            (list(map(str, res.gamma)), list(map(str, row.gamma))))
-        if res.a_invariant != row.a_invariant:
-            problems.append("a %d vs %d" % (res.a_invariant, row.a_invariant))
+        problems = _fixture_mismatches(row, hilbert_series(rep), gammas(rep))
         if problems:
             bad += 1
             out.write("%-6s DIFF %s\n" % (row.key, "; ".join(problems)))

@@ -3,7 +3,7 @@
 Everything is dense and exact: polynomials are coefficient lists of
 ints or Fractions, denominators stay factored as products of cyclotomic
 style factors (1 - t^m)^e, and Laurent expansion at t = 1 is done by
-the substitution t = 1 - s followed by truncated series inversion.
+the substitution t = 1 - s followed by truncated series division.
 """
 
 from dataclasses import dataclass
@@ -61,16 +61,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            if self.is_zero or other.is_zero:
-                return Polynomial()
-            a, b = self.c, other.c
-            out = [0] * (len(a) + len(b) - 1)
-            for i, u in enumerate(a):
-                if u:
-                    for j, v in enumerate(b):
-                        if v:
-                            out[i + j] += u * v
-            return Polynomial(out)
+            return Polynomial(_mul_trunc(self.c, other.c, len(self.c) + len(other.c) - 2))
         return Polynomial([v * other for v in self.c])
 
     __rmul__ = __mul__
@@ -93,29 +84,6 @@ class Polynomial:
     def reversed_(self):
         """t^degree * p(1/t)."""
         return Polynomial(list(reversed(self.c)))
-
-    def divide_exact(self, divisor):
-        """Exact quotient self / divisor, or None if the remainder is nonzero."""
-        if divisor.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero:
-            return Polynomial()
-        if self.degree < divisor.degree:
-            return None
-        rem = list(self.c)
-        dc = divisor.c
-        lead = dc[-1]
-        out = [0] * (len(rem) - len(dc) + 1)
-        for i in range(len(out) - 1, -1, -1):
-            q = rem[i + len(dc) - 1]
-            if q == 0:
-                continue
-            q = out[i] = _normalize(Fraction(q, lead))
-            for j, v in enumerate(dc):
-                rem[i + j] -= q * v
-        if any(rem):
-            return None
-        return Polynomial(out)
 
     def __repr__(self):
         if self.is_zero:
@@ -209,7 +177,10 @@ class RationalFunction:
 
     def __init__(self, num, den=None):
         if not isinstance(num, Polynomial):
-            num = Polynomial([num]) if num else Polynomial()
+            if not isinstance(num, (int, Fraction)):
+                raise TypeError("numerator must be a Polynomial, int or Fraction, not %s"
+                                % type(num).__name__)
+            num = Polynomial([num])
         if den is None:
             den = FactoredDenominator()
         elif not isinstance(den, FactoredDenominator):
@@ -248,33 +219,30 @@ class RationalFunction:
             return RationalFunction(self.num.derivative(), self.den)
         # (P / prod q_m^e_m)' = (P' prod q_m + P sum e_m q_m' prod_{m'!=m} q_m')
         #                       / prod q_m^(e_m+1)
-        prod_all = ONE
-        for m in f:
-            prod_all = prod_all * one_minus_power(m)
-        top = self.num.derivative() * prod_all
+        once = dict.fromkeys(f, 1)
+        top = self.num.derivative() * _cofactor(once, {})
         for m, e in f.items():
             # from d/dt (1 - t^m)^-e = e m t^(m-1) (1 - t^m)^-(e+1)
-            part = Polynomial([0] * (m - 1) + [e * m])
-            for m2 in f:
-                if m2 != m:
-                    part = part * one_minus_power(m2)
-            top = top + self.num * part
+            top = top + self.num * (_cofactor(once, {m: 1}).shifted(m - 1) * (e * m))
         return RationalFunction(top, FactoredDenominator({m: e + 1 for m, e in f.items()}))
 
     def reduce(self):
-        """Cancel factors (1 - t^m) dividing the numerator; best effort."""
-        num = self.num
+        """Cancel factors (1 - t^m) dividing the numerator; best effort.
+
+        Integral Fraction coefficients of the numerator come back as ints.
+        """
+        c = [_normalize(v) for v in self.num.c]
         factors = dict(self.den.factors)
         for m in sorted(factors):
-            while factors[m] > 0 and not num.is_zero:
-                q = num.divide_exact(one_minus_power(m))
-                if q is None:
+            while factors[m] and c:
+                # c / (1 - t^m) is a polynomial iff its terms deg-m+1..deg vanish
+                deg = len(c) - 1
+                s = _series_div(c, one_minus_power(m).c, deg + 1)
+                if any(s[max(deg - m + 1, 0):]):
                     break
-                num = q
+                c = s[:deg - m + 1]
                 factors[m] -= 1
-            if factors[m] == 0:
-                del factors[m]
-        return RationalFunction(num, FactoredDenominator(factors))
+        return RationalFunction(Polynomial(c), FactoredDenominator(factors))
 
     def at_reciprocal(self):
         """The rational function f(1/t); requires degree <= 0."""
@@ -310,18 +278,7 @@ def taylor_coeffs(f, count):
     """First `count` Maclaurin coefficients of f; denominator must be 1 at 0."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    # q[0] == 1 for factored denominators; only the nonzero tail matters
-    q = [(j, v) for j, v in enumerate(f.den.expand().c) if j and v]
-    p = f.num.c
-    out = []
-    for n in range(count):
-        acc = p[n] if n < len(p) else 0
-        for j, v in q:
-            if j > n:
-                break
-            acc -= v * out[n - j]
-        out.append(acc)
-    return out
+    return _series_div(f.num.c, f.den.expand().c, count)
 
 
 def laurent_at_one(f, count):
@@ -355,41 +312,40 @@ def laurent_at_one(f, count):
     pole = zeros - val
     # expand (unit part of numerator) / (unit part of denominator) in s
     length = count if pole >= 0 else max(count + pole, 0)
-    top = cur[val:val + length]
-    inv = _series_inverse(unit, length)
-    series = []
-    for n in range(length):
-        acc = 0
-        for j in range(min(n, len(top) - 1) + 1):
-            acc += top[j] * inv[n - j]
-        series.append(_normalize(acc))
+    series = [_normalize(x) for x in _series_div(cur[val:val + length], unit, length)]
     if pole >= 0:
         return LaurentExpansion(pole, tuple(series))
     return LaurentExpansion(0, tuple(([0] * min(-pole, count) + series)[:count]))
 
 
 def _mul_trunc(a, b, cutoff):
+    """Coefficients 0..cutoff of the product of coefficient lists a and b."""
     out = [0] * (cutoff + 1)
-    for i, u in enumerate(a):
+    for i, u in enumerate(a[:cutoff + 1]):
         if u:
-            for j, v in enumerate(b):
-                if i + j > cutoff:
-                    break
+            for k, v in enumerate(b[:cutoff + 1 - i], i):
                 if v:
-                    out[i + j] += u * v
+                    out[k] += u * v
     return out
 
 
-def _series_inverse(coeffs, count):
-    """First `count` coefficients of 1 / sum coeffs[j] s^j, coeffs[0] != 0."""
-    c0 = coeffs[0]
-    inv = [Fraction(1, 1) / c0]
-    for n in range(1, count):
-        acc = 0
-        for j in range(1, min(n, len(coeffs) - 1) + 1):
-            acc += coeffs[j] * inv[n - j]
-        inv.append(-acc / c0)
-    return inv
+def _series_div(p, q, count):
+    """First `count` coefficients of the power series p / q, q[0] != 0.
+
+    Divides by q[0] only when it is not 1, so integer inputs over a
+    monic-at-zero q stay integers.
+    """
+    q0 = None if q[0] == 1 else Fraction(q[0])
+    tail = [(j, v) for j, v in enumerate(q) if j and v]
+    out = []
+    for n in range(count):
+        acc = p[n] if n < len(p) else 0
+        for j, v in tail:
+            if j > n:
+                break
+            acc -= v * out[n - j]
+        out.append(acc if q0 is None else _normalize(acc / q0))
+    return out
 
 
 def _normalize(x):

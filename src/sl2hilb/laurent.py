@@ -12,7 +12,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .exactalg import laurent_at_one
-from .repmodel import GAMMA0_EXCEPTIONS, Representation, classify_case, weight_system
+from .repmodel import (FIRST_COEFF_EXCEPTIONS, GAMMA0_EXCEPTIONS, Representation,
+                       classify_case, weight_system)
 from .schur import power_sum, schur_eval
 from .series import hilbert_series
 
@@ -144,13 +145,6 @@ def gammas(rep):
                        tuple(methods), tag.case)
 
 
-_FIRST_COEFF_EXCEPTIONS = {
-    (1,): Fraction(1),
-    (2,): Fraction(-1, 4),
-    (1, 1): Fraction(-1),
-}
-
-
 def first_coeff_sum(rep):
     """Leading coefficient of the order dim-2 pole candidate.
 
@@ -160,8 +154,8 @@ def first_coeff_sum(rep):
     """
     if not rep.degrees or rep.trivial_count:
         raise ValueError("undefined for trivial representations")
-    if rep.degrees in _FIRST_COEFF_EXCEPTIONS:
-        return _FIRST_COEFF_EXCEPTIONS[rep.degrees]
+    if rep.degrees in FIRST_COEFF_EXCEPTIONS:
+        return FIRST_COEFF_EXCEPTIONS[rep.degrees]
     ws = weight_system(rep)
     # 2 * Sigma_{dim-3} collapses to a Schur vector with a repeated entry.
     num = schur_eval(_staircase(ws.npos - 3, ws.npos), ws.a_vec)

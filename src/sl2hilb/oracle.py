@@ -21,6 +21,11 @@ def weight_count_table(rep, max_degree):
     ws = _variable_weights(rep)
     if not ws:
         raise ValueError("the zero rep has no monomials to count")
+    return _weight_counts(ws, max_degree)
+
+
+def _weight_counts(ws, max_degree):
+    """weight_count_table for the variable weights ws: a coin-change walk."""
     offset = max_degree * max(max(abs(w) for w in ws), 1)
     width = 2 * offset + 1
     rows = [[0] * width for _ in range(max_degree + 1)]
@@ -75,7 +80,8 @@ def multigraded_dim(rep, degs):
     # weight distribution of each summand at its exact degree, then convolve
     total = {0: 1}
     for d, p in zip(rep.degrees, degs):
-        dist = _summand_weights(d, p)
+        rows, offset = _weight_counts([2 * i - d for i in range(d + 1)], p)
+        dist = {j - offset: v for j, v in enumerate(rows[p]) if v}
         merged = {}
         for w1, c1 in total.items():
             for w2, c2 in dist.items():
@@ -84,26 +90,3 @@ def multigraded_dim(rep, degs):
         total = merged
     return total.get(0, 0) - total.get(2, 0)
 
-
-def _summand_weights(d, p):
-    """Weight distribution of degree p monomials in the variables of V_d."""
-    offset = p * d if p else 0
-    width = 2 * offset + 1
-    rows = [[0] * width for _ in range(p + 1)]
-    rows[0][offset] = 1
-    for i in range(d + 1):
-        a = 2 * i - d
-        for n in range(1, p + 1):
-            cur = rows[n]
-            prev = rows[n - 1]
-            if a >= 0:
-                for j in range(width - 1, a - 1, -1):
-                    v = prev[j - a]
-                    if v:
-                        cur[j] += v
-            else:
-                for j in range(width + a):
-                    v = prev[j - a]
-                    if v:
-                        cur[j] += v
-    return {j - offset: v for j, v in enumerate(rows[p]) if v}

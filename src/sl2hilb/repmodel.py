@@ -11,6 +11,7 @@ and are excluded from the weight combinatorics.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 
 class RepParseError(ValueError):
@@ -121,6 +122,10 @@ GAMMA0_EXCEPTIONS = frozenset({(1,), (2,), (3,), (4,), (1, 1)})
 GAMMA2_ONLY_EXCEPTIONS = frozenset(
     {(5,), (6,), (8,), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 3), (4, 4)}
 )
+
+# Degree multisets whose weight sum in front of 1/(1-t)^(dim-2) is nonzero,
+# with that sum; the pole order is dim-3 for every other rep.
+FIRST_COEFF_EXCEPTIONS = {(1,): Fraction(1), (2,): Fraction(-1, 4), (1, 1): Fraction(-1)}
 
 CASE_EXCEPTION_GAMMA0 = "ExceptionGamma0"
 CASE_EXCEPTION_GAMMA2_ONLY = "ExceptionGamma2Only"

@@ -144,6 +144,10 @@ def test_table_reports_tampered_row(capsys, monkeypatch):
     code, out, _ = run(capsys, "table")
     assert code == 1
     assert "DIFF" in out and "15/16 rows match" in out
+    code, out, _ = run(capsys, "verify", bad.key, "--max-degree", "6", "--draws", "0")
+    assert code == 1
+    line = next(l for l in out.splitlines() if l.startswith("FAIL fixture table row"))
+    assert "gamma" in line
 
 
 def test_cache_round_trip(isolated_cache, capsys):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sl2hilb.exactalg import (FactoredDenominator, Polynomial,
@@ -19,6 +19,7 @@ def test_polynomial_arithmetic():
     assert (p + q).c == [1, 3, 1]
     assert (p * q).c == [0, 1, 3, 2]
     assert (p * 3).c == [3, 6]
+    assert (p * Polynomial()).c == [] and (Polynomial() * p).c == []
     assert (-p).c == [-1, -2]
     assert p.degree == 1
     assert Polynomial([0]).degree == -1
@@ -29,13 +30,6 @@ def test_polynomial_shift_reverse_eval():
     assert p.shifted(2).c == [0, 0, 1, 0, 2]
     assert p.reversed_().c == [2, 0, 1]
     assert p.eval_at(Fraction(1, 2)) == Fraction(3, 2)
-
-
-def test_polynomial_divide_exact():
-    p = Polynomial([1, 0, -1])           # 1 - t^2
-    q = Polynomial([1, -1])              # 1 - t
-    assert p.divide_exact(q).c == [1, 1]
-    assert Polynomial([1, 1]).divide_exact(q) is None
 
 
 def test_polynomial_derivative():
@@ -98,6 +92,47 @@ def test_reduce_cancels_shared_factors():
     g = f.reduce()
     assert g.den.factors == {2: 1}
     assert rf_equal(f, g)
+
+
+def test_reduce_keeps_factor_that_does_not_divide():
+    f = rf([1, 1], {2: 1})               # (1+t)/(1-t^2): 1 - t^2 does not divide 1 + t
+    g = f.reduce()
+    assert g.num.c == [1, 1]
+    assert g.den.factors == {2: 1}
+
+
+def _long_division_remainder(poly, divisor):
+    rem = [Fraction(v) for v in poly]
+    d = len(divisor) - 1
+    for top in range(len(rem) - 1, d - 1, -1):
+        q = rem[top] / divisor[-1]
+        for j, v in enumerate(divisor):
+            rem[top - d + j] -= q * v
+    return rem[:d]
+
+
+@given(st.lists(st.integers(-4, 4), min_size=1, max_size=6),
+       st.dictionaries(st.integers(1, 5), st.integers(1, 2), max_size=3),
+       st.dictionaries(st.integers(1, 5), st.integers(1, 3), max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_reduce_property(base, shared, den):
+    # the numerator carries the factors in `shared`, some of which the
+    # denominator has too; reduce must cancel exactly the ones it can
+    assume(any(base))
+    num = Polynomial(base) * FactoredDenominator(shared).expand()
+    f = RationalFunction(num, FactoredDenominator(den))
+    g = f.reduce()
+    assert rf_equal(g, f)
+    assert all(type(v) is int for v in g.num.c)
+    for m in g.den.factors:
+        assert any(_long_division_remainder(g.num.c, [1] + [0] * (m - 1) + [-1]))
+
+
+def test_rational_function_numerator_types():
+    with pytest.raises(TypeError):
+        RationalFunction([1, 2], {2: 1})
+    assert RationalFunction(0).is_zero
+    assert RationalFunction(Fraction(1, 2)).num.c == [Fraction(1, 2)]
 
 
 def test_laurent_at_one_simple_pole():

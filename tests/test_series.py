@@ -166,3 +166,9 @@ def test_z_side_matches_brute_force(f, g):
     for n in range(-12, top - 5):
         want = sum(ef.get(k, 0) * eg.get(n - k, 0) for k in range(-6, n + 7))
         assert eprod.get(n, 0) == want
+
+
+def test_series_numerator_is_int():
+    # the JSON writer serialises ints only; a Fraction numerator would not
+    for spec in ("V5", "3V4", "4V1+2V5", "V0+V3+V4"):
+        assert all(type(v) is int for v in hilbert_series(parse_rep(spec)).num.c), spec
