@@ -7,6 +7,7 @@ Closed forms evaluate them as ratios of Schur polynomials at the positive
 weights; reps outside their range fall back to expanding the series.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -49,9 +50,10 @@ def _rho_leading(npos):
     return (npos - 3,) * 3 + tuple(range(npos - 4, -1, -1))
 
 
-def _schur_ratio(rho, ws):
-    den = schur_eval(tuple(range(ws.npos - 1, -1, -1)), ws.a_vec)
-    return Fraction(schur_eval(rho, ws.a_vec)) / den
+def _schur_ratio(rho, points):
+    # s_rho / s_delta at the points, delta = (n-1, ..., 1, 0).
+    den = schur_eval(tuple(range(len(points) - 1, -1, -1)), points)
+    return Fraction(schur_eval(rho, points)) / den
 
 
 def gamma0(rep):
@@ -59,7 +61,7 @@ def gamma0(rep):
     if tag.in_gamma0_exceptions:
         raise ValueError("no closed gamma0 form for %s" % rep)
     ws = weight_system(rep)
-    return ws.sigma * _schur_ratio(_rho_leading(ws.npos), ws)
+    return ws.sigma * _schur_ratio(_rho_leading(ws.npos), ws.a_vec)
 
 
 def gamma1(rep):
@@ -82,11 +84,7 @@ def gamma2(rep):
     if tag.one_v1_rest_even:
         # The V1 summand contributes one extra term built from the even part
         # alone: drop the single positive V1 weight (first in lex order).
-        sub = ws.a_vec[1:]
-        c1 = ws.npos - 1
-        extra = Fraction(schur_eval(_rho_leading(c1), sub),
-                         4 * schur_eval(tuple(range(c1 - 1, -1, -1)), sub))
-        out += extra
+        out += _schur_ratio(_rho_leading(ws.npos - 1), ws.a_vec[1:]) / 4
     return out
 
 
@@ -94,12 +92,7 @@ def gamma3(rep):
     tag = classify_case(rep)
     if tag.in_gamma0_exceptions:
         raise ValueError("no closed gamma3 form for %s" % rep)
-    g0 = gamma0(rep)
-    if tag.in_gamma2_exceptions:
-        g2 = _series_gammas(rep)[2]
-    else:
-        g2 = gamma2(rep)
-    return Fraction(5, 2) * (g2 - g0)
+    return _coefficients(rep, tag)[0][3]
 
 
 def a_invariant(rep):
@@ -117,32 +110,35 @@ def a_invariant(rep):
     return -rep.dim
 
 
-def _series_gammas(rep, count=4):
-    return laurent_at_one(hilbert_series(rep), count).coeffs
+def _coefficients(rep, tag):
+    """(gamma0..gamma3, their methods, Laurent expansion of the series or None).
+
+    The series is built only when some coefficient has no closed form.
+    """
+    exp = None
+    if tag.in_gamma0_exceptions or tag.in_gamma2_exceptions:
+        exp = laurent_at_one(hilbert_series(rep), 4)
+    if tag.in_gamma0_exceptions:
+        return exp.coeffs, ("SeriesFallback",) * 4, exp
+    g0 = gamma0(rep)
+    if tag.in_gamma2_exceptions:
+        g2, m2 = exp.coeffs[2], "SeriesFallback"
+    else:
+        g2, m2 = gamma2(rep), "ClosedForm"
+    gamma = (g0, Fraction(3, 2) * g0, g2, Fraction(5, 2) * (g2 - g0))
+    return gamma, ("ClosedForm", "ClosedForm", m2, "ClosedForm"), exp
 
 
 def gammas(rep):
-    """All four Laurent coefficients, preferring closed forms."""
+    """All four Laurent coefficients, preferring closed forms.
+
+    Outside GAMMA0_EXCEPTIONS the pole order is dim - 3 and the a-invariant
+    -dim, so the series is expanded only for the coefficients that need it.
+    """
     tag = classify_case(rep)
-    series = hilbert_series(rep)
-    exp = laurent_at_one(series, 4)
-    if tag.in_gamma0_exceptions:
-        gamma = list(exp.coeffs)
-        methods = ["SeriesFallback"] * 4
-    else:
-        g0 = gamma0(rep)
-        g1 = gamma1(rep)
-        if tag.in_gamma2_exceptions:
-            g2 = exp.coeffs[2]
-            m2 = "SeriesFallback"
-        else:
-            g2 = gamma2(rep)
-            m2 = "ClosedForm"
-        g3 = Fraction(5, 2) * (g2 - g0)
-        gamma = [g0, g1, g2, g3]
-        methods = ["ClosedForm", "ClosedForm", m2, "ClosedForm"]
-    return GammaResult(rep, tuple(gamma), exp.pole_order, a_invariant(rep),
-                       tuple(methods), tag.case)
+    gamma, methods, exp = _coefficients(rep, tag)
+    pole = exp.pole_order if tag.in_gamma0_exceptions else rep.dim - 3
+    return GammaResult(rep, gamma, pole, a_invariant(rep), methods, tag.case)
 
 
 def first_coeff_sum(rep):
@@ -158,9 +154,7 @@ def first_coeff_sum(rep):
         return FIRST_COEFF_EXCEPTIONS[rep.degrees]
     ws = weight_system(rep)
     # 2 * Sigma_{dim-3} collapses to a Schur vector with a repeated entry.
-    num = schur_eval(_staircase(ws.npos - 3, ws.npos), ws.a_vec)
-    den = schur_eval(tuple(range(ws.npos - 1, -1, -1)), ws.a_vec)
-    return Fraction(num, den)
+    return _schur_ratio(_staircase(ws.npos - 3, ws.npos), ws.a_vec)
 
 
 def hilbert1893_gamma0(d):
@@ -231,205 +225,115 @@ def random_params(rep, rng):
     return perturbed_params(rep, vals)
 
 
-def sigma_sum_raw(which, exps, params):
-    """Nested weight sums over the positive weights, straight from the
-    definitions: outer index runs over the positives, inner indices over the
-    remaining weights, denominator only from the outer index."""
-    theta = params.theta_items()
-    pos = params.positive_items()
-    total = Fraction(0)
-    if which == "R":
-        (r,) = exps
-        for key, b in pos:
-            den = Fraction(1)
-            for key2, b2 in theta:
-                if key2 != key:
-                    den *= b - b2
-            total += b ** r / den
-    elif which == "RS":
-        r, s = exps
-        for key, b in pos:
-            den = Fraction(1)
-            for key2, b2 in theta:
-                if key2 != key:
-                    den *= b - b2
-            inner = sum(b2 ** s for key2, b2 in theta if key2 != key)
-            total += b ** r * inner / den
-    elif which == "RST":
-        r, s, t = exps
-        for key, b in pos:
-            den = Fraction(1)
-            for key2, b2 in theta:
-                if key2 != key:
-                    den *= b - b2
-            inner = Fraction(0)
-            for key2, b2 in theta:
-                if key2 == key:
-                    continue
-                for key3, b3 in theta:
-                    if key3 == key or key3 == key2:
-                        continue
-                    inner += b2 ** s * b3 ** t
-            total += b ** r * inner / den
-    elif which == "RSTU":
-        r, s, t, u = exps
-        for key, b in pos:
-            den = Fraction(1)
-            for key2, b2 in theta:
-                if key2 != key:
-                    den *= b - b2
-            inner = Fraction(0)
-            for key2, b2 in theta:
-                if key2 == key:
-                    continue
-                for key3, b3 in theta:
-                    if key3 == key or key3 == key2:
-                        continue
-                    for key4, b4 in theta:
-                        if key4 in (key, key2, key3):
-                            continue
-                        inner += b2 ** s * b3 ** t * b4 ** u
-            total += b ** r * inner / den
-    else:
-        raise ValueError("unknown sum kind %r" % which)
-    return total
+def _outer(params, skip=()):
+    """Each positive weight b outside skip, with the product of b - b' and
+    the list of the other weights b' of theta, both over theta minus skip."""
+    theta = [(key, b) for key, b in params.theta_items() if key not in skip]
+    for key, b in params.positive_items():
+        if key in skip:
+            continue
+        others = [b2 for key2, b2 in theta if key2 != key]
+        den = Fraction(1)
+        for b2 in others:
+            den *= b - b2
+        yield b, den, others
 
 
-def sigma_sum_schur(which, exps, params):
-    """Same sums rewritten through Schur polynomials in the positive values."""
+def _distinct_sum(exps, values):
+    # Sum of prod(x_j ** e_j) over ordered tuples of distinct entries of values.
+    if not exps:
+        return 1
+    return sum(b ** exps[0] * _distinct_sum(exps[1:], values[:i] + values[i + 1:])
+               for i, b in enumerate(values))
+
+
+def sigma_sum_raw(exps, params):
+    """Nested weight sum for exps = (r, s1, ..., sm), straight from the
+    definition: the outer weight b runs over the positives with b ** r over
+    the product of b - b', the inner ones over ordered tuples of distinct
+    remaining weights with exponents s1..sm."""
+    r, inner = exps[0], exps[1:]
+    return sum((b ** r * _distinct_sum(inner, others) / den
+                for b, den, others in _outer(params)), Fraction(0))
+
+
+def _set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+
+
+def sigma_sum_schur(exps, params):
+    """Same sums rewritten through Schur polynomials in the positive values.
+
+    The inner sum over distinct weights is the Moebius sum over the set
+    partitions of s1..sm; a block with exponent sum k is the power sum over
+    the weights other than b, p_k(theta) - b^k.  Expanding in b leaves sums
+    of b^n over the product of b - b', each a Schur polynomial ratio.
+    """
     ws = params.ws
     blam = [params.values[(k, i)] for (k, i, _) in ws.lam]
     theta_vals = [params.values[(k, i)] for (k, i, _) in ws.theta]
     npos = ws.npos
     shift = ws.neven + npos  # subtracted from every exponent below
-
-    def s(top):
-        return Fraction(schur_eval(_staircase(top, npos), blam))
-
-    def p(k):
-        return power_sum(theta_vals, k)
-
-    den = 2 * schur_eval(tuple(range(npos - 1, -1, -1)), blam)
-    if which == "R":
-        (r,) = exps
-        return s(r - shift) / den
-    if which == "RS":
-        r, sx = exps
-        return (p(sx) * s(r - shift) - s(r + sx - shift)) / den
-    if which == "RST":
-        r, sx, t = exps
-        val = (p(sx) * p(t) - p(sx + t)) * s(r - shift)
-        val -= p(t) * s(r + sx - shift)
-        val -= p(sx) * s(r + t - shift)
-        val += 2 * s(r + sx + t - shift)
-        return val / den
-    if which == "RSTU":
-        r, sx, t, u = exps
-        val = (2 * p(sx + t + u) - p(sx) * p(t + u) - p(t) * p(sx + u)
-               - p(u) * p(sx + t) + p(sx) * p(t) * p(u)) * s(r - shift)
-        val += (p(t + u) - p(t) * p(u)) * s(r + sx - shift)
-        val += (p(sx + u) - p(sx) * p(u)) * s(r + t - shift)
-        val += (p(sx + t) - p(sx) * p(t)) * s(r + u - shift)
-        val += 2 * p(u) * s(r + sx + t - shift)
-        val += 2 * p(t) * s(r + sx + u - shift)
-        val += 2 * p(sx) * s(r + t + u - shift)
-        val -= 6 * s(r + sx + t + u - shift)
-        return val / den
-    raise ValueError("unknown sum kind %r" % which)
+    r, inner = exps[0], exps[1:]
+    coeffs = defaultdict(Fraction)  # power of b -> coefficient
+    for blocks in _set_partitions(inner):
+        term = {0: Fraction(1)}
+        for block in blocks:
+            k = sum(block)
+            pk = power_sum(theta_vals, k)
+            mu = (-1) ** (len(block) - 1) * factorial(len(block) - 1)
+            nxt = defaultdict(Fraction)
+            for e, c in term.items():
+                nxt[e] += mu * c * pk
+                nxt[e + k] -= mu * c
+            term = nxt
+        for e, c in term.items():
+            coeffs[e] += c
+    val = sum((c * schur_eval(_staircase(r + e - shift, npos), blam)
+               for e, c in coeffs.items() if c), Fraction(0))
+    return val / (2 * schur_eval(tuple(range(npos - 1, -1, -1)), blam))
 
 
-def gamma_raw(order, params, tag=None):
+def _raw_numerator(order, b, others):
+    # gamma_<order> summand at outer weight b, without b ** (dim - 4 - order).
+    rest = sum(others)
+    if order == 0:
+        return 2 * b - 2 - (b + rest)
+    if order == 1:
+        acc = Fraction(2, 3) * (b * b - 3 * b + 2)
+        for b2 in others:
+            acc += b2 * (b2 - 5 * b + 6 + 3 * (rest - b2)) / 6
+        return acc
+    acc = 12 * b ** 3 - 44 * b * b + 48 * b - 16
+    for i, b2 in enumerate(others):
+        term2 = -16 * b * b + 32 * b - 16 - 4 * b2 + 4 * b * b2
+        for j, b3 in enumerate(others):
+            if j != i:
+                term2 += b3 * (7 * b - 6 - 2 * b2 - (rest - b2 - b3))
+        acc += b2 * term2
+    return acc / 24
+
+
+def gamma_raw(order, params):
     """gamma0..gamma2 evaluated directly from the perturbed weight sums,
     before any Schur rewriting.  Test oracle for the closed forms."""
-    rep = params.rep
-    ws = params.ws
-    if tag is None:
-        tag = classify_case(rep)
-    theta = params.theta_items()
-    pos = params.positive_items()
-    dim = ws.dim
-    sigma = ws.sigma
-    total = Fraction(0)
-    if order == 0:
-        theta_sum = sum(b for _, b in theta)
-        for key, b in pos:
-            den = Fraction(1)
-            for key2, b2 in theta:
-                if key2 != key:
-                    den *= b - b2
-            total += b ** (dim - 4) * (2 * b - 2 - theta_sum) / den
-        return sigma * total
-    if order == 1:
-        for key, b in pos:
-            den = Fraction(1)
-            for key2, b2 in theta:
-                if key2 != key:
-                    den *= b - b2
-            acc = Fraction(2, 3) * (b * b - 3 * b + 2)
-            for key2, b2 in theta:
-                if key2 == key:
-                    continue
-                rest = sum(b3 for key3, b3 in theta if key3 not in (key, key2))
-                acc += b2 * (b2 - 5 * b + 6 + 3 * rest) / 6
-            total += b ** (dim - 5) * acc / den
-        total *= sigma
-        if tag.one_v1_rest_even:
-            total += _one_v1_correction(order, params)
-        return total
-    if order == 2:
-        for key, b in pos:
-            den = Fraction(1)
-            for key2, b2 in theta:
-                if key2 != key:
-                    den *= b - b2
-            acc = 12 * b ** 3 - 44 * b * b + 48 * b - 16
-            for key2, b2 in theta:
-                if key2 == key:
-                    continue
-                term2 = -16 * b * b + 32 * b - 16 - 4 * b2 + 4 * b * b2
-                for key3, b3 in theta:
-                    if key3 in (key, key2):
-                        continue
-                    term3 = 7 * b - 6 - 2 * b2
-                    rest = sum(b4 for key4, b4 in theta
-                               if key4 not in (key, key2, key3))
-                    term2 += b3 * (term3 - rest)
-                acc += b2 * term2
-            total += b ** (dim - 6) * acc / (24 * den)
-        total *= sigma
-        if tag.one_v1_rest_even:
-            total += _one_v1_correction(order, params)
-        return total
-    raise ValueError("raw forms cover orders 0..2")
-
-
-def _one_v1_correction(order, params):
-    # Extra terms when the rep is V1 plus even summands: the sum runs over
-    # positives outside the V1 pair, with both V1 weights struck from the
-    # product as well.
-    rep = params.rep
-    ws = params.ws
-    dim = ws.dim
-    theta = params.theta_items()
-    v1_keys = {(1, 0), (1, 1)}
-    b10 = params.values[(1, 0)]
-    b11 = params.values[(1, 1)]
-    total = Fraction(0)
-    for k, i, _ in ws.lam:
-        key = (k, i)
-        if key in v1_keys:
-            continue
-        b = params.values[key]
-        den = Fraction(1)
-        rest = Fraction(0)
-        for key2, b2 in theta:
-            if key2 == key or key2 in v1_keys:
-                continue
-            den *= b - b2
-            rest += b2
-        if order == 1:
-            total += b ** (dim - 5) / (2 * den)
-        else:
-            acc = 3 * b - b10 - b11 - 2 - rest
-            total += b ** (dim - 6) * acc / (4 * den)
+    if order not in (0, 1, 2):
+        raise ValueError("raw forms cover orders 0..2")
+    power = params.ws.dim - 4 - order
+    total = params.ws.sigma * sum((b ** power * _raw_numerator(order, b, others) / den
+                                   for b, den, others in _outer(params)), Fraction(0))
+    if order and classify_case(params.rep).one_v1_rest_even:
+        # V1 plus even summands adds a sum over the positives outside the V1
+        # pair, with both V1 weights struck from the product as well.
+        v1 = params.values[(1, 0)] + params.values[(1, 1)]
+        for b, den, others in _outer(params, {(1, 0), (1, 1)}):
+            num = Fraction(1, 2) if order == 1 else (3 * b - v1 - 2 - sum(others)) / 4
+            total += b ** power * num / den
     return total

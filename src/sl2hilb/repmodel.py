@@ -218,21 +218,23 @@ def parse_rep(text):
     return _parse_list(text, stripped)
 
 
-def _parse_list(text, stripped):
-    chunks = []
-    cur = []
+def _split(stripped, sep):
+    # Runs of (index, char) pairs between separators; empty runs are kept.
+    chunks = [[]]
     for idx, ch in stripped:
-        if ch == ",":
-            chunks.append(cur)
-            cur = []
+        if ch == sep:
+            chunks.append([])
         else:
-            cur.append((idx, ch))
-    chunks.append(cur)
+            chunks[-1].append((idx, ch))
+    return chunks
+
+
+def _parse_list(text, stripped):
     degrees = []
     trivial = 0
     dim = 0
     pos_after = len(text)
-    for chunk in chunks:
+    for chunk in _split(stripped, ","):
         if not chunk:
             raise RepParseError("expected a degree", pos_after)
         s = "".join(ch for _, ch in chunk)
@@ -252,20 +254,11 @@ def _parse_list(text, stripped):
 
 
 def _parse_terms(stripped):
-    terms = []
-    cur = []
-    for idx, ch in stripped:
-        if ch == "+":
-            terms.append(cur)
-            cur = []
-        else:
-            cur.append((idx, ch))
-    terms.append(cur)
     degrees = []
     trivial = 0
     dim = 0
     end_pos = stripped[-1][0] + 1
-    for term in terms:
+    for term in _split(stripped, "+"):
         mult, degree = _parse_term(term, end_pos)
         dim = _add_dim(dim, mult, degree, term[0][0])
         if degree == 0:

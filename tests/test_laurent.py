@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -8,7 +9,7 @@ from sl2hilb.laurent import (a_invariant, first_coeff_sum, gamma0, gamma1,
                              gamma2, gamma3, gamma_raw, gammas,
                              hilbert1893_gamma0, perturbed_params,
                              random_params, sigma_sum_raw, sigma_sum_schur)
-from sl2hilb.repmodel import parse_rep, weight_system
+from sl2hilb.repmodel import Representation, parse_rep, weight_system
 from sl2hilb.series import hilbert_series
 
 
@@ -82,12 +83,19 @@ def test_gammas_method_patterns():
 
 
 def test_gammas_match_series_expansion():
-    for text in ["V6", "V7", "2V3", "V1+2V2", "V2+V5"]:
-        rep = parse_rep(text)
-        exp = laurent_at_one(hilbert_series(rep), 4)
+    # Every degree multiset of dim <= 10: closed forms, the exceptions that
+    # fall back to the series, and the pole order and a-invariant gammas
+    # takes from the theorems outside GAMMA0_EXCEPTIONS.
+    reps = [Representation(degs) for n in range(1, 6)
+            for degs in combinations_with_replacement(range(1, 10), n)
+            if n + sum(degs) <= 10]
+    for rep in reps:
+        series = hilbert_series(rep)
+        exp = laurent_at_one(series, 4)
         res = gammas(rep)
-        assert res.gamma == exp.coeffs
-        assert res.pole_order == exp.pole_order
+        assert res.gamma == exp.coeffs, rep
+        assert res.pole_order == exp.pole_order, rep
+        assert res.a_invariant == series.degree(), rep
 
 
 def test_a_invariant():
@@ -146,11 +154,10 @@ def test_sigma_sums_match_schur_side():
         dim = rep.dim
         for _ in range(4):
             params = random_params(rep, rng)
-            shapes = [("R", (dim - 3,)), ("RS", (dim - 4, 1)),
-                      ("RST", (dim - 5, 1, 1)), ("RSTU", (dim - 6, 1, 1, 1))]
-            for which, exps in shapes:
-                assert sigma_sum_raw(which, exps, params) == \
-                    sigma_sum_schur(which, exps, params)
+            shapes = [(dim - 3,), (dim - 4, 1), (dim - 5, 1, 1), (dim - 6, 1, 1, 1),
+                      (dim - 6, 2, 1), (dim - 7, 1, 1, 1, 1)]
+            for exps in shapes:
+                assert sigma_sum_raw(exps, params) == sigma_sum_schur(exps, params)
 
 
 def test_gamma_raw_recombines_into_weight_sums():
@@ -161,28 +168,40 @@ def test_gamma_raw_recombines_into_weight_sums():
         sigma = weight_system(rep).sigma
         params = random_params(rep, rng)
 
-        def S(which, exps):
-            return sigma_sum_raw(which, exps, params)
+        def S(*exps):
+            return sigma_sum_raw(exps, params)
 
         assert gamma_raw(0, params) == sigma * (
-            S("R", (dim - 3,)) - 2 * S("R", (dim - 4,)) - S("RS", (dim - 4, 1)))
+            S(dim - 3) - 2 * S(dim - 4) - S(dim - 4, 1))
 
         assert gamma_raw(1, params) == sigma * (
-            Fraction(2, 3) * S("R", (dim - 3,)) - 2 * S("R", (dim - 4,))
-            + Fraction(4, 3) * S("R", (dim - 5,))
-            + Fraction(1, 6) * S("RS", (dim - 5, 2))
-            - Fraction(5, 6) * S("RS", (dim - 4, 1))
-            + S("RS", (dim - 5, 1))
-            + Fraction(1, 2) * S("RST", (dim - 5, 1, 1)))
+            Fraction(2, 3) * S(dim - 3) - 2 * S(dim - 4)
+            + Fraction(4, 3) * S(dim - 5)
+            + Fraction(1, 6) * S(dim - 5, 2)
+            - Fraction(5, 6) * S(dim - 4, 1)
+            + S(dim - 5, 1)
+            + Fraction(1, 2) * S(dim - 5, 1, 1))
 
         assert gamma_raw(2, params) == sigma * Fraction(1, 24) * (
-            12 * S("R", (dim - 3,)) - 44 * S("R", (dim - 4,))
-            + 48 * S("R", (dim - 5,)) - 16 * S("R", (dim - 6,))
-            - 16 * S("RS", (dim - 4, 1)) + 32 * S("RS", (dim - 5, 1))
-            - 16 * S("RS", (dim - 6, 1)) - 4 * S("RS", (dim - 6, 2))
-            + 4 * S("RS", (dim - 5, 2)) + 7 * S("RST", (dim - 5, 1, 1))
-            - 6 * S("RST", (dim - 6, 1, 1)) - 2 * S("RST", (dim - 6, 2, 1))
-            - S("RSTU", (dim - 6, 1, 1, 1)))
+            12 * S(dim - 3) - 44 * S(dim - 4)
+            + 48 * S(dim - 5) - 16 * S(dim - 6)
+            - 16 * S(dim - 4, 1) + 32 * S(dim - 5, 1)
+            - 16 * S(dim - 6, 1) - 4 * S(dim - 6, 2)
+            + 4 * S(dim - 5, 2) + 7 * S(dim - 5, 1, 1)
+            - 6 * S(dim - 6, 1, 1) - 2 * S(dim - 6, 2, 1)
+            - S(dim - 6, 1, 1, 1))
+
+
+def test_gamma_raw_at_true_weights():
+    # With no repeated weight the raw sums can run at the integer weights
+    # themselves, where they must give the closed forms; V1+V6 and V1+V8
+    # also run the OneV1RestEven terms.
+    for text in ["V7", "V9", "V10", "V3+V6", "V1+V6", "V1+V8"]:
+        rep = parse_rep(text)
+        params = perturbed_params(rep, weight_system(rep).a_vec)
+        assert gamma_raw(0, params) == gamma0(rep), text
+        assert gamma_raw(1, params) == gamma1(rep), text
+        assert gamma_raw(2, params) == gamma2(rep), text
 
 
 def test_trivial_rejected():
