@@ -330,8 +330,8 @@ def _verify_rep(rep, max_degree, draws, seed, out):
               "degree %d vs %d" % (series.degree(), res.a_invariant))
 
         if rep.degrees not in FIRST_COEFF_EXCEPTIONS:
-            check("pole order %d" % (dim - 3), res.pole_order == dim - 3,
-                  "got %d" % res.pole_order)
+            check("pole order %d" % (dim - 3), exp.pole_order == dim - 3,
+                  "got %d" % exp.pole_order)
             flip = series.at_reciprocal()
             shifted = RationalFunction(series.num.shifted(dim) * ((-1) ** (dim - 3)),
                                        series.den)

@@ -111,34 +111,30 @@ def a_invariant(rep):
 
 
 def _coefficients(rep, tag):
-    """(gamma0..gamma3, their methods, Laurent expansion of the series or None).
+    """(gamma0..gamma3, pole order, a-invariant, methods of the gammas).
 
-    The series is built only when some coefficient has no closed form.
+    The series is built only when some coefficient has no closed form;
+    outside GAMMA0_EXCEPTIONS the pole order is dim - 3 and the a-invariant
+    -dim.
     """
-    exp = None
     if tag.in_gamma0_exceptions or tag.in_gamma2_exceptions:
-        exp = laurent_at_one(hilbert_series(rep), 4)
+        series = hilbert_series(rep)
+        exp = laurent_at_one(series, 4)
     if tag.in_gamma0_exceptions:
-        return exp.coeffs, ("SeriesFallback",) * 4, exp
+        return exp.coeffs, exp.pole_order, series.degree(), ("SeriesFallback",) * 4
     g0 = gamma0(rep)
     if tag.in_gamma2_exceptions:
         g2, m2 = exp.coeffs[2], "SeriesFallback"
     else:
         g2, m2 = gamma2(rep), "ClosedForm"
     gamma = (g0, Fraction(3, 2) * g0, g2, Fraction(5, 2) * (g2 - g0))
-    return gamma, ("ClosedForm", "ClosedForm", m2, "ClosedForm"), exp
+    return gamma, rep.dim - 3, -rep.dim, ("ClosedForm", "ClosedForm", m2, "ClosedForm")
 
 
 def gammas(rep):
-    """All four Laurent coefficients, preferring closed forms.
-
-    Outside GAMMA0_EXCEPTIONS the pole order is dim - 3 and the a-invariant
-    -dim, so the series is expanded only for the coefficients that need it.
-    """
+    """All four Laurent coefficients, preferring closed forms."""
     tag = classify_case(rep)
-    gamma, methods, exp = _coefficients(rep, tag)
-    pole = exp.pole_order if tag.in_gamma0_exceptions else rep.dim - 3
-    return GammaResult(rep, gamma, pole, a_invariant(rep), methods, tag.case)
+    return GammaResult(rep, *_coefficients(rep, tag), tag.case)
 
 
 def first_coeff_sum(rep):

@@ -7,7 +7,7 @@ import pytest
 import sl2hilb.cli as cli
 from sl2hilb.cli import (FIXTURES, FixtureRow, HilbertResult, _int_in,
                          _int_out, load_cached, main, store_cached)
-from sl2hilb.exactalg import rf_equal
+from sl2hilb.exactalg import LaurentExpansion, laurent_at_one, rf_equal
 from sl2hilb.repmodel import parse_rep
 
 
@@ -121,6 +121,20 @@ def test_verify_pass(capsys):
                        "--draws", "2")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_verify_pole_order_reads_the_series(capsys, monkeypatch):
+    # Shift the pole of the series expansion only; gammas() is untouched,
+    # so the pole-order line alone must catch it.
+    def off_by_one(f, count):
+        exp = laurent_at_one(f, count)
+        return LaurentExpansion(exp.pole_order + 1, exp.coeffs)
+
+    monkeypatch.setattr(cli, "laurent_at_one", off_by_one)
+    code, out, _ = run(capsys, "verify", "V5", "--max-degree", "6", "--draws", "0")
+    assert code == 1
+    fails = [l for l in out.splitlines() if l.startswith("FAIL")]
+    assert fails == ["FAIL pole order 3: got 4"]
 
 
 def test_verify_seed_deterministic(capsys):
