@@ -9,8 +9,10 @@ substitution operator U_alpha and the derivative operator D_n.  Factors
 of strictly positive weight contribute nothing: their coefficient
 functions have strictly positive valuation in z.
 
-All arithmetic is exact; the assembled series is checked against the
-brute force monomial counts before being returned.
+All arithmetic is exact and runs on integers: every piece carries one
+common integer scale, which is divided out of the assembled numerator
+exactly once.  The assembled series is checked against the brute force
+monomial counts before being returned.
 """
 
 from dataclasses import dataclass
@@ -115,11 +117,13 @@ class PartialFractionTerm:
 
 
 def _coeffs_for_index(weights, mults, i):
-    """G_{i,0}, ..., G_{i,m_i - 1} for the factor at position i.
+    """0! G_{i,0}, 1! G_{i,1}, ..., (m_i - 1)! G_{i,m_i - 1} at position i.
 
     With F(t) the product of all other factors (1 - t z^w)^-m, the
-    coefficient of (1 - t z^{w_i})^(j - m_i) is F^(j) (1/x_i) / (j! (-x_i)^j),
-    x_i = z^{w_i}.  Derivatives of F come from F' = F * S with S the
+    coefficient of (1 - t z^{w_i})^(j - m_i) is
+    G_{i,j} = F^(j) (1/x_i) / (j! (-x_i)^j), x_i = z^{w_i}; the factor 1/j!
+    is left out, so j! G_{i,j} = (-1)^j F^(j) (1/x_i) / x_i^j has integer
+    coefficients.  Derivatives of F come from F' = F * S with S the
     logarithmic derivative, all evaluated at t = 1/x_i.
     """
     wi = weights[i]
@@ -143,11 +147,7 @@ def _coeffs_for_index(weights, mults, i):
             for m in range(j):
                 acc = acc + derivs[m] * svals[j - 1 - m].scale(comb(j - 1, m))
             derivs.append(acc)
-    out = []
-    for j in range(mi):
-        g = derivs[j].scale(Fraction((-1) ** j, factorial(j))).shift(-j * wi)
-        out.append(g)
-    return out
+    return [derivs[j].scale((-1) ** j).shift(-j * wi) for j in range(mi)]
 
 
 def partial_fraction(weights, mults):
@@ -163,7 +163,7 @@ def partial_fraction(weights, mults):
     terms = []
     for i, (w, m) in enumerate(zip(weights, mults)):
         for j, g in enumerate(_coeffs_for_index(weights, mults, i)):
-            terms.append(PartialFractionTerm(w, m - j, g))
+            terms.append(PartialFractionTerm(w, m - j, g.scale(Fraction(1, factorial(j)))))
     return terms
 
 
@@ -226,10 +226,14 @@ _MEMO = {}
 def hilbert_series(rep):
     """Hilbert series of the invariant ring of rep, as num / factored den.
 
-    The result is reduced and verified against brute force monomial
-    counts up to min(CHECK_DEPTH, denominator degree); a mismatch raises
-    SeriesConsistencyError.  Trivial summands contribute 1/(1-t) each.
-    Every call returns a fresh object; the memo keeps its own.
+    The pieces are assembled in integers over the one common scale
+    (M-1)!, M the largest multiplicity of a weight, which is divided out
+    of the numerator exactly once; a remainder raises
+    SeriesConsistencyError.  The result is reduced and verified against
+    brute force monomial counts up to min(CHECK_DEPTH, denominator
+    degree); a mismatch raises SeriesConsistencyError.  Trivial summands
+    contribute 1/(1-t) each.  Every call returns a fresh object; the memo
+    keeps its own.
     """
     memo_key = (rep.degrees, rep.trivial_count)
     if memo_key not in _MEMO:
@@ -245,6 +249,9 @@ def _compute(rep):
     weights = list(gw.even_weights) + list(gw.odd_weights)
     mults = list(gw.even_mults) + list(gw.odd_mults)
     one_minus_z2 = ZRationalFunction({0: 1, 2: -1})
+    # piece (j, order) comes out j! (order-1)! times too large, and
+    # j + order - 1 = mult - 1 <= max(mults) - 1, so each factor is exact
+    scale = factorial(max(mults) - 1)
     total = RationalFunction(0)
     for alpha, mult in zip(weights, mults):
         if alpha < 0:
@@ -252,10 +259,16 @@ def _compute(rep):
         omitted = weights.index(-alpha)
         for j, g in enumerate(_coeffs_for_index(weights, mults, omitted)):
             order = mult - j
-            piece = ua_transform(one_minus_z2 * g, alpha)
-            piece = dn_apply(piece, order - 1).scaled(Fraction(1, factorial(order - 1)))
-            total = total + piece
-    total = total.reduce()
+            piece = dn_apply(ua_transform(one_minus_z2 * g, alpha), order - 1)
+            total = total + piece.scaled(scale // (factorial(j) * factorial(order - 1)))
+    num = []
+    for n, c in enumerate(total.num.c):
+        q, r = divmod(c, scale)
+        if r:
+            raise SeriesConsistencyError(rep, n, "numerator coefficient %s/%d" % (c, scale),
+                                         "an integer")
+        num.append(q)
+    total = RationalFunction(Polynomial(num), total.den).reduce()
     if rep.trivial_count:
         total = total * RationalFunction(1, {1: rep.trivial_count})
     if total.num.is_zero or total.degree() > 0:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -73,6 +75,30 @@ def test_partial_fraction_two_weights():
     assert zr_equal(by_weight[q], want_q)
 
 
+def _zr_at(f, z):
+    """The value of a z-side function at the rational point z."""
+    value = Fraction(sum(c * z ** e for e, c in f.num.items()))
+    for b, e in f.den.factors.items():
+        value /= (1 - z ** b) ** e
+    return value
+
+
+def test_partial_fraction_reassembles_with_multiplicities():
+    weights, mults = (2, 0, -2, 3), (2, 3, 2, 1)
+    terms = partial_fraction(weights, mults)
+    assert sorted((t.weight, t.order) for t in terms) == [
+        (-2, 1), (-2, 2), (0, 1), (0, 2), (0, 3), (2, 1), (2, 2), (3, 1)]
+    points = [(Fraction(1, 3), Fraction(2, 7)), (Fraction(-5, 2), Fraction(1, 11)),
+              (Fraction(3, 4), Fraction(-4, 5)), (Fraction(7, 5), Fraction(1, 9))]
+    for z, t in points:
+        want = Fraction(1)
+        for w, m in zip(weights, mults):
+            want /= (1 - t * z ** w) ** m
+        got = sum(_zr_at(term.coeff, z) / (1 - t * z ** term.weight) ** term.order
+                  for term in terms)
+        assert got == want, (z, t)
+
+
 def test_hilbert_series_known_rows():
     cases = {
         "V5": rf({0: 1, 18: 1}, {4: 1, 8: 1, 12: 1}),
@@ -104,6 +130,29 @@ def test_consistency_check_trips_on_bad_oracle(monkeypatch):
                         lambda r, n: [0] * (n + 1))
     with pytest.raises(SeriesConsistencyError):
         hilbert_series(rep)
+
+
+def test_scale_division_must_be_exact(monkeypatch):
+    # 3V4 carries the scale 2!; its first piece enters the sum unscaled, so
+    # adding 1 to it leaves an odd constant term in the assembled numerator
+    dn_apply_exact = series_mod.dn_apply
+    perturbed = []
+
+    def dn_apply_off_by_one(f, n):
+        out = dn_apply_exact(f, n)
+        if not perturbed:
+            perturbed.append(n)
+            out = RationalFunction(out.num + Polynomial([1]), out.den)
+        return out
+
+    def oracle_unreached(rep, n):
+        raise AssertionError("an inexact numerator reached the oracle check")
+
+    monkeypatch.setattr(series_mod, "_MEMO", {})
+    monkeypatch.setattr(series_mod, "dn_apply", dn_apply_off_by_one)
+    monkeypatch.setattr(series_mod.oracle, "truncated_series", oracle_unreached)
+    with pytest.raises(SeriesConsistencyError, match="gives an integer"):
+        hilbert_series(parse_rep("3V4"))
 
 
 def test_zrational_arithmetic():
@@ -166,6 +215,30 @@ def test_z_side_matches_brute_force(f, g):
     for n in range(-12, top - 5):
         want = sum(ef.get(k, 0) * eg.get(n - k, 0) for k in range(-6, n + 7))
         assert eprod.get(n, 0) == want
+
+
+def test_pipeline_stays_integer(monkeypatch):
+    # the z-series entering U_alpha and every sum, the assembled numerator
+    # before its division by the scale included, have int coefficients
+    seen = set()
+    ua_transform_exact, add_exact = series_mod.ua_transform, RationalFunction.__add__
+
+    def ua_transform_recording(f, a):
+        seen.update(map(type, f.num.values()))
+        return ua_transform_exact(f, a)
+
+    def add_recording(f, g):
+        out = add_exact(f, g)
+        seen.update(map(type, out.num.c))
+        return out
+
+    monkeypatch.setattr(series_mod, "ua_transform", ua_transform_recording)
+    monkeypatch.setattr(RationalFunction, "__add__", add_recording)
+    for spec in ("V16", "3V6", "7V2", "4V1+2V5", "2V1+2V6"):
+        monkeypatch.setattr(series_mod, "_MEMO", {})
+        seen.clear()
+        hilbert_series(parse_rep(spec))
+        assert seen == {int}, spec
 
 
 def test_series_numerator_is_int():
