@@ -162,18 +162,20 @@ def _cache_path(rep):
 
 
 def load_cached(rep):
-    path = _cache_path(rep)
+    """The cached result for rep; None unless the entry parses, is for this
+    version and rep, and is exactly what store_cached writes for it."""
     try:
-        with open(path) as fh:
+        with open(_cache_path(rep)) as fh:
             data = json.load(fh)
-    except (OSError, ValueError):
+        result = HilbertResult.from_json_dict(data)
+        result.series()
+    except (OSError, ValueError, KeyError, TypeError, ArithmeticError, RecursionError):
         return None
-    if data.get("version") != __version__:
+    if (result.version != __version__
+            or result.rep_degrees != (0,) * rep.trivial_count + rep.degrees
+            or result.to_json_dict() != data):
         return None
-    try:
-        return HilbertResult.from_json_dict(data)
-    except (KeyError, TypeError, ValueError):
-        return None
+    return result
 
 
 def store_cached(rep, result):

@@ -1,9 +1,9 @@
 """Exact univariate rational function arithmetic over the rationals.
 
-Everything is dense and exact: polynomials are coefficient lists of
-ints or Fractions, denominators stay factored as products of cyclotomic
-style factors (1 - t^m)^e, and Laurent expansion at t = 1 is done by
-the substitution t = 1 - s followed by truncated series division.
+Numerators are dense coefficient lists of ints or Fractions.  Denominators
+stay factored as products of (1 - t^m)^e: a product with 1 - t^m is one
+strided pass out[i] -= out[i-m], a quotient one pass out[i] += out[i-m].
+Laurent expansion at t = 1 substitutes t = 1 - s and divides series.
 """
 
 from dataclasses import dataclass
@@ -106,14 +106,6 @@ class Polynomial:
         return out
 
 
-ONE = Polynomial([1])
-
-
-def one_minus_power(m):
-    """The factor 1 - t^m as a Polynomial."""
-    return Polynomial([1] + [0] * (m - 1) + [-1])
-
-
 class FactoredDenominator:
     """Product of factors (1 - t^m)^e stored as a map m -> e, all e >= 1."""
 
@@ -140,14 +132,6 @@ class FactoredDenominator:
         if isinstance(other, FactoredDenominator):
             return self.factors == other.factors
         return NotImplemented
-
-    def expand(self):
-        out = ONE
-        for m in sorted(self.factors):
-            f = one_minus_power(m)
-            for _ in range(self.factors[m]):
-                out = out * f
-        return out
 
     def items_sorted(self):
         return sorted(self.factors.items())
@@ -204,7 +188,7 @@ class RationalFunction:
     def __add__(self, other):
         fs, fo = self.den.factors, other.den.factors
         common = {m: max(fs.get(m, 0), fo.get(m, 0)) for m in set(fs) | set(fo)}
-        num = self.num * _cofactor(common, fs) + other.num * _cofactor(common, fo)
+        num = _times_rest(self.num, common, fs) + _times_rest(other.num, common, fo)
         return RationalFunction(num, FactoredDenominator(common))
 
     def __mul__(self, other):
@@ -220,10 +204,10 @@ class RationalFunction:
         # (P / prod q_m^e_m)' = (P' prod q_m + P sum e_m q_m' prod_{m'!=m} q_m')
         #                       / prod q_m^(e_m+1)
         once = dict.fromkeys(f, 1)
-        top = self.num.derivative() * _cofactor(once, {})
+        top = _times_rest(self.num.derivative(), once, {})
         for m, e in f.items():
             # from d/dt (1 - t^m)^-e = e m t^(m-1) (1 - t^m)^-(e+1)
-            top = top + self.num * (_cofactor(once, {m: 1}).shifted(m - 1) * (e * m))
+            top = top + _times_rest(self.num, once, {m: 1}).shifted(m - 1) * (e * m)
         return RationalFunction(top, FactoredDenominator({m: e + 1 for m, e in f.items()}))
 
     def reduce(self):
@@ -237,7 +221,7 @@ class RationalFunction:
             while factors[m] and c:
                 # c / (1 - t^m) is a polynomial iff its terms deg-m+1..deg vanish
                 deg = len(c) - 1
-                s = _series_div(c, one_minus_power(m).c, deg + 1)
+                s = _div_factors(c, {m: 1}, deg + 1)
                 if any(s[max(deg - m + 1, 0):]):
                     break
                 c = s[:deg - m + 1]
@@ -266,19 +250,20 @@ def rf_equal(f, g):
     fs, gs = f.den.factors, g.den.factors
     # cancel shared factored part first; keeps the cross products small
     shared = {m: min(fs.get(m, 0), gs.get(m, 0)) for m in set(fs) & set(gs)}
-    return f.num * _cofactor(gs, shared) == g.num * _cofactor(fs, shared)
+    return _times_rest(f.num, gs, shared) == _times_rest(g.num, fs, shared)
 
 
-def _cofactor(factors, part):
-    """prod (1 - t^m)^(factors[m] - part[m]) expanded; part divides factors."""
-    return FactoredDenominator({m: e - part.get(m, 0) for m, e in factors.items()}).expand()
+def _times_rest(p, factors, part):
+    """p * prod (1 - t^m)^(factors[m] - part[m]); part divides factors."""
+    rest = {m: e - part.get(m, 0) for m, e in factors.items()}
+    return Polynomial(_times_factors(p.c, rest, p.degree + sum(m * e for m, e in rest.items())))
 
 
 def taylor_coeffs(f, count):
-    """First `count` Maclaurin coefficients of f; denominator must be 1 at 0."""
+    """First `count` Maclaurin coefficients of f."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    return _series_div(f.num.c, f.den.expand().c, count)
+    return _div_factors(f.num.c, f.den.factors, count)
 
 
 def laurent_at_one(f, count):
@@ -312,7 +297,10 @@ def laurent_at_one(f, count):
     pole = zeros - val
     # expand (unit part of numerator) / (unit part of denominator) in s
     length = count if pole >= 0 else max(count + pole, 0)
-    series = [_normalize(x) for x in _series_div(cur[val:val + length], unit, length)]
+    series = []
+    for n in range(length):
+        acc = cur[val + n] - sum(unit[j] * series[n - j] for j in range(1, n + 1))
+        series.append(_normalize(Fraction(acc) / unit[0]))
     if pole >= 0:
         return LaurentExpansion(pole, tuple(series))
     return LaurentExpansion(0, tuple(([0] * min(-pole, count) + series)[:count]))
@@ -329,22 +317,23 @@ def _mul_trunc(a, b, cutoff):
     return out
 
 
-def _series_div(p, q, count):
-    """First `count` coefficients of the power series p / q, q[0] != 0.
+def _times_factors(c, factors, cutoff):
+    """Coefficients 0..cutoff of c * prod (1 - t^m)^e over factors {m: e}."""
+    out = list(c[:cutoff + 1]) + [0] * (cutoff + 1 - len(c))
+    for m, e in factors.items():
+        for _ in range(e):
+            for i in range(cutoff, m - 1, -1):
+                out[i] -= out[i - m]
+    return out
 
-    Divides by q[0] only when it is not 1, so integer inputs over a
-    monic-at-zero q stay integers.
-    """
-    q0 = None if q[0] == 1 else Fraction(q[0])
-    tail = [(j, v) for j, v in enumerate(q) if j and v]
-    out = []
-    for n in range(count):
-        acc = p[n] if n < len(p) else 0
-        for j, v in tail:
-            if j > n:
-                break
-            acc -= v * out[n - j]
-        out.append(acc if q0 is None else _normalize(acc / q0))
+
+def _div_factors(c, factors, count):
+    """First `count` coefficients of the power series c / prod (1 - t^m)^e."""
+    out = list(c[:count]) + [0] * (count - len(c))
+    for m, e in factors.items():
+        for _ in range(e):
+            for i in range(m, count):
+                out[i] += out[i - m]
     return out
 
 

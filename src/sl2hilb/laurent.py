@@ -319,17 +319,20 @@ def _raw_numerator(order, b, others):
 
 def gamma_raw(order, params):
     """gamma0..gamma2 evaluated directly from the perturbed weight sums,
-    before any Schur rewriting.  Test oracle for the closed forms."""
+    before any Schur rewriting.  Test oracle for the closed forms; the raw
+    order-1 form fails at V1+V2 (1/2 against gamma1 = 1/4 at its weights)."""
     if order not in (0, 1, 2):
         raise ValueError("raw forms cover orders 0..2")
     power = params.ws.dim - 4 - order
     total = params.ws.sigma * sum((b ** power * _raw_numerator(order, b, others) / den
                                    for b, den, others in _outer(params)), Fraction(0))
-    if order and classify_case(params.rep).one_v1_rest_even:
+    if order == 2 and classify_case(params.rep).one_v1_rest_even:
         # V1 plus even summands adds a sum over the positives outside the V1
-        # pair, with both V1 weights struck from the product as well.
+        # pair, with both V1 weights struck from the product as well.  At
+        # order 1 that sum, of b^(dim-5) / (2 prod(b - b')), is half the full
+        # divided difference of x^(|S'|-3) over the symmetric nonzero set S'
+        # once the zero weights are divided out: 0 whenever |S'| >= 4.
         v1 = params.values[(1, 0)] + params.values[(1, 1)]
         for b, den, others in _outer(params, {(1, 0), (1, 1)}):
-            num = Fraction(1, 2) if order == 1 else (3 * b - v1 - 2 - sum(others)) / 4
-            total += b ** power * num / den
+            total += b ** power * ((3 * b - v1 - 2 - sum(others)) / 4) / den
     return total

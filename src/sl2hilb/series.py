@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd
 
-from .exactalg import (Polynomial, FactoredDenominator, RationalFunction, _mul_trunc,
+from .exactalg import (Polynomial, FactoredDenominator, RationalFunction, _times_factors,
                        rf_equal, taylor_coeffs)
 from .repmodel import grouped_weights
 from . import oracle
@@ -193,8 +193,7 @@ def ua_transform(f, a):
     bound = max(0, (p + (a - 1) * q) // a)
     margin = 2
     sub = _z_coeffs(f, a, bound + margin)
-    den_t = FactoredDenominator(den_t)
-    num = _mul_trunc(den_t.expand().c, sub, bound + margin)
+    num = _times_factors(sub, den_t, bound + margin)
     if any(num[bound + 1:]):
         raise RuntimeError("numerator degree bound violated in U_%d" % a)
     return RationalFunction(Polynomial(num[:bound + 1]), den_t)

@@ -192,6 +192,32 @@ def test_cache_version_mismatch_recomputes(isolated_cache, capsys):
     assert json.loads(path.read_text())["version"] != "0.0.0"
 
 
+def test_malformed_cache_entry_is_a_miss(isolated_cache, capsys):
+    code, want, _ = run(capsys, "gamma", "V5", "--no-cache")
+    assert code == 0
+    run(capsys, "gamma", "V5")
+    run(capsys, "gamma", "V6")
+    path = isolated_cache / "V5.json"
+    good = json.loads(path.read_text())
+
+    def edited(key, value):
+        return json.dumps(dict(good, **{key: value}))
+
+    payloads = [
+        "[]",                                           # not an object
+        edited("gamma", ["1/0"] + good["gamma"][1:]),   # no such Fraction
+        (isolated_cache / "V6.json").read_text(),       # another rep's entry
+        edited("numerator", [1.5] + good["numerator"][1:]),
+        edited("numerator", [float("inf")]),
+        edited("denominator", [[0, 1]]),
+    ]
+    for payload in payloads:
+        path.write_text(payload)
+        code, out, err = run(capsys, "gamma", "V5")
+        assert (code, out, err) == (0, want, ""), payload
+        assert json.loads(path.read_text()) == good, payload
+
+
 def test_no_cache_flag(isolated_cache, capsys):
     code, _, _ = run(capsys, "series", "V4", "--no-cache")
     assert code == 0

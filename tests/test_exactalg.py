@@ -5,12 +5,29 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sl2hilb.exactalg import (FactoredDenominator, Polynomial,
-                              RationalFunction, laurent_at_one, rf_equal,
-                              taylor_coeffs)
+                              RationalFunction, _div_factors, _times_factors,
+                              laurent_at_one, rf_equal, taylor_coeffs)
 
 
 def rf(num, den):
     return RationalFunction(Polynomial(num), FactoredDenominator(den))
+
+
+def _convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+def _dense(factors):
+    """prod (1 - t^m)^e over factors {m: e} as a dense coefficient list."""
+    out = [1]
+    for m, e in factors.items():
+        for _ in range(e):
+            out = _convolve(out, [1] + [0] * (m - 1) + [-1])
+    return out
 
 
 def test_polynomial_arithmetic():
@@ -40,9 +57,28 @@ def test_factored_denominator():
     den = FactoredDenominator({2: 1, 3: 2})
     assert den.degree == 8
     want = Polynomial([1, 0, -1]) * Polynomial([1, 0, 0, -1]) * Polynomial([1, 0, 0, -1])
-    assert den.expand().c == want.c
+    assert _times_factors([1], den.factors, den.degree) == want.c
     with pytest.raises(ValueError):
         FactoredDenominator({0: 1})
+
+
+coefficients = st.one_of(st.integers(-9, 9),
+                         st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@given(st.lists(coefficients, max_size=7),
+       st.dictionaries(st.integers(1, 5), st.integers(1, 3), max_size=3),
+       st.integers(0, 25))
+@settings(max_examples=100, deadline=None)
+def test_strided_kernels_match_dense_product(c, factors, cutoff):
+    dense = _convolve(c, _dense(factors)) if c else []
+    assert _times_factors(c, factors, cutoff) == (dense + [0] * (cutoff + 1))[:cutoff + 1]
+    assert _times_factors(c, factors, len(dense) - 1) == dense
+    # dividing after multiplying returns the original
+    assert _div_factors(dense, factors, len(c)) == c
+    # and the quotient series times the dense product gives c back
+    back = _convolve(_div_factors(c, factors, cutoff + 1), _dense(factors))
+    assert back[:cutoff + 1] == (c + [0] * (cutoff + 1))[:cutoff + 1]
 
 
 def test_taylor_coeffs_quadratic_cubic():
@@ -119,7 +155,7 @@ def test_reduce_property(base, shared, den):
     # the numerator carries the factors in `shared`, some of which the
     # denominator has too; reduce must cancel exactly the ones it can
     assume(any(base))
-    num = Polynomial(base) * FactoredDenominator(shared).expand()
+    num = Polynomial(base) * Polynomial(_dense(shared))
     f = RationalFunction(num, FactoredDenominator(den))
     g = f.reduce()
     assert rf_equal(g, f)
@@ -171,7 +207,7 @@ def test_taylor_matches_defining_recurrence(num, den):
     f = rf(num, den)
     coeffs = taylor_coeffs(f, 12)
     # multiply back: expanded denominator times the series equals the numerator
-    expanded = f.den.expand().c
+    expanded = _dense(f.den.factors)
     for n in range(12):
         acc = sum(expanded[j] * coeffs[n - j]
                   for j in range(min(n + 1, len(expanded))))
