@@ -2,8 +2,9 @@
 
 Subcommands: series (rational function, optionally leading coefficients),
 gamma (Laurent data), verify (oracle and identity checks), table (recompute
-the shipped fixture table), expand (series coefficients only).  Results cache
-as one JSON file per canonical representation key.
+the shipped fixture table), expand (series coefficients only).  Results of
+series, expand and gamma --format json cache as one JSON file per canonical
+representation key; gamma in text or latex prints from gammas() alone.
 """
 
 import argparse
@@ -80,7 +81,7 @@ class HilbertResult:
         gamma = data["gamma"]
         return cls(
             rep_degrees=tuple(data["rep"]),
-            numerator=[_int_in(v) for v in data["numerator"]],
+            numerator=[int(v) for v in data["numerator"]],
             denominator=[(m, e) for m, e in data["denominator"]],
             gamma=None if gamma is None else tuple(Fraction(g) for g in gamma),
             a_invariant=data["a_invariant"],
@@ -95,14 +96,9 @@ def _int_out(v):
     return v if -_INT64_MAX <= v < _INT64_MAX else str(v)
 
 
-def _int_in(v):
-    return int(v)
-
-
 @dataclass(frozen=True)
 class FixtureRow:
     key: str
-    dim: int
     series: RationalFunction
     gamma: tuple
     a_invariant: int
@@ -118,47 +114,43 @@ def _g(*vals):
 
 
 FIXTURES = [
-    FixtureRow("V1", 2, _rf([1], {}), _g(1, 0, 0, 0), 0),
-    FixtureRow("V2", 3, _rf([1], {2: 1}), _g("1/2", "1/4", "1/8", "1/16"), -2),
-    FixtureRow("V3", 4, _rf([1], {4: 1}), _g("1/4", "3/8", "5/16", "5/32"), -4),
-    FixtureRow("V4", 5, _rf([1], {2: 1, 3: 1}),
+    FixtureRow("V1", _rf([1], {}), _g(1, 0, 0, 0), 0),
+    FixtureRow("V2", _rf([1], {2: 1}), _g("1/2", "1/4", "1/8", "1/16"), -2),
+    FixtureRow("V3", _rf([1], {4: 1}), _g("1/4", "3/8", "5/16", "5/32"), -4),
+    FixtureRow("V4", _rf([1], {2: 1, 3: 1}),
                _g("1/6", "1/4", "17/72", "25/144"), -5),
-    FixtureRow("V5", 6, _rf({0: 1, 18: 1}, {4: 1, 8: 1, 12: 1}),
+    FixtureRow("V5", _rf({0: 1, 18: 1}, {4: 1, 8: 1, 12: 1}),
                _g("1/192", "1/128", "199/1152", "965/2304"), -6),
-    FixtureRow("V6", 7, _rf({0: 1, 15: 1}, {2: 1, 4: 1, 6: 1, 10: 1}),
+    FixtureRow("V6", _rf({0: 1, 15: 1}, {2: 1, 4: 1, 6: 1, 10: 1}),
                _g("1/240", "1/160", "71/720", "17/72"), -7),
-    FixtureRow("V8", 9,
+    FixtureRow("V8",
                _rf({0: 1, 8: 1, 9: 1, 10: 1, 18: 1},
                    {2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1}),
                _g("1/1008", "1/672", "191/15120", "11/378"), -9),
-    FixtureRow("2V1", 4, _rf([1], {2: 1}), _g("1/2", "1/4", "1/8", "1/16"), -2),
-    FixtureRow("2V2", 6, _rf([1], {2: 3}), _g("1/8", "3/16", "3/16", "5/32"), -6),
-    FixtureRow("2V3", 8, _rf({0: 1, 4: 1, 6: 1, 10: 1}, {2: 1, 4: 4}),
+    FixtureRow("2V1", _rf([1], {2: 1}), _g("1/2", "1/4", "1/8", "1/16"), -2),
+    FixtureRow("2V2", _rf([1], {2: 3}), _g("1/8", "3/16", "3/16", "5/32"), -6),
+    FixtureRow("2V3", _rf({0: 1, 4: 1, 6: 1, 10: 1}, {2: 1, 4: 4}),
                _g("1/128", "3/256", "23/512", "95/1024"), -8),
-    FixtureRow("2V4", 10, _rf({0: 1, 4: 1, 8: 1}, {2: 3, 3: 4}),
+    FixtureRow("2V4", _rf({0: 1, 4: 1, 8: 1}, {2: 3, 3: 4}),
                _g("1/216", "1/144", "11/432", "5/96"), -10),
-    FixtureRow("V1+V2", 5, _rf([1], {2: 1, 3: 1}),
+    FixtureRow("V1+V2", _rf([1], {2: 1, 3: 1}),
                _g("1/6", "1/4", "17/72", "25/144"), -5),
-    FixtureRow("V1+V3", 6, _rf({0: 1, 6: 1}, {4: 3}),
+    FixtureRow("V1+V3", _rf({0: 1, 6: 1}, {4: 3}),
                _g("1/32", "3/64", "9/64", "35/128"), -6),
-    FixtureRow("V1+V4", 7, _rf({0: 1, 9: 1}, {2: 1, 3: 1, 5: 1, 6: 1}),
+    FixtureRow("V1+V4", _rf({0: 1, 9: 1}, {2: 1, 3: 1, 5: 1, 6: 1}),
                _g("1/90", "1/60", "109/1080", "97/432"), -7),
-    FixtureRow("V2+V3", 7, _rf({0: 1, 7: 1}, {2: 1, 3: 1, 4: 1, 5: 1}),
+    FixtureRow("V2+V3", _rf({0: 1, 7: 1}, {2: 1, 3: 1, 4: 1, 5: 1}),
                _g("1/60", "1/40", "71/720", "59/288"), -7),
-    FixtureRow("V2+V4", 8, _rf({0: 1, 6: 1}, {2: 2, 3: 2, 4: 1}),
+    FixtureRow("V2+V4", _rf({0: 1, 6: 1}, {2: 2, 3: 2, 4: 1}),
                _g("1/72", "1/48", "29/432", "115/864"), -8),
 ]
 
 
-def _cache_dir():
+def _cache_path(rep):
     base = os.environ.get("SL2HILB_CACHE_DIR")
     if not base:
         base = os.path.join(os.path.expanduser("~"), ".cache", "sl2hilb")
-    return base
-
-
-def _cache_path(rep):
-    return os.path.join(_cache_dir(), rep.key + ".json")
+    return os.path.join(base, rep.key + ".json")
 
 
 def load_cached(rep):
@@ -202,7 +194,11 @@ def _get_result(rep, use_cache=True):
             return cached
     result = HilbertResult.compute(rep)
     if use_cache:
-        store_cached(rep, result)
+        try:
+            store_cached(rep, result)
+        except OSError as exc:
+            # the result stands without the cache; say why it was not kept
+            print("warning: result not cached: %s" % exc, file=sys.stderr)
     return result
 
 
@@ -238,81 +234,73 @@ def _series_latex(rf):
     return "\\frac{%s}{%s}" % (num, den)
 
 
-def _print_series(result, fmt, terms, out):
-    series = result.series()
-    if fmt == "json":
-        payload = result.to_json_dict()
-        if terms:
-            payload["coefficients"] = taylor_coeffs(series, terms)
-        json.dump(payload, out, indent=2, sort_keys=True)
-        out.write("\n")
-        return
-    if fmt == "latex":
-        out.write("H(t) = %s\n" % _series_latex(series))
-        return
-    out.write("%r\n" % series)
-    if terms:
-        coeffs = taylor_coeffs(series, terms)
-        out.write("coefficients: %s\n" % ", ".join(str(c) for c in coeffs))
-
-
-def cmd_series(args, out=None):
-    out = out or sys.stdout
+def cmd_series(args):
     rep = parse_rep(args.spec)
     result = _get_result(rep, use_cache=not args.no_cache)
-    _print_series(result, args.format, args.terms, out)
+    series = result.series()
+    if args.format == "json":
+        payload = result.to_json_dict()
+        if args.terms:
+            payload["coefficients"] = taylor_coeffs(series, args.terms)
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    elif args.format == "latex":
+        print("H(t) = %s" % _series_latex(series))
+    else:
+        print(repr(series))
+        if args.terms:
+            coeffs = taylor_coeffs(series, args.terms)
+            print("coefficients: %s" % ", ".join(str(c) for c in coeffs))
     return EXIT_OK
 
 
-def cmd_expand(args, out=None):
-    out = out or sys.stdout
+def cmd_expand(args):
     rep = parse_rep(args.spec)
     result = _get_result(rep, use_cache=not args.no_cache)
     coeffs = taylor_coeffs(result.series(), args.terms)
     if args.format == "json":
-        json.dump({"rep": list(result.rep_degrees), "coefficients": coeffs},
-                  out, sort_keys=True)
-        out.write("\n")
+        print(json.dumps({"rep": list(result.rep_degrees), "coefficients": coeffs},
+                         sort_keys=True))
     else:
-        out.write(", ".join(str(c) for c in coeffs) + "\n")
+        print(", ".join(str(c) for c in coeffs))
     return EXIT_OK
 
 
-def cmd_gamma(args, out=None):
-    out = out or sys.stdout
+def cmd_gamma(args):
+    """Laurent data; only --format json reads the cached series result."""
     rep = parse_rep(args.spec)
     if not rep.degrees or rep.trivial_count:
         raise RepParseError("trivial summand not allowed for gamma", 0)
-    result = _get_result(rep, use_cache=not args.no_cache)
     if args.format == "json":
-        json.dump(result.to_json_dict(), out, indent=2, sort_keys=True)
-        out.write("\n")
+        result = _get_result(rep, use_cache=not args.no_cache)
+        print(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
         return EXIT_OK
+    res = gammas(rep)
     if args.format == "latex":
-        for i, g in enumerate(result.gamma):
-            out.write("\\gamma_%d = \\frac{%d}{%d}\n"
-                      % (i, g.numerator, g.denominator))
-        out.write("a = %d\n" % result.a_invariant)
+        for i, g in enumerate(res.gamma):
+            print("\\gamma_%d = \\frac{%d}{%d}" % (i, g.numerator, g.denominator))
+        print("a = %d" % res.a_invariant)
         return EXIT_OK
-    out.write("rep        %s\n" % rep.key)
-    for i, (g, m) in enumerate(zip(result.gamma, result.methods)):
-        out.write("gamma%d     %-12s (%s)\n" % (i, g, m))
-    out.write("a          %d\n" % result.a_invariant)
-    out.write("pole       %d\n" % result.pole_order)
+    print("rep        %s" % rep.key)
+    for i, (g, m) in enumerate(zip(res.gamma, res.methods)):
+        print("gamma%d     %-12s (%s)" % (i, g, m))
+    print("a          %d" % res.a_invariant)
+    print("pole       %d" % res.pole_order)
     return EXIT_OK
 
 
-def _verify_rep(rep, max_degree, draws, seed, out):
+def cmd_verify(args):
+    rep = parse_rep(args.spec)
     failures = []
 
     def check(name, ok, detail=""):
         line = "%s %s" % ("PASS" if ok else "FAIL", name)
         if detail and not ok:
             line += ": " + detail
-        out.write(line + "\n")
+        print(line)
         if not ok:
             failures.append(name)
 
+    max_degree = args.max_degree
     series = hilbert_series(rep)
     want = truncated_series(rep, max_degree)
     got = taylor_coeffs(series, max_degree + 1)
@@ -352,11 +340,11 @@ def _verify_rep(rep, max_degree, draws, seed, out):
             problems = _fixture_mismatches(row, series, res)
             check("fixture table row", not problems, "; ".join(problems))
 
-        if draws:
-            rng = random.Random(seed)
+        if args.draws:
+            rng = random.Random(args.seed)
             shapes = [(dim - 3,), (dim - 4, 1), (dim - 5, 1, 1), (dim - 6, 1, 1, 1)]
             bad_draw = None
-            for n in range(draws):
+            for n in range(args.draws):
                 params = random_params(rep, rng)
                 for exps in shapes:
                     if sigma_sum_raw(exps, params) != sigma_sum_schur(exps, params):
@@ -364,7 +352,7 @@ def _verify_rep(rep, max_degree, draws, seed, out):
                         break
                 if bad_draw:
                     break
-            check("weight sum identities (%d draws)" % draws, bad_draw is None,
+            check("weight sum identities (%d draws)" % args.draws, bad_draw is None,
                   "draw %s arity %s" % bad_draw if bad_draw else "")
 
     return EXIT_VERIFY if failures else EXIT_OK
@@ -383,24 +371,17 @@ def _fixture_mismatches(row, series, res):
     return problems
 
 
-def cmd_verify(args, out=None):
-    out = out or sys.stdout
-    rep = parse_rep(args.spec)
-    return _verify_rep(rep, args.max_degree, args.draws, args.seed, out)
-
-
-def cmd_table(args, out=None):
-    out = out or sys.stdout
+def cmd_table(args):
     bad = 0
     for row in FIXTURES:
         rep = parse_rep(row.key)
         problems = _fixture_mismatches(row, hilbert_series(rep), gammas(rep))
         if problems:
             bad += 1
-            out.write("%-6s DIFF %s\n" % (row.key, "; ".join(problems)))
+            print("%-6s DIFF %s" % (row.key, "; ".join(problems)))
         else:
-            out.write("%-6s OK\n" % row.key)
-    out.write("%d/%d rows match\n" % (len(FIXTURES) - bad, len(FIXTURES)))
+            print("%-6s OK" % row.key)
+    print("%d/%d rows match" % (len(FIXTURES) - bad, len(FIXTURES)))
     return EXIT_VERIFY if bad else EXIT_OK
 
 
@@ -454,10 +435,15 @@ def build_parser():
     return parser
 
 
+_parser = None     # built by the first main() call, then reused
+
+
 def main(argv=None):
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

@@ -56,9 +56,6 @@ class Polynomial:
             out[i] += v
         return Polynomial(out)
 
-    def __neg__(self):
-        return Polynomial([-v for v in self.c])
-
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             return Polynomial(_mul_trunc(self.c, other.c, len(self.c) + len(other.c) - 2))
@@ -127,11 +124,6 @@ class FactoredDenominator:
     @property
     def is_one(self):
         return not self.factors
-
-    def __eq__(self, other):
-        if isinstance(other, FactoredDenominator):
-            return self.factors == other.factors
-        return NotImplemented
 
     def items_sorted(self):
         return sorted(self.factors.items())

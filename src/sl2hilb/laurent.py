@@ -28,7 +28,6 @@ class GammaResult:
     pole_order: int
     a_invariant: int
     methods: tuple
-    case: str
 
     def __repr__(self):
         parts = ", ".join(str(g) for g in self.gamma)
@@ -51,9 +50,12 @@ def _rho_leading(npos):
 
 
 def _schur_ratio(rho, points):
-    # s_rho / s_delta at the points, delta = (n-1, ..., 1, 0).
-    den = schur_eval(tuple(range(len(points) - 1, -1, -1)), points)
-    return Fraction(schur_eval(rho, points)) / den
+    # s_rho / s_delta at the points, delta = (n-1, ..., 1, 0); s_delta is
+    # not evaluated when s_rho vanishes.
+    num = schur_eval(rho, points)
+    if not num:
+        return Fraction(0)
+    return num / schur_eval(tuple(range(len(points) - 1, -1, -1)), points)
 
 
 def gamma0(rep):
@@ -133,8 +135,7 @@ def _coefficients(rep, tag):
 
 def gammas(rep):
     """All four Laurent coefficients, preferring closed forms."""
-    tag = classify_case(rep)
-    return GammaResult(rep, *_coefficients(rep, tag), tag.case)
+    return GammaResult(rep, *_coefficients(rep, classify_case(rep)))
 
 
 def first_coeff_sum(rep):

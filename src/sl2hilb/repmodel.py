@@ -127,15 +127,8 @@ GAMMA2_ONLY_EXCEPTIONS = frozenset(
 # with that sum; the pole order is dim-3 for every other rep.
 FIRST_COEFF_EXCEPTIONS = {(1,): Fraction(1), (2,): Fraction(-1, 4), (1, 1): Fraction(-1)}
 
-CASE_EXCEPTION_GAMMA0 = "ExceptionGamma0"
-CASE_EXCEPTION_GAMMA2_ONLY = "ExceptionGamma2Only"
-CASE_ONE_V1_REST_EVEN = "OneV1RestEven"
-CASE_GENERIC = "GenericEvenOrOdd"
-
-
 @dataclass(frozen=True)
 class CaseTag:
-    case: str
     in_gamma0_exceptions: bool
     in_gamma2_exceptions: bool
     one_v1_rest_even: bool
@@ -152,18 +145,8 @@ def classify_case(rep):
     if not rep.degrees:
         raise ValueError("classify_case requires a nonzero rep")
     degs = rep.degrees
-    g0 = degs in GAMMA0_EXCEPTIONS
-    g2 = degs in GAMMA2_ONLY_EXCEPTIONS
     one_v1 = degs[0] == 1 and degs.count(1) == 1 and all(d % 2 == 0 for d in degs[1:])
-    if g0:
-        case = CASE_EXCEPTION_GAMMA0
-    elif g2:
-        case = CASE_EXCEPTION_GAMMA2_ONLY
-    elif one_v1:
-        case = CASE_ONE_V1_REST_EVEN
-    else:
-        case = CASE_GENERIC
-    return CaseTag(case, g0, g2, one_v1)
+    return CaseTag(degs in GAMMA0_EXCEPTIONS, degs in GAMMA2_ONLY_EXCEPTIONS, one_v1)
 
 
 @dataclass(frozen=True)

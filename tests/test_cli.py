@@ -1,14 +1,19 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 import sl2hilb.cli as cli
-from sl2hilb.cli import (FIXTURES, FixtureRow, HilbertResult, _int_in,
-                         _int_out, load_cached, main, store_cached)
-from sl2hilb.exactalg import LaurentExpansion, laurent_at_one, rf_equal
+from sl2hilb.cli import (FIXTURES, FixtureRow, HilbertResult, _int_out,
+                         load_cached, main, store_cached)
+from sl2hilb.exactalg import (LaurentExpansion, laurent_at_one, rf_equal,
+                              taylor_coeffs)
+from sl2hilb.laurent import gammas
 from sl2hilb.repmodel import parse_rep
+from sl2hilb.series import SeriesConsistencyError, hilbert_series
 
 
 @pytest.fixture(autouse=True)
@@ -64,7 +69,6 @@ def test_json_round_trip():
     result = HilbertResult.from_json_dict(GOLDEN_V2_2V3)
     assert result.to_json_dict() == GOLDEN_V2_2V3
     rep = parse_rep("V2+2V3")
-    from sl2hilb.series import hilbert_series
     assert rf_equal(result.series(), hilbert_series(rep))
 
 
@@ -151,7 +155,7 @@ def test_table_all_rows(capsys):
 
 def test_table_reports_tampered_row(capsys, monkeypatch):
     bad = FIXTURES[4]
-    tampered = FixtureRow(bad.key, bad.dim, bad.series,
+    tampered = FixtureRow(bad.key, bad.series,
                           (Fraction(1, 7),) + bad.gamma[1:], bad.a_invariant)
     monkeypatch.setattr(cli, "FIXTURES",
                         FIXTURES[:4] + [tampered] + FIXTURES[5:])
@@ -174,7 +178,6 @@ def test_cache_round_trip(isolated_cache, capsys):
     assert out1 == out2
     rep = parse_rep("V2+V3")
     cached = load_cached(rep)
-    from sl2hilb.series import hilbert_series
     assert rf_equal(cached.series(), hilbert_series(rep))
     assert cached.gamma == (Fraction(1, 60), Fraction(1, 40),
                             Fraction(71, 720), Fraction(59, 288))
@@ -193,10 +196,11 @@ def test_cache_version_mismatch_recomputes(isolated_cache, capsys):
 
 
 def test_malformed_cache_entry_is_a_miss(isolated_cache, capsys):
-    code, want, _ = run(capsys, "gamma", "V5", "--no-cache")
+    # gamma --format json is the gamma output that reads the cache
+    code, want, _ = run(capsys, "gamma", "V5", "--format", "json", "--no-cache")
     assert code == 0
-    run(capsys, "gamma", "V5")
-    run(capsys, "gamma", "V6")
+    run(capsys, "gamma", "V5", "--format", "json")
+    run(capsys, "gamma", "V6", "--format", "json")
     path = isolated_cache / "V5.json"
     good = json.loads(path.read_text())
 
@@ -213,7 +217,7 @@ def test_malformed_cache_entry_is_a_miss(isolated_cache, capsys):
     ]
     for payload in payloads:
         path.write_text(payload)
-        code, out, err = run(capsys, "gamma", "V5")
+        code, out, err = run(capsys, "gamma", "V5", "--format", "json")
         assert (code, out, err) == (0, want, ""), payload
         assert json.loads(path.read_text()) == good, payload
 
@@ -237,5 +241,102 @@ def test_big_int_serialization():
     assert _int_out(big) == str(big)
     assert _int_out(-(2 ** 70)) == str(-(2 ** 70))
     assert _int_out(12) == 12
-    assert _int_in(str(big)) == big
-    assert _int_in(-5) == -5
+    data = dict(GOLDEN_V2_2V3, numerator=[str(big), -5])
+    result = HilbertResult.from_json_dict(data)
+    assert result.numerator == [big, -5]
+    assert result.to_json_dict() == data
+
+
+def test_series_json_with_terms(capsys):
+    code, out, _ = run(capsys, "series", "V2+V3", "--format", "json", "--terms", "9")
+    assert code == 0
+    rep = parse_rep("V2+V3")
+    payload = json.loads(out)
+    assert payload.pop("coefficients") == taylor_coeffs(hilbert_series(rep), 9)
+    assert payload == HilbertResult.compute(rep).to_json_dict()
+
+
+def test_expand_json(capsys):
+    code, out, _ = run(capsys, "expand", "2V3", "--format", "json", "--terms", "11")
+    assert code == 0
+    rep = parse_rep("2V3")
+    assert json.loads(out) == {"rep": [3, 3], "coefficients":
+                               taylor_coeffs(hilbert_series(rep), 11)}
+
+
+def test_gamma_json(capsys):
+    code, out, _ = run(capsys, "gamma", "V2+2V3", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == GOLDEN_V2_2V3
+    res = gammas(parse_rep("V2+2V3"))
+    assert [Fraction(g) for g in GOLDEN_V2_2V3["gamma"]] == list(res.gamma)
+    assert GOLDEN_V2_2V3["methods"] == list(res.methods)
+
+
+def _no_compute(rep):
+    raise AssertionError("gamma text/latex must not build the series result")
+
+
+def test_gamma_text_and_latex_skip_series_and_cache(isolated_cache, capsys,
+                                                    monkeypatch):
+    monkeypatch.setattr(cli.HilbertResult, "compute", classmethod(_no_compute))
+    res = gammas(parse_rep("V9"))
+    code, out, err = run(capsys, "gamma", "V9")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "rep        V9"
+    for i, (g, m) in enumerate(zip(res.gamma, res.methods)):
+        assert lines[1 + i].split() == ["gamma%d" % i, str(g), "(%s)" % m]
+    assert lines[5:] == ["a          %d" % res.a_invariant,
+                         "pole       %d" % res.pole_order]
+    code, out, err = run(capsys, "gamma", "V9", "--format", "latex")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == (
+        ["\\gamma_%d = \\frac{%d}{%d}" % (i, g.numerator, g.denominator)
+         for i, g in enumerate(res.gamma)] + ["a = %d" % res.a_invariant])
+    assert not isolated_cache.exists()
+
+
+def test_parser_built_once_and_carries_no_state(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counting_build():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    code, out, _ = run(capsys, "series", "V3", "--terms", "5")
+    assert code == 0 and "coefficients: 1, 0, 0, 0, 1" in out
+    code, out, _ = run(capsys, "series", "V3")
+    assert code == 0 and out == "(1)/(1-t^4)\n"
+    assert len(built) == 1
+
+
+def test_parser_not_built_at_import():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = "import sl2hilb.cli as c; assert c._parser is None"
+    subprocess.run([sys.executable, "-c", probe], check=True,
+                   env=dict(os.environ, PYTHONPATH=src))
+
+
+def test_unwritable_cache_warns_and_prints(tmp_path, capsys, monkeypatch):
+    code, want, _ = run(capsys, "series", "V3", "--no-cache")
+    assert code == 0
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    monkeypatch.setenv("SL2HILB_CACHE_DIR", str(blocker / "sub"))
+    code, out, err = run(capsys, "series", "V3")
+    assert (code, out) == (0, want)
+    assert len(err.splitlines()) == 1 and err.startswith("warning:")
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def broken(rep):
+        raise SeriesConsistencyError(rep, 4, 2, 1)
+
+    monkeypatch.setattr(cli, "hilbert_series", broken)
+    code, out, err = run(capsys, "series", "V3", "--no-cache")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error:") and "Traceback" not in err

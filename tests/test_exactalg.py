@@ -37,7 +37,7 @@ def test_polynomial_arithmetic():
     assert (p * q).c == [0, 1, 3, 2]
     assert (p * 3).c == [3, 6]
     assert (p * Polynomial()).c == [] and (Polynomial() * p).c == []
-    assert (-p).c == [-1, -2]
+    assert (p * -1).c == [-1, -2]
     assert p.degree == 1
     assert Polynomial([0]).degree == -1
 

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sl2hilb.repmodel import parse_rep, weight_system
-from sl2hilb.schur import (StraightenedSchur, bialternant_eval,
+from sl2hilb.schur import (StraightenedSchur, bareiss_det, bialternant_eval,
                            complete_homogeneous, power_sum, schur_eval,
                            straighten)
 
@@ -108,3 +110,36 @@ def test_power_sum():
     assert power_sum((2, 3, 5), 0) == 3
     assert power_sum((), 4) == 0
     assert power_sum((Fraction(1, 2),), 3) == Fraction(1, 8)
+
+
+def _fraction_det(m):
+    # Gaussian elimination over the rationals, swapping in any nonzero pivot.
+    m = [[Fraction(v) for v in row] for row in m]
+    det = Fraction(1)
+    for k in range(len(m)):
+        r = next((r for r in range(k, len(m)) if m[r][k]), None)
+        if r is None:
+            return Fraction(0)
+        if r != k:
+            m[k], m[r] = m[r], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return det
+
+
+# Mostly zeros, so leading pivots vanish and rows must be swapped or the
+# matrix is singular.
+_sparse_entry = st.one_of(st.just(0), st.integers(-3, 3))
+
+
+@given(st.integers(0, 5).flatmap(
+    lambda n: st.lists(st.lists(_sparse_entry, min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+@example([[0, 1], [1, 0]])              # zero pivot, rows swapped
+@example([[0, 1, 2], [0, 3, 4], [0, 5, 6]])   # zero column: singular
+@settings(max_examples=300, deadline=None)
+def test_bareiss_matches_fraction_elimination(m):
+    assert bareiss_det(m) == _fraction_det(m)
