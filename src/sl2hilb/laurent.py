@@ -15,7 +15,7 @@ from math import comb, factorial
 from .exactalg import laurent_at_one
 from .repmodel import (FIRST_COEFF_EXCEPTIONS, GAMMA0_EXCEPTIONS, Representation,
                        classify_case, weight_system)
-from .schur import power_sum, schur_eval
+from .schur import power_sum, schur_delta, schur_eval
 from .series import hilbert_series
 
 
@@ -55,7 +55,7 @@ def _schur_ratio(rho, points):
     num = schur_eval(rho, points)
     if not num:
         return Fraction(0)
-    return num / schur_eval(tuple(range(len(points) - 1, -1, -1)), points)
+    return num / schur_delta(points)
 
 
 def gamma0(rep):
@@ -75,17 +75,20 @@ def gamma2(rep):
     tag = classify_case(rep)
     if tag.in_gamma0_exceptions or tag.in_gamma2_exceptions:
         raise ValueError("no closed gamma2 form for %s" % rep)
+    return _gamma2_from(rep, tag, gamma0(rep))
+
+
+def _gamma2_from(rep, tag, g0):
+    # 7/4 gamma0 carries the s_rho term of gamma2, so s_rho is not evaluated
+    # again here.
     ws = weight_system(rep)
     # Power sum over the full weight multiset, zeros and negatives included.
-    theta_vals = [w for (_, _, w) in ws.theta]
-    p2 = power_sum(theta_vals, 2)
-    val = 42 * schur_eval(_rho_leading(ws.npos), ws.a_vec)
-    val += schur_eval(_staircase(ws.npos - 6, ws.npos), ws.a_vec) * (p2 - 8)
-    den = 24 * schur_eval(tuple(range(ws.npos - 1, -1, -1)), ws.a_vec)
-    out = ws.sigma * Fraction(val, den)
+    p2 = power_sum(ws.weights, 2)
+    stair = schur_eval(_staircase(ws.npos - 6, ws.npos), ws.a_vec)
+    out = Fraction(7, 4) * g0 + ws.sigma * stair * (p2 - 8) / (24 * schur_delta(ws.a_vec))
     if tag.one_v1_rest_even:
         # The V1 summand contributes one extra term built from the even part
-        # alone: drop the single positive V1 weight (first in lex order).
+        # alone: drop the single positive V1 weight (first in a_vec).
         out += _schur_ratio(_rho_leading(ws.npos - 1), ws.a_vec[1:]) / 4
     return out
 
@@ -128,7 +131,7 @@ def _coefficients(rep, tag):
     if tag.in_gamma2_exceptions:
         g2, m2 = exp.coeffs[2], "SeriesFallback"
     else:
-        g2, m2 = gamma2(rep), "ClosedForm"
+        g2, m2 = _gamma2_from(rep, tag, g0), "ClosedForm"
     gamma = (g0, Fraction(3, 2) * g0, g2, Fraction(5, 2) * (g2 - g0))
     return gamma, rep.dim - 3, -rep.dim, ("ClosedForm", "ClosedForm", m2, "ClosedForm")
 
@@ -164,56 +167,41 @@ def hilbert1893_gamma0(d):
     return Fraction(-1, sign_factor * factorial(d)) * total
 
 
+@dataclass(frozen=True)
 class PerturbedParams:
     """Weight parameters b moved off the integer weights.
 
-    Values for the positive weights are chosen freely (pairwise distinct,
-    positive); zero weights stay 0 and each negative weight is minus its
-    mirror, matching the symmetry of the true weights.
+    values runs parallel to weight_system(rep).weights.  Values for the
+    positive weights are chosen freely (pairwise distinct, positive); zero
+    weights stay 0 and each negative weight is minus its mirror in the same
+    summand, matching the symmetry of the true weights.
     """
 
-    __slots__ = ("rep", "ws", "values")
-
-    def __init__(self, rep, ws, values):
-        self.rep = rep
-        self.ws = ws
-        self.values = values  # {(k, i): Fraction}
-
-    def positive_items(self):
-        return [((k, i), self.values[(k, i)]) for (k, i, _) in self.ws.lam]
-
-    def theta_items(self):
-        return [((k, i), self.values[(k, i)]) for (k, i, _) in self.ws.theta]
+    rep: Representation
+    values: tuple
 
 
 def perturbed_params(rep, lam_values):
     ws = weight_system(rep)
-    if len(lam_values) != len(ws.lam):
-        raise ValueError("need %d values, got %d" % (len(ws.lam), len(lam_values)))
+    if len(lam_values) != ws.npos:
+        raise ValueError("need %d values, got %d" % (ws.npos, len(lam_values)))
     vals = [Fraction(v) for v in lam_values]
     if any(v <= 0 for v in vals):
         raise ValueError("perturbed weights must stay positive")
     if len(set(vals)) != len(vals):
         raise ValueError("perturbed weights must be pairwise distinct")
-    values = {}
-    for (k, i, _), v in zip(ws.lam, vals):
-        values[(k, i)] = v
-    for k, i, w in ws.theta:
-        if (k, i) in values:
-            continue
-        if w == 0:
-            values[(k, i)] = Fraction(0)
-        else:
-            d = rep.degrees[k - 1]
-            values[(k, i)] = -values[(k, d - i)]
-    return PerturbedParams(rep, ws, values)
+    values = []
+    for d in rep.degrees:
+        pos, vals = vals[:(d + 1) // 2], vals[(d + 1) // 2:]
+        values += [-v for v in reversed(pos)] + [Fraction(0)] * (d % 2 == 0) + pos
+    return PerturbedParams(rep, tuple(values))
 
 
 def random_params(rep, rng):
-    ws = weight_system(rep)
+    npos = weight_system(rep).npos
     seen = set()
     vals = []
-    while len(vals) < len(ws.lam):
+    while len(vals) < npos:
         v = Fraction(rng.randint(1, 60), rng.randint(1, 16))
         if v in seen:
             continue
@@ -223,13 +211,14 @@ def random_params(rep, rng):
 
 
 def _outer(params, skip=()):
-    """Each positive weight b outside skip, with the product of b - b' and
-    the list of the other weights b' of theta, both over theta minus skip."""
-    theta = [(key, b) for key, b in params.theta_items() if key not in skip]
-    for key, b in params.positive_items():
-        if key in skip:
+    """Each positive value b outside the positions in skip, with the product
+    of b - b' and the list of the other values b', both over the values
+    outside skip."""
+    kept = [(i, b) for i, b in enumerate(params.values) if i not in skip]
+    for i, b in kept:
+        if b <= 0:
             continue
-        others = [b2 for key2, b2 in theta if key2 != key]
+        others = [b2 for j, b2 in kept if j != i]
         den = Fraction(1)
         for b2 in others:
             den *= b - b2
@@ -270,21 +259,20 @@ def sigma_sum_schur(exps, params):
 
     The inner sum over distinct weights is the Moebius sum over the set
     partitions of s1..sm; a block with exponent sum k is the power sum over
-    the weights other than b, p_k(theta) - b^k.  Expanding in b leaves sums
+    the weights other than b, p_k(values) - b^k.  Expanding in b leaves sums
     of b^n over the product of b - b', each a Schur polynomial ratio.
     """
-    ws = params.ws
-    blam = [params.values[(k, i)] for (k, i, _) in ws.lam]
-    theta_vals = [params.values[(k, i)] for (k, i, _) in ws.theta]
-    npos = ws.npos
-    shift = ws.neven + npos  # subtracted from every exponent below
+    blam = [b for b in params.values if b > 0]
+    npos = len(blam)
+    # subtracted from every exponent below: npos plus the zero count, neven
+    shift = npos + params.values.count(0)
     r, inner = exps[0], exps[1:]
     coeffs = defaultdict(Fraction)  # power of b -> coefficient
     for blocks in _set_partitions(inner):
         term = {0: Fraction(1)}
         for block in blocks:
             k = sum(block)
-            pk = power_sum(theta_vals, k)
+            pk = power_sum(params.values, k)
             mu = (-1) ** (len(block) - 1) * factorial(len(block) - 1)
             nxt = defaultdict(Fraction)
             for e, c in term.items():
@@ -295,7 +283,7 @@ def sigma_sum_schur(exps, params):
             coeffs[e] += c
     val = sum((c * schur_eval(_staircase(r + e - shift, npos), blam)
                for e, c in coeffs.items() if c), Fraction(0))
-    return val / (2 * schur_eval(tuple(range(npos - 1, -1, -1)), blam))
+    return val / (2 * schur_delta(blam))
 
 
 def _raw_numerator(order, b, others):
@@ -324,16 +312,18 @@ def gamma_raw(order, params):
     order-1 form fails at V1+V2 (1/2 against gamma1 = 1/4 at its weights)."""
     if order not in (0, 1, 2):
         raise ValueError("raw forms cover orders 0..2")
-    power = params.ws.dim - 4 - order
-    total = params.ws.sigma * sum((b ** power * _raw_numerator(order, b, others) / den
-                                   for b, den, others in _outer(params)), Fraction(0))
+    power = params.rep.dim - 4 - order
+    sigma = weight_system(params.rep).sigma
+    total = sigma * sum((b ** power * _raw_numerator(order, b, others) / den
+                         for b, den, others in _outer(params)), Fraction(0))
     if order == 2 and classify_case(params.rep).one_v1_rest_even:
         # V1 plus even summands adds a sum over the positives outside the V1
         # pair, with both V1 weights struck from the product as well.  At
         # order 1 that sum, of b^(dim-5) / (2 prod(b - b')), is half the full
         # divided difference of x^(|S'|-3) over the symmetric nonzero set S'
         # once the zero weights are divided out: 0 whenever |S'| >= 4.
-        v1 = params.values[(1, 0)] + params.values[(1, 1)]
-        for b, den, others in _outer(params, {(1, 0), (1, 1)}):
+        # Degrees sort ascending, so the V1 pair sits at positions 0 and 1.
+        v1 = params.values[0] + params.values[1]
+        for b, den, others in _outer(params, {0, 1}):
             total += b ** power * ((3 * b - v1 - 2 - sum(others)) / 4) / den
     return total

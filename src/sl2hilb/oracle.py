@@ -6,7 +6,9 @@ polynomial ring is (number of monomials of torus weight 0) minus
 matches weight 2 vectors against highest weight vectors of weight 0.
 Counting monomials by weight is a coin-change walk over the variable
 weights, so this route shares nothing with the rational function
-pipeline beyond the weight list itself.
+pipeline beyond the weight list itself.  Even that list is built here
+from rep.degrees rather than read from repmodel.weight_system, so a fault
+in the pipeline's weight list cannot also hide from this check.
 """
 
 

@@ -75,43 +75,27 @@ def _term_text(d, m):
 
 @dataclass(frozen=True)
 class WeightSystem:
-    """Torus weights of the nontrivial part, indexed by (k, i).
+    """Torus weights of the nontrivial part, summand by summand.
 
-    theta lists all basis weights a_{k,i} = 2i - d_k in lexicographic
-    (k, i) order; lam the strictly positive ones in the same order.
-    Invariants: dim = 2*npos + neven, sum of theta weights is 0, and
-    every odd power sum over theta vanishes.
+    weights lists 2i - d_k for i = 0..d_k, one summand after the other;
+    a_vec the strictly positive ones in the same order.  Invariants:
+    dim = 2*npos + neven, the weights sum to 0, and every odd power sum
+    over them vanishes.
     """
 
-    theta: tuple        # ((k, i, weight), ...)
-    lam: tuple          # positive-weight subset of theta
-    a_vec: tuple        # weights of lam in order
+    weights: tuple      # 2i - d_k, summand by summand
+    a_vec: tuple        # positive entries of weights in order
     npos: int           # number of positive weights, C
     neven: int          # number of even degrees, e
-    dim: int            # D
     sigma: int          # 2 if all degrees even else 1
 
 
 def weight_system(rep):
-    theta = []
-    lam = []
-    for k, d in enumerate(rep.degrees, start=1):
-        for i in range(d + 1):
-            w = 2 * i - d
-            theta.append((k, i, w))
-            if w > 0:
-                lam.append((k, i, w))
+    weights = tuple(2 * i - d for d in rep.degrees for i in range(d + 1))
+    a_vec = tuple(w for w in weights if w > 0)
     neven = sum(1 for d in rep.degrees if d % 2 == 0)
     sigma = 2 if rep.degrees and neven == len(rep.degrees) else 1
-    return WeightSystem(
-        theta=tuple(theta),
-        lam=tuple(lam),
-        a_vec=tuple(w for _, _, w in lam),
-        npos=len(lam),
-        neven=neven,
-        dim=rep.dim,
-        sigma=sigma,
-    )
+    return WeightSystem(weights, a_vec, len(a_vec), neven, sigma)
 
 
 # Degree multisets whose first Laurent coefficient has no closed form;
@@ -147,36 +131,6 @@ def classify_case(rep):
     degs = rep.degrees
     one_v1 = degs[0] == 1 and degs.count(1) == 1 and all(d % 2 == 0 for d in degs[1:])
     return CaseTag(degs in GAMMA0_EXCEPTIONS, degs in GAMMA2_ONLY_EXCEPTIONS, one_v1)
-
-
-@dataclass(frozen=True)
-class GroupedWeights:
-    """Distinct weights with multiplicities, split by parity family.
-
-    Even degrees share the weight ladder of the largest even degree;
-    within the family the weight w occurs with multiplicity equal to
-    the number of even summands of degree >= |w|.  Odd degrees behave
-    the same way on the odd ladder.  Total multiplicity is dim.
-    """
-
-    even_weights: tuple
-    even_mults: tuple
-    odd_weights: tuple
-    odd_mults: tuple
-
-
-def grouped_weights(rep):
-    def family(degs):
-        if not degs:
-            return (), ()
-        top = max(degs)
-        weights = tuple(top - 2 * i for i in range(top + 1))
-        mults = tuple(sum(1 for d in degs if d >= abs(w)) for w in weights)
-        return weights, mults
-
-    ew, em = family([d for d in rep.degrees if d % 2 == 0])
-    ow, om = family([d for d in rep.degrees if d % 2 == 1])
-    return GroupedWeights(ew, em, ow, om)
 
 
 # Largest total dimension, trivial summands included, that a spec may have.

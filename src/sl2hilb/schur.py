@@ -124,6 +124,16 @@ def schur_eval(rho, points):
     return value
 
 
+def schur_delta(points):
+    """s_delta at the points, delta = (n-1, ..., 1, 0): the product of the
+    pairwise sums x_i + x_j, i < j, with no determinant."""
+    value = Fraction(1)
+    for i, x in enumerate(points):
+        for y in points[i + 1:]:
+            value *= x + y
+    return value
+
+
 def bialternant_eval(rho, points):
     """s_rho as det(x_i^(delta+rho)_j) / det(x_i^delta_j); distinct points only.
 

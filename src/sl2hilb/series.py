@@ -15,13 +15,14 @@ exactly once.  The assembled series is checked against the brute force
 monomial counts before being returned.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd
 
 from .exactalg import (Polynomial, FactoredDenominator, RationalFunction, _times_factors,
                        rf_equal, taylor_coeffs)
-from .repmodel import grouped_weights
+from .repmodel import weight_system
 from . import oracle
 
 
@@ -244,9 +245,8 @@ def hilbert_series(rep):
 def _compute(rep):
     if not rep.degrees:
         return RationalFunction(1, {1: rep.trivial_count})
-    gw = grouped_weights(rep)
-    weights = list(gw.even_weights) + list(gw.odd_weights)
-    mults = list(gw.even_mults) + list(gw.odd_mults)
+    mult_of = Counter(weight_system(rep).weights)
+    weights, mults = list(mult_of), list(mult_of.values())
     one_minus_z2 = ZRationalFunction({0: 1, 2: -1})
     # piece (j, order) comes out j! (order-1)! times too large, and
     # j + order - 1 = mult - 1 <= max(mults) - 1, so each factor is exact

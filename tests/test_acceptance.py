@@ -18,7 +18,7 @@ from sl2hilb.laurent import (first_coeff_sum, gamma0, gamma1, gamma2, gamma3,
 from sl2hilb.oracle import truncated_series
 from sl2hilb.repmodel import Representation, classify_case, parse_rep, \
     weight_system
-from sl2hilb.schur import bialternant_eval, schur_eval
+from sl2hilb.schur import bialternant_eval, schur_delta, schur_eval
 from sl2hilb.series import hilbert_series
 
 
@@ -207,4 +207,5 @@ def test_acceptance_9_schur_properties():
             for j in range(i + 1, ws.npos):
                 prod *= ws.a_vec[i] + ws.a_vec[j]
         assert schur_eval(delta, ws.a_vec) == prod, degs
+        assert schur_delta(ws.a_vec) == prod, degs
     report(9, "Schur property suite", t0)

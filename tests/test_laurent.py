@@ -135,9 +135,7 @@ def test_perturbed_params_validation():
         perturbed_params(rep, [1, -2, 3])        # not positive
     params = perturbed_params(rep, [Fraction(5, 2), 1, 3])
     # negatives mirror their partners, zeros stay put
-    assert params.values[(1, 0)] == -Fraction(5, 2)
-    assert params.values[(1, 1)] == 0
-    assert params.values[(2, 0)] == -3
+    assert params.values == (-Fraction(5, 2), 0, Fraction(5, 2), -3, -1, 1, 3)
 
 
 def test_random_params_deterministic():

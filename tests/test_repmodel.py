@@ -1,8 +1,14 @@
-import pytest
+from collections import Counter
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sl2hilb.laurent import perturbed_params
+from sl2hilb.oracle import _variable_weights
 from sl2hilb.repmodel import (MAX_DIM, Representation, RepParseError,
-                              classify_case, grouped_weights, parse_rep,
-                              weight_system)
+                              classify_case, parse_rep, weight_system)
 
 
 def test_parse_basic_forms():
@@ -54,7 +60,7 @@ def test_dim():
 
 def test_weight_system_v4():
     ws = weight_system(parse_rep("V4"))
-    assert [w for (_, _, w) in ws.theta] == [-4, -2, 0, 2, 4]
+    assert ws.weights == (-4, -2, 0, 2, 4)
     assert ws.a_vec == (2, 4)
     assert ws.npos == 2
     assert ws.neven == 1
@@ -111,26 +117,65 @@ def test_classify_rejects_trivial():
         classify_case(parse_rep("V0+V2"))
 
 
+def _mults(text):
+    # series reads its distinct weights and multiplicities off this Counter
+    return Counter(weight_system(parse_rep(text)).weights)
+
+
 def test_grouped_weights_single_odd():
-    gw = grouped_weights(parse_rep("V3"))
-    assert gw.even_weights == ()
-    assert gw.odd_weights == (3, 1, -1, -3)
-    assert gw.odd_mults == (1, 1, 1, 1)
+    mults = _mults("V3")
+    assert [w for w in mults if w % 2 == 0] == []
+    assert mults == {3: 1, 1: 1, -1: 1, -3: 1}
 
 
 def test_grouped_weights_combined():
-    gw = grouped_weights(parse_rep("V2+2V3"))
-    assert gw.even_weights == (2, 0, -2)
-    assert gw.even_mults == (1, 1, 1)
-    assert gw.odd_weights == (3, 1, -1, -3)
-    assert gw.odd_mults == (2, 2, 2, 2)
+    mults = _mults("V2+2V3")
+    assert {w: m for w, m in mults.items() if w % 2 == 0} == {2: 1, 0: 1, -2: 1}
+    assert {w: m for w, m in mults.items() if w % 2} == {3: 2, 1: 2, -1: 2, -3: 2}
 
 
 def test_grouped_weights_nested_even():
-    gw = grouped_weights(parse_rep("V2+V4"))
-    assert gw.even_weights == (4, 2, 0, -2, -4)
+    mults = _mults("V2+V4")
     # weight 2 appears in both summands, weight 4 only in V4
-    assert gw.even_mults == (1, 2, 2, 2, 1)
+    assert mults == {4: 1, 2: 2, 0: 2, -2: 2, -4: 1}
+
+
+@st.composite
+def reps_up_to_dim_30(draw):
+    degrees = []
+    budget = 30
+    while budget >= 2 and (not degrees or draw(st.booleans())):
+        d = draw(st.integers(1, budget - 1))
+        degrees.append(d)
+        budget -= d + 1
+    return Representation(tuple(degrees), draw(st.integers(0, 2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(reps_up_to_dim_30(), st.data())
+def test_weight_list_properties(rep, data):
+    ws = weight_system(rep)
+    weights = ws.weights
+    assert rep.dim == len(weights) == 2 * ws.npos + ws.neven
+    for s in (1, 3, 5, 7):
+        assert sum(w ** s for w in weights) == 0
+    assert ws.a_vec == tuple(w for w in weights if w > 0)
+    mults = Counter(weights)
+    for w in range(-max(rep.degrees), max(rep.degrees) + 1):
+        assert mults[w] == sum(1 for d in rep.degrees if d >= abs(w) and (d - w) % 2 == 0)
+    # the oracle's own list, which ends in one 0 per trivial summand
+    assert mults == Counter(_variable_weights(rep)[:rep.dim])
+
+    vals = data.draw(st.lists(st.fractions(Fraction(1, 16), 60, max_denominator=16),
+                              min_size=ws.npos, max_size=ws.npos, unique=True))
+    values = perturbed_params(rep, vals).values
+    assert all((b > 0) - (b < 0) == (w > 0) - (w < 0) for b, w in zip(values, weights))
+    start = 0
+    for d in rep.degrees:
+        block = values[start:start + d + 1]
+        assert block == tuple(-b for b in reversed(block))
+        start += d + 1
+    assert [b for b in values if b > 0] == vals
 
 
 def test_parse_rejects_dimension_over_limit():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sl2hilb.repmodel import parse_rep, weight_system
 from sl2hilb.schur import (StraightenedSchur, bareiss_det, bialternant_eval,
-                           complete_homogeneous, power_sum, schur_eval,
+                           complete_homogeneous, power_sum, schur_delta, schur_eval,
                            straighten)
 
 
@@ -103,6 +103,7 @@ def test_staircase_product_formula():
             for j in range(i + 1, ws.npos):
                 prod *= ws.a_vec[i] + ws.a_vec[j]
         assert schur_eval(delta, ws.a_vec) == prod
+        assert schur_delta(ws.a_vec) == prod
 
 
 def test_power_sum():
