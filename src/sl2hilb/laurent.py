@@ -10,7 +10,7 @@ weights; reps outside their range fall back to expanding the series.
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .exactalg import laurent_at_one
 from .repmodel import (FIRST_COEFF_EXCEPTIONS, GAMMA0_EXCEPTIONS, Representation,
@@ -210,16 +210,16 @@ def random_params(rep, rng):
     return perturbed_params(rep, vals)
 
 
-def _outer(params, skip=()):
+def _outer(values, skip=()):
     """Each positive value b outside the positions in skip, with the product
     of b - b' and the list of the other values b', both over the values
     outside skip."""
-    kept = [(i, b) for i, b in enumerate(params.values) if i not in skip]
+    kept = [(i, b) for i, b in enumerate(values) if i not in skip]
     for i, b in kept:
         if b <= 0:
             continue
         others = [b2 for j, b2 in kept if j != i]
-        den = Fraction(1)
+        den = 1
         for b2 in others:
             den *= b - b2
         yield b, den, others
@@ -237,10 +237,16 @@ def sigma_sum_raw(exps, params):
     """Nested weight sum for exps = (r, s1, ..., sm), straight from the
     definition: the outer weight b runs over the positives with b ** r over
     the product of b - b', the inner ones over ordered tuples of distinct
-    remaining weights with exponents s1..sm."""
+    remaining weights with exponents s1..sm.  The sum is homogeneous of
+    degree r + s1 + ... + sm - (n - 1) in the n values, so it runs on the
+    values scaled to integers (b ** r as a Fraction: r < 0 for the smallest
+    reps) and the scale is divided out once."""
     r, inner = exps[0], exps[1:]
-    return sum((b ** r * _distinct_sum(inner, others) / den
-                for b, den, others in _outer(params)), Fraction(0))
+    scale = lcm(*(v.denominator for v in params.values))
+    values = [int(v * scale) for v in params.values]
+    total = sum((Fraction(b) ** r * _distinct_sum(inner, others) / den
+                 for b, den, others in _outer(values)), Fraction(0))
+    return total / Fraction(scale) ** (r + sum(inner) - len(values) + 1)
 
 
 def _set_partitions(items):
@@ -315,7 +321,7 @@ def gamma_raw(order, params):
     power = params.rep.dim - 4 - order
     sigma = weight_system(params.rep).sigma
     total = sigma * sum((b ** power * _raw_numerator(order, b, others) / den
-                         for b, den, others in _outer(params)), Fraction(0))
+                         for b, den, others in _outer(params.values)), Fraction(0))
     if order == 2 and classify_case(params.rep).one_v1_rest_even:
         # V1 plus even summands adds a sum over the positives outside the V1
         # pair, with both V1 weights struck from the product as well.  At
@@ -323,7 +329,8 @@ def gamma_raw(order, params):
         # divided difference of x^(|S'|-3) over the symmetric nonzero set S'
         # once the zero weights are divided out: 0 whenever |S'| >= 4.
         # Degrees sort ascending, so the V1 pair sits at positions 0 and 1.
-        v1 = params.values[0] + params.values[1]
-        for b, den, others in _outer(params, {0, 1}):
-            total += b ** power * ((3 * b - v1 - 2 - sum(others)) / 4) / den
+        # The raw form also subtracts the sum of that pair, which is 0: the
+        # pair is (-b1, b1) like every mirrored pair of values.
+        for b, den, others in _outer(params.values, {0, 1}):
+            total += b ** power * ((3 * b - 2 - sum(others)) / 4) / den
     return total

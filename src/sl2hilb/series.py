@@ -2,9 +2,10 @@
 
 The series is the constant term in z of (1 - z^2) * prod (1 - t z^w)^-1
 over the torus weights w of the rep.  Grouping equal weights first, the
-product is split by partial fractions in t; the term attached to the
-factor of weight -alpha (alpha >= 0) survives constant term extraction
-and turns into an ordinary rational function of t through the
+product is split by partial fractions in t; every coefficient is a power
+series in z over a product of (1 - z^b)^e factors.  The term attached to
+the factor of weight -alpha (alpha >= 0) survives constant term
+extraction and turns into an ordinary rational function of t through the
 substitution operator U_alpha and the derivative operator D_n.  Factors
 of strictly positive weight contribute nothing: their coefficient
 functions have strictly positive valuation in z.
@@ -16,12 +17,10 @@ monomial counts before being returned.
 """
 
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, factorial, gcd
 
 from .exactalg import (Polynomial, FactoredDenominator, RationalFunction, _times_factors,
-                       rf_equal, taylor_coeffs)
+                       taylor_coeffs)
 from .repmodel import weight_system
 from . import oracle
 
@@ -41,17 +40,17 @@ class SeriesConsistencyError(RuntimeError):
 
 
 class ZRationalFunction:
-    """Laurent numerator over a product of (1 - z^b)^e factors, b >= 1.
-
-    The numerator is a dict exponent -> coefficient and may reach into
-    negative exponents.  Arithmetic factors out the lowest power of z
-    and runs on RationalFunction in z.
+    """Power series in z: a numerator dict exponent -> coefficient, no
+    exponent negative, over a product of (1 - z^b)^e factors, b >= 1.
+    Arithmetic runs on RationalFunction in z.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num=None, den=None):
         self.num = {e: c for e, c in (num or {}).items() if c}
+        if any(e < 0 for e in self.num):
+            raise ValueError("negative exponent in a power series numerator")
         self.den = den if isinstance(den, FactoredDenominator) else FactoredDenominator(den)
 
     @property
@@ -61,41 +60,28 @@ class ZRationalFunction:
     def scale(self, c):
         return ZRationalFunction({e: v * c for e, v in self.num.items()}, self.den)
 
-    def shift(self, k):
-        return ZRationalFunction({e + k: v for e, v in self.num.items()}, self.den)
-
     def __mul__(self, other):
         if self.is_zero or other.is_zero:
             return ZRationalFunction()
-        v, w = min(self.num), min(other.num)
-        return _from_rf(v + w, _to_rf(self, v) * _to_rf(other, w))
+        return _from_rf(_to_rf(self) * _to_rf(other))
 
     def __add__(self, other):
         if self.is_zero:
             return other
         if other.is_zero:
             return self
-        v = min(min(self.num), min(other.num))
-        return _from_rf(v, _to_rf(self, v) + _to_rf(other, v))
+        return _from_rf(_to_rf(self) + _to_rf(other))
 
     def __repr__(self):
         return "ZRationalFunction(%r, %r)" % (self.num, self.den)
 
 
-def _to_rf(f, v):
-    """z^-v f as a RationalFunction in z; v must not exceed the valuation of f."""
-    return RationalFunction(Polynomial.from_dict({e - v: c for e, c in f.num.items()}), f.den)
+def _to_rf(f):
+    return RationalFunction(Polynomial.from_dict(f.num), f.den)
 
 
-def _from_rf(v, g):
-    """z^v g as a ZRationalFunction."""
-    return ZRationalFunction({v + i: c for i, c in enumerate(g.num.c)}, g.den)
-
-
-def zr_equal(f, g):
-    """Exact equality of z-side functions by cross multiplication."""
-    v = min(f.num.keys() | g.num.keys(), default=0)
-    return rf_equal(_to_rf(f, v), _to_rf(g, v))
+def _from_rf(g):
+    return ZRationalFunction(dict(enumerate(g.num.c)), g.den)
 
 
 def _inv_one_minus(c, e):
@@ -108,15 +94,6 @@ def _inv_one_minus(c, e):
     return ZRationalFunction({-c * e: (-1) ** e}, {-c: e})
 
 
-@dataclass(frozen=True)
-class PartialFractionTerm:
-    """One term G / (1 - t z^weight)^order of the split product."""
-
-    weight: int
-    order: int
-    coeff: ZRationalFunction
-
-
 def _coeffs_for_index(weights, mults, i):
     """0! G_{i,0}, 1! G_{i,1}, ..., (m_i - 1)! G_{i,m_i - 1} at position i.
 
@@ -124,8 +101,9 @@ def _coeffs_for_index(weights, mults, i):
     coefficient of (1 - t z^{w_i})^(j - m_i) is
     G_{i,j} = F^(j) (1/x_i) / (j! (-x_i)^j), x_i = z^{w_i}; the factor 1/j!
     is left out, so j! G_{i,j} = (-1)^j F^(j) (1/x_i) / x_i^j has integer
-    coefficients.  Derivatives of F come from F' = F * S with S the
-    logarithmic derivative, all evaluated at t = 1/x_i.
+    coefficients.  F' = F * S, S the logarithmic derivative, gives the
+    recursion for F^(j) (1/x_i) / x_i^j; its inputs S^(k) (1/x_i) / x_i^(k+1)
+    sum the power series (-1)^(k+1) m k! (1 - x_i/z^w)^-(k+1).
     """
     wi = weights[i]
     mi = mults[i]
@@ -133,43 +111,25 @@ def _coeffs_for_index(weights, mults, i):
     for l, (w, m) in enumerate(zip(weights, mults)):
         if l != i:
             fval = fval * _inv_one_minus(w - wi, m)
+    svals = []
+    for k in range(mi - 1):
+        sk = ZRationalFunction()
+        for l, (w, m) in enumerate(zip(weights, mults)):
+            if l != i:
+                part = _inv_one_minus(wi - w, k + 1)
+                sk = sk + part.scale((-1) ** (k + 1) * m * factorial(k))
+        svals.append(sk)
     derivs = [fval]
-    if mi > 1:
-        svals = []
-        for k in range(mi - 1):
-            sk = ZRationalFunction()
-            for l, (w, m) in enumerate(zip(weights, mults)):
-                if l != i:
-                    part = _inv_one_minus(w - wi, k + 1).shift(w * (k + 1))
-                    sk = sk + part.scale(m * factorial(k))
-            svals.append(sk)
-        for j in range(1, mi):
-            acc = ZRationalFunction()
-            for m in range(j):
-                acc = acc + derivs[m] * svals[j - 1 - m].scale(comb(j - 1, m))
-            derivs.append(acc)
-    return [derivs[j].scale((-1) ** j).shift(-j * wi) for j in range(mi)]
-
-
-def partial_fraction(weights, mults):
-    """Split prod (1 - t z^w)^-m into terms G_{i,j} / (1 - t z^{w_i})^(m_i - j).
-
-    Weights must be distinct; the terms reassemble to the product,
-    which is what the tests check.
-    """
-    if len(set(weights)) != len(weights):
-        raise ValueError("weights must be distinct")
-    if len(weights) != len(mults):
-        raise ValueError("weights and mults must have the same length")
-    terms = []
-    for i, (w, m) in enumerate(zip(weights, mults)):
-        for j, g in enumerate(_coeffs_for_index(weights, mults, i)):
-            terms.append(PartialFractionTerm(w, m - j, g.scale(Fraction(1, factorial(j)))))
-    return terms
+    for j in range(1, mi):
+        acc = ZRationalFunction()
+        for m in range(j):
+            acc = acc + derivs[m] * svals[j - 1 - m].scale(comb(j - 1, m))
+        derivs.append(acc)
+    return [d.scale((-1) ** j) for j, d in enumerate(derivs)]
 
 
 def ua_transform(f, a):
-    """Extract every a-th z-coefficient of f into a rational function of t.
+    """Extract every a-th z-coefficient of the power series f into t.
 
     U_a sends sum c_n z^n to sum c_{an} t^n.  Each denominator factor
     transforms by (1 - z^b) -> (1 - t^(b/gcd(a,b)))^gcd(a,b); the
@@ -182,29 +142,19 @@ def ua_transform(f, a):
     if f.is_zero:
         return RationalFunction(0)
     if a == 0:
-        return RationalFunction(Polynomial(_z_coeffs(f, 0, 0)), FactoredDenominator({1: 1}))
+        # every denominator factor starts with 1, so [z^0]f is the numerator's
+        return RationalFunction(Polynomial([f.num.get(0, 0)]), FactoredDenominator({1: 1}))
     den_t = {}
     for b, e in f.den.factors.items():
         g = gcd(a, b)
         den_t[b // g] = den_t.get(b // g, 0) + g * e
-    q = f.den.degree
-    # the part of f with exponents >= 0 is M / den, deg M <= max(f.num); once
-    # f reaches into negative exponents M may have any degree below q as well
-    p = max(f.num) if min(f.num) >= 0 else max(max(f.num), q - 1)
-    bound = max(0, (p + (a - 1) * q) // a)
+    bound = (max(f.num) + (a - 1) * f.den.degree) // a
     margin = 2
-    sub = _z_coeffs(f, a, bound + margin)
+    sub = taylor_coeffs(_to_rf(f), a * (bound + margin) + 1)[::a]
     num = _times_factors(sub, den_t, bound + margin)
     if any(num[bound + 1:]):
         raise RuntimeError("numerator degree bound violated in U_%d" % a)
     return RationalFunction(Polynomial(num[:bound + 1]), den_t)
-
-
-def _z_coeffs(f, a, count):
-    """[z^0]f, [z^a]f, ..., [z^(a*count)]f."""
-    v = min(f.num)
-    series = taylor_coeffs(_to_rf(f, v), max(a * count - v + 1, 0))
-    return [series[a * i - v] if a * i >= v else 0 for i in range(count + 1)]
 
 
 def dn_apply(f, n):

@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sl2hilb.series as series_mod
@@ -9,8 +10,8 @@ from sl2hilb.exactalg import (FactoredDenominator, Polynomial,
                               RationalFunction, rf_equal, taylor_coeffs)
 from sl2hilb.repmodel import parse_rep
 from sl2hilb.series import (SeriesConsistencyError, ZRationalFunction,
-                            dn_apply, hilbert_series, partial_fraction,
-                            ua_transform, zr_equal)
+                            _coeffs_for_index, _to_rf, dn_apply,
+                            hilbert_series, ua_transform)
 
 
 def rf(num, den):
@@ -56,23 +57,18 @@ def test_dn_zero_is_identity():
 
 
 def test_partial_fraction_single_weight():
-    terms = partial_fraction((3,), (1,))
-    assert len(terms) == 1
-    t = terms[0]
-    assert t.weight == 3 and t.order == 1
-    assert zr_equal(t.coeff, ZRationalFunction({0: 1}, {}))
+    coeffs = _coeffs_for_index((3,), (1,), 0)
+    assert len(coeffs) == 1
+    assert rf_equal(_to_rf(coeffs[0]), rf([1], {}))
 
 
 def test_partial_fraction_two_weights():
     p, q = 2, 5
-    terms = partial_fraction((p, q), (1, 1))
-    by_weight = {t.weight: t.coeff for t in terms}
+    (g_p,), (g_q,) = (_coeffs_for_index((p, q), (1, 1), i) for i in (0, 1))
     # coefficient attached to weight p is 1/(1 - z^(q-p)), and symmetrically
-    want_p = ZRationalFunction({0: 1}, {q - p: 1})
-    assert zr_equal(by_weight[p], want_p)
+    assert rf_equal(_to_rf(g_p), rf([1], {q - p: 1}))
     # 1/(1 - z^(p-q)) normalizes to -z^(q-p)/(1-z^(q-p))
-    want_q = ZRationalFunction({q - p: -1}, {q - p: 1})
-    assert zr_equal(by_weight[q], want_q)
+    assert rf_equal(_to_rf(g_q), rf({q - p: -1}, {q - p: 1}))
 
 
 def _zr_at(f, z):
@@ -83,19 +79,23 @@ def _zr_at(f, z):
     return value
 
 
-def test_partial_fraction_reassembles_with_multiplicities():
-    weights, mults = (2, 0, -2, 3), (2, 3, 2, 1)
-    terms = partial_fraction(weights, mults)
-    assert sorted((t.weight, t.order) for t in terms) == [
-        (-2, 1), (-2, 2), (0, 1), (0, 2), (0, 3), (2, 1), (2, 2), (3, 1)]
+@given(st.dictionaries(st.integers(-6, 6), st.integers(1, 3), min_size=1, max_size=5))
+@example({2: 2, 0: 3, -2: 2, 3: 1})
+@settings(max_examples=40, deadline=None)
+def test_partial_fraction_reassembles_with_multiplicities(mult_of):
+    # j! G_{i,j} / j! over (1 - t z^{w_i})^(m_i - j), summed over i and j,
+    # gives back the product; no t z^w below is 1 and no z^b is 1
+    weights, mults = list(mult_of), list(mult_of.values())
+    coeffs = [_coeffs_for_index(weights, mults, i) for i in range(len(weights))]
+    assert [len(c) for c in coeffs] == mults
     points = [(Fraction(1, 3), Fraction(2, 7)), (Fraction(-5, 2), Fraction(1, 11)),
               (Fraction(3, 4), Fraction(-4, 5)), (Fraction(7, 5), Fraction(1, 9))]
     for z, t in points:
         want = Fraction(1)
         for w, m in zip(weights, mults):
             want /= (1 - t * z ** w) ** m
-        got = sum(_zr_at(term.coeff, z) / (1 - t * z ** term.weight) ** term.order
-                  for term in terms)
+        got = sum(_zr_at(g, z) / factorial(j) / (1 - t * z ** w) ** (m - j)
+                  for w, m, gs in zip(weights, mults, coeffs) for j, g in enumerate(gs))
         assert got == want, (z, t)
 
 
@@ -160,10 +160,13 @@ def test_zrational_arithmetic():
     b = ZRationalFunction({1: 1}, {3: 1})
     total = a + b
     prod = a * b
-    assert zr_equal(prod, ZRationalFunction({1: 1}, {2: 1, 3: 1}))
-    # spot value: both sides as series in z must agree; cross-multiplied equality
-    assert zr_equal(total, total)
-    assert not zr_equal(a, b)
+    assert rf_equal(_to_rf(prod), rf({1: 1}, {2: 1, 3: 1}))
+    # (1 - z^3) + z (1 - z^2) over the product of both denominators
+    assert rf_equal(_to_rf(total), rf({0: 1, 1: 1, 3: -2}, {2: 1, 3: 1}))
+    assert not rf_equal(_to_rf(a), _to_rf(b))
+    # the numerator of a power series has no negative exponent
+    with pytest.raises(ValueError):
+        ZRationalFunction({-1: 1})
 
 
 def test_memo_hands_out_copies(monkeypatch):
@@ -194,7 +197,7 @@ def _expand(f, top):
 
 z_functions = st.builds(
     ZRationalFunction,
-    st.dictionaries(st.integers(-6, 6),
+    st.dictionaries(st.integers(0, 12),
                     st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4),
                     min_size=1, max_size=4),
     st.dictionaries(st.integers(1, 4), st.integers(1, 2), max_size=3))
@@ -209,11 +212,9 @@ def test_z_side_matches_brute_force(f, g):
         got = taylor_coeffs(ua_transform(f, a), top // a + 1)
         assert got == [ef.get(a * i, 0) for i in range(top // a + 1)]
     esum, eprod = _expand(f + g, top), _expand(f * g, top)
-    for n in range(-12, top + 1):
+    for n in range(top + 1):
         assert esum.get(n, 0) == ef.get(n, 0) + eg.get(n, 0)
-    # exponents start at -6 on both sides, so ef is needed up to n + 6
-    for n in range(-12, top - 5):
-        want = sum(ef.get(k, 0) * eg.get(n - k, 0) for k in range(-6, n + 7))
+        want = sum(ef.get(k, 0) * eg.get(n - k, 0) for k in range(n + 1))
         assert eprod.get(n, 0) == want
 
 
