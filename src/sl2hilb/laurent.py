@@ -4,7 +4,11 @@ For a nontrivial representation the series has a pole at t = 1 of order
 dim - 3 (with a handful of small exceptions), and the first four Laurent
 coefficients gamma0..gamma3 carry the asymptotics of the invariant ring.
 Closed forms evaluate them as ratios of Schur polynomials at the positive
-weights; reps outside their range fall back to expanding the series.
+weights, each ratio one divided-difference weight sum (`schur.delta_ratio`,
+O(n^2) in the n positive weights, no determinant); reps outside their range
+fall back to expanding the series.  Jacobi-Trudi determinants
+(`schur.schur_eval`) remain only in `sigma_sum_schur`, the Schur-side test
+oracle for the raw weight sums.
 """
 
 from collections import defaultdict
@@ -15,7 +19,7 @@ from math import comb, factorial, lcm
 from .exactalg import laurent_at_one
 from .repmodel import (FIRST_COEFF_EXCEPTIONS, GAMMA0_EXCEPTIONS, Representation,
                        classify_case, weight_system)
-from .schur import power_sum, schur_delta, schur_eval
+from .schur import delta_ratio, power_sum, schur_delta, schur_eval
 from .series import hilbert_series
 
 
@@ -41,29 +45,14 @@ def _staircase(top, npos):
     return (top,) + tuple(range(npos - 2, -1, -1))
 
 
-def _rho_leading(npos):
-    # Index vector for the gamma0 numerator.  Three copies of npos-3 on
-    # top of the staircase; at npos = 2 the pattern degenerates to (-1,-1).
-    if npos == 2:
-        return (-1, -1)
-    return (npos - 3,) * 3 + tuple(range(npos - 4, -1, -1))
-
-
-def _schur_ratio(rho, points):
-    # s_rho / s_delta at the points, delta = (n-1, ..., 1, 0); s_delta is
-    # not evaluated when s_rho vanishes.
-    num = schur_eval(rho, points)
-    if not num:
-        return Fraction(0)
-    return num / schur_delta(points)
-
-
 def gamma0(rep):
     tag = classify_case(rep)
     if tag.in_gamma0_exceptions:
         raise ValueError("no closed gamma0 form for %s" % rep)
     ws = weight_system(rep)
-    return ws.sigma * _schur_ratio(_rho_leading(ws.npos), ws.a_vec)
+    # s_rho0 / s_delta, rho0 = (n-3, n-3, n-3, n-4, ..., 0): rho0 + delta is
+    # 2 delta with 2n-2 replaced by 2n-5, one swap away from sorted.
+    return -ws.sigma * delta_ratio(2 * ws.npos - 5, ws.a_vec)
 
 
 def gamma1(rep):
@@ -84,12 +73,13 @@ def _gamma2_from(rep, tag, g0):
     ws = weight_system(rep)
     # Power sum over the full weight multiset, zeros and negatives included.
     p2 = power_sum(ws.weights, 2)
-    stair = schur_eval(_staircase(ws.npos - 6, ws.npos), ws.a_vec)
-    out = Fraction(7, 4) * g0 + ws.sigma * stair * (p2 - 8) / (24 * schur_delta(ws.a_vec))
+    # s_rho / s_delta for rho = _staircase(n - 6, n)
+    out = Fraction(7, 4) * g0 + ws.sigma * (p2 - 8) / 24 * delta_ratio(2 * ws.npos - 7, ws.a_vec)
     if tag.one_v1_rest_even:
         # The V1 summand contributes one extra term built from the even part
-        # alone: drop the single positive V1 weight (first in a_vec).
-        out += _schur_ratio(_rho_leading(ws.npos - 1), ws.a_vec[1:]) / 4
+        # alone: the gamma0 ratio over a_vec without its single positive V1
+        # weight (first in a_vec), with n - 1 points.
+        out -= delta_ratio(2 * ws.npos - 7, ws.a_vec[1:]) / 4
     return out
 
 
@@ -154,7 +144,7 @@ def first_coeff_sum(rep):
         return FIRST_COEFF_EXCEPTIONS[rep.degrees]
     ws = weight_system(rep)
     # 2 * Sigma_{dim-3} collapses to a Schur vector with a repeated entry.
-    return _schur_ratio(_staircase(ws.npos - 3, ws.npos), ws.a_vec)
+    return delta_ratio(2 * ws.npos - 4, ws.a_vec)
 
 
 def hilbert1893_gamma0(d):

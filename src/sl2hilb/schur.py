@@ -1,17 +1,25 @@
 """Schur function evaluation at explicit points, exponents allowed negative.
 
-Generalized weight vectors rho are straightened through the alternant
-relation A_{delta+rho}: sorting delta+rho descending contributes the
-sign of the permutation, a repeated entry kills the term, and a common
-negative shift c comes out as (x_1...x_n)^(-c).  Values are computed by
-Jacobi-Trudi determinants in the complete homogeneous basis, which is
-well defined at repeated points; the bialternant quotient serves as an
-independent cross check at distinct points.
+The closed forms of `laurent` need only ratios s_rho / s_delta whose
+rho + delta is 2 delta with one entry changed.  `delta_ratio` evaluates
+each as a single divided-difference weight sum over the squared points
+(its confluent limit where points repeat), and `schur_delta` gives s_delta
+as a product; neither builds a determinant.
+
+General vectors rho are straightened through the alternant relation
+A_{delta+rho}: sorting delta+rho descending contributes the sign of the
+permutation, a repeated entry kills the term, and a common negative shift
+c comes out as (x_1...x_n)^(-c).  `schur_eval` then takes a Jacobi-Trudi
+determinant in the complete homogeneous basis, well defined at repeated
+points; it is the oracle for `delta_ratio` and the route of
+`laurent.sigma_sum_schur`.  The bialternant quotient is an independent
+cross check at distinct points.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 
 @dataclass(frozen=True)
@@ -30,11 +38,7 @@ def straighten(rho):
     v = [rho[i] + n - 1 - i for i in range(n)]
     if len(set(v)) != n:
         return StraightenedSchur(0, (), 0)
-    inversions = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if v[i] < v[j]:
-                inversions += 1
+    inversions = sum(v[i] < v[j] for i in range(n) for j in range(i + 1, n))
     w = sorted(v, reverse=True)
     lam = [w[i] - (n - 1 - i) for i in range(n)]
     shift = -lam[-1] if lam[-1] < 0 else 0
@@ -84,8 +88,7 @@ def bareiss_det(m):
 
 
 def _scale_to_integers(points):
-    denoms = [Fraction(p).denominator for p in points]
-    scale = lcm(*denoms) if denoms else 1
+    scale = lcm(*(Fraction(p).denominator for p in points))
     return [int(p * scale) for p in points], scale
 
 
@@ -105,33 +108,64 @@ def schur_eval(rho, points):
         raise ValueError("negative exponents need nonzero points")
     parts = [p for p in st.partition if p]
     ints, scale = _scale_to_integers(points)
-    size = len(parts)
-    if size == 0:
-        det = 1
-    else:
-        h = complete_homogeneous(ints, parts[0] + size - 1)
-        mat = [
-            [h[parts[i] - i + j] if 0 <= parts[i] - i + j else 0 for j in range(size)]
-            for i in range(size)
-        ]
-        det = bareiss_det(mat)
+    h = complete_homogeneous(ints, parts[0] + len(parts) - 1) if parts else []
+    det = bareiss_det([[h[p - i + j] if p - i + j >= 0 else 0 for j in range(len(parts))]
+                       for i, p in enumerate(parts)])
     value = Fraction(det, scale ** sum(parts)) * st.sign
     if st.shift:
-        prod = 1
-        for p in points:
-            prod *= p
-        value /= Fraction(prod) ** st.shift
+        value /= Fraction(prod(points)) ** st.shift
     return value
 
 
 def schur_delta(points):
     """s_delta at the points, delta = (n-1, ..., 1, 0): the product of the
     pairwise sums x_i + x_j, i < j, with no determinant."""
-    value = Fraction(1)
-    for i, x in enumerate(points):
-        for y in points[i + 1:]:
-            value *= x + y
-    return value
+    return prod((x + y for i, x in enumerate(points) for y in points[i + 1:]), start=Fraction(1))
+
+
+def delta_ratio(e, points):
+    """s_rho / s_delta at positive points, where rho + delta is 2 delta =
+    (2n-2, ..., 2, 0) with its top entry replaced by e: the divided
+    difference of y^(e/2) over y_i = x_i^2 (Macdonald I.3),
+    R_e = sum_i x_i^e / prod_{j != i} (x_i^2 - x_j^2), with no determinant.
+
+    Where points repeat it is the confluent limit: a node x of multiplicity
+    m, the other nodes z of multiplicity m_z, gives x^e / prod_z (x^2 -
+    z^2)^(m_z) times the h^(m-1) coefficient of (1 + h/x^2)^(e/2) prod_z
+    (1 + h/(x^2 - z^2))^(-m_z).  With h = q u, q = lcm(x^2, x^2 - z^2, ...),
+    H_t = 4^t [u^t] is an integer (4^t clears the half-integer binomials),
+    and Newton's identities on the log-derivative give t H_t = sum_j
+    (-1)^(j-1) 2^(2j-1) T_j H_(t-j), T_j = e (q/x^2)^j - 2 sum_z m_z
+    (q/(x^2 - z^2))^j.  The node terms are summed over one common
+    denominator in integers.
+    """
+    if any(p <= 0 for p in points):  # the y^(e/2) branch needs x > 0
+        raise ValueError("delta_ratio needs positive points")
+    n = len(points)
+    if e % 2 == 0 and 0 <= e <= 2 * n - 4:
+        return Fraction(0)  # e repeats an entry of 2 delta
+    ints, scale = _scale_to_integers(points)
+    mult = Counter(ints)
+    squares = [x * x for x in ints]
+    nums, dens = [], []
+    for x, m in mult.items():
+        y = x * x
+        # the other nodes enter the h^(m-1) coefficient only when m > 1
+        others = [(y - z * z, mz) for z, mz in mult.items() if z != x] if m > 1 else []
+        q = lcm(y, *(d for d, _ in others))
+        steps = [(-1) ** (j - 1) * 2 ** (2 * j - 1)
+                 * (e * (q // y) ** j - 2 * sum(mz * (q // d) ** j for d, mz in others))
+                 for j in range(1, m)]
+        h = [1]
+        for t in range(1, m):
+            h.append(sum(steps[j - 1] * h[t - j] for j in range(1, t + 1)) // t)
+        nums.append(h[-1] * x ** max(e, 0))
+        dens.append((4 * q) ** (m - 1) * prod(y - w for w in squares if w != y)
+                    * x ** max(-e, 0))
+    common = lcm(*dens)
+    total = sum(num * (common // den) for num, den in zip(nums, dens))
+    # R_e is homogeneous of degree e - 2(n-1) in the points
+    return Fraction(total, common) / Fraction(scale) ** (e - 2 * n + 2)
 
 
 def bialternant_eval(rho, points):
@@ -150,16 +184,10 @@ def bialternant_eval(rho, points):
         raise ValueError("negative exponents need nonzero points")
     ints, scale = _scale_to_integers(points)
     top = bareiss_det([[x ** (e + shift) for e in exps] for x in ints])
-    vand = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            vand *= ints[i] - ints[j]
+    vand = prod(ints[i] - ints[j] for i in range(n) for j in range(i + 1, n))
     value = Fraction(top, vand)
     if shift:
-        prod = 1
-        for x in ints:
-            prod *= x
-        value /= Fraction(prod) ** shift
+        value /= Fraction(prod(ints)) ** shift
     # undo the clearing of denominators: s_rho is homogeneous of degree |rho|
     return value / Fraction(scale) ** sum(rho)
 
@@ -168,7 +196,4 @@ def power_sum(points, s):
     """Power sum p_s over the points, with p_0 = the number of points."""
     if s < 0:
         raise ValueError("exponent must be nonnegative")
-    total = Fraction(0)
-    for p in points:
-        total += Fraction(p) ** s if s else 1
-    return total
+    return sum((Fraction(p) ** s for p in points), Fraction(0))

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -9,7 +10,9 @@ from sl2hilb.laurent import (a_invariant, first_coeff_sum, gamma0, gamma1,
                              gamma2, gamma3, gamma_raw, gammas,
                              hilbert1893_gamma0, perturbed_params,
                              random_params, sigma_sum_raw, sigma_sum_schur)
-from sl2hilb.repmodel import Representation, parse_rep, weight_system
+from sl2hilb.repmodel import (FIRST_COEFF_EXCEPTIONS, MAX_DIM, Representation,
+                               classify_case, parse_rep, weight_system)
+from sl2hilb.schur import power_sum, schur_delta, schur_eval
 from sl2hilb.series import hilbert_series
 
 
@@ -207,3 +210,65 @@ def test_trivial_rejected():
         gammas(parse_rep("V0"))
     with pytest.raises(ValueError):
         first_coeff_sum(parse_rep("V0+V3"))
+
+
+def _jt_ratio(rho, points):
+    # s_rho / s_delta with s_rho a Jacobi-Trudi determinant
+    return schur_eval(rho, points) / schur_delta(points)
+
+
+def _rho0(n):
+    # gamma0 numerator vector: three copies of n-3 on top of the staircase,
+    # (-1, -1) at n = 2
+    return (-1, -1) if n == 2 else (n - 3,) * 3 + tuple(range(n - 4, -1, -1))
+
+
+def _staircase(top, n):
+    return (top,) + tuple(range(n - 2, -1, -1))
+
+
+def test_closed_forms_match_jacobi_trudi():
+    # The closed forms as Schur ratios with determinant numerators, against
+    # the divided-difference sums gamma0 / gamma2 / gamma3 / first_coeff_sum
+    # now use: values and types.
+    reps = [Representation(degs) for n in range(1, 8)
+            for degs in combinations_with_replacement(range(1, 14), n)
+            if n + sum(degs) <= 14]
+    # the closed-form reps of the gammas benchmark, then high multiplicities
+    reps += [parse_rep(text) for text in (
+        "V30", "V40", "V50", "V60", "4V9", "5V11", "3V7+V8", "V10+V11+V12",
+        "7V2", "12V1", "5V2+5V4", "4V1+2V5")]
+    for rep in reps:
+        tag = classify_case(rep)
+        ws = weight_system(rep)
+        n = ws.npos
+        if rep.degrees not in FIRST_COEFF_EXCEPTIONS:
+            fcs = _jt_ratio(_staircase(n - 3, n), ws.a_vec)
+            assert first_coeff_sum(rep) == fcs and type(first_coeff_sum(rep)) is type(fcs), rep
+        if tag.in_gamma0_exceptions:
+            continue
+        g0 = ws.sigma * _jt_ratio(_rho0(n), ws.a_vec)
+        assert gamma0(rep) == g0 and type(gamma0(rep)) is type(g0), rep
+        if tag.in_gamma2_exceptions:
+            continue
+        p2 = power_sum(ws.weights, 2)
+        g2 = (Fraction(7, 4) * g0
+              + ws.sigma * _jt_ratio(_staircase(n - 6, n), ws.a_vec) * (p2 - 8) / 24)
+        if tag.one_v1_rest_even:
+            g2 += _jt_ratio(_rho0(n - 1), ws.a_vec[1:]) / 4
+        g3 = Fraction(5, 2) * (g2 - g0)
+        assert gamma2(rep) == g2 and type(gamma2(rep)) is type(g2), rep
+        assert gamma3(rep) == g3 and type(gamma3(rep)) is type(g3), rep
+
+
+def test_closed_forms_reach_max_dim():
+    # gamma0(V_d) against Hilbert's 1893 form up to d = 150, and gammas at
+    # dim MAX_DIM, all well inside 10 s.
+    start = time.perf_counter()
+    for d in range(5, 151):
+        assert gamma0(Representation((d,))) == hilbert1893_gamma0(d), d
+    res = gammas(Representation((MAX_DIM - 1,)))
+    assert res.rep.dim == MAX_DIM
+    assert res.methods == ("ClosedForm",) * 4
+    assert res.pole_order == MAX_DIM - 3
+    assert time.perf_counter() - start < 10

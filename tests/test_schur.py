@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from sl2hilb.repmodel import parse_rep, weight_system
 from sl2hilb.schur import (StraightenedSchur, bareiss_det, bialternant_eval,
-                           complete_homogeneous, power_sum, schur_delta, schur_eval,
-                           straighten)
+                           complete_homogeneous, delta_ratio, power_sum, schur_delta,
+                           schur_eval, straighten)
 
 
 def test_straighten_examples():
@@ -144,3 +144,45 @@ _sparse_entry = st.one_of(st.just(0), st.integers(-3, 3))
 @settings(max_examples=300, deadline=None)
 def test_bareiss_matches_fraction_elimination(m):
     assert bareiss_det(m) == _fraction_det(m)
+
+
+def _staircase(top, n):
+    # rho with rho + delta = 2 delta except for the top entry, top + n - 1
+    return (top,) + tuple(range(n - 2, -1, -1))
+
+
+_positive_point = st.builds(Fraction, st.integers(1, 12), st.integers(1, 3))
+
+
+@st.composite
+def _points_and_exponent(draw):
+    # 1-7 points drawn from a smaller pool, so points repeat often
+    pool = draw(st.lists(_positive_point, min_size=1, max_size=7))
+    points = tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=7)))
+    return points, draw(st.integers(-8, 2 * len(points) + 6))
+
+
+@given(_points_and_exponent())
+@example(((Fraction(2),) * 7, 9))        # 7V2: one point seven times, gamma0
+@example(((Fraction(2),) * 7, 7))        # 7V2, the gamma2 staircase term
+@example(((Fraction(1),) * 7, -3))       # negative odd exponent, one node
+@example(((Fraction(3), Fraction(1)), 0))  # repeated-exponent zero
+@settings(max_examples=300, deadline=None)
+def test_delta_ratio_matches_jacobi_trudi(case):
+    points, e = case
+    n = len(points)
+    rho = _staircase(e - n + 1, n)
+    value = delta_ratio(e, points)
+    assert type(value) is Fraction
+    assert value * schur_delta(points) == schur_eval(rho, points)
+    if len(set(points)) == n:
+        delta = _staircase(n - 1, n)
+        assert value == bialternant_eval(rho, points) / bialternant_eval(delta, points)
+
+
+def test_delta_ratio_rejects_nonpositive_points():
+    for points in [(1, 0, 2), (3, -1), (Fraction(-1, 2),)]:
+        with pytest.raises(ValueError):
+            delta_ratio(3, points)
+    with pytest.raises(ValueError):
+        delta_ratio(2, (0, 1, 2))    # checked before the repeated-exponent zero
