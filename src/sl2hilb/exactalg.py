@@ -1,14 +1,18 @@
 """Exact univariate rational function arithmetic over the rationals.
 
 Numerators are dense coefficient lists of ints or Fractions.  Denominators
-stay factored as products of (1 - t^m)^e: a product with 1 - t^m is one
-strided pass out[i] -= out[i-m], a quotient one pass out[i] += out[i-m].
+stay factored as products of (1 - t^m)^e, and a product or quotient by a
+factor 1 - t^m is one slice operation per factor: out[i] -= out[i-m] is a
+single map over two slices, out[i] += out[i-m] a running sum (accumulate)
+along each residue class mod m.
 Laurent expansion at t = 1 substitutes t = 1 - s and divides series.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
+from operator import sub
 
 
 class Polynomial:
@@ -271,8 +275,7 @@ def laurent_at_one(f, count):
     # numerator in s via Horner: P(1 - s), high coefficients dropped
     cur = [0] * (cutoff + 1)
     for v in reversed(f.num.c):
-        for i in range(cutoff, 0, -1):
-            cur[i] -= cur[i - 1]
+        cur[1:] = map(sub, cur[1:], cur[:cutoff])
         cur[0] += v
     # each factor 1 - t^m = s * u_m(s) with u_m(0) = m
     unit = [1] + [0] * cutoff
@@ -313,9 +316,9 @@ def _times_factors(c, factors, cutoff):
     """Coefficients 0..cutoff of c * prod (1 - t^m)^e over factors {m: e}."""
     out = list(c[:cutoff + 1]) + [0] * (cutoff + 1 - len(c))
     for m, e in factors.items():
-        for _ in range(e):
-            for i in range(cutoff, m - 1, -1):
-                out[i] -= out[i - m]
+        for _ in range(e if m <= cutoff else 0):
+            # out[i] -= out[i - m] for all i >= m; the slices copy the old values
+            out[m:] = map(sub, out[m:], out[:cutoff + 1 - m])
     return out
 
 
@@ -324,8 +327,9 @@ def _div_factors(c, factors, count):
     out = list(c[:count]) + [0] * (count - len(c))
     for m, e in factors.items():
         for _ in range(e):
-            for i in range(m, count):
-                out[i] += out[i - m]
+            # out[i] += out[i - m] ascending: a running sum per residue class
+            for r in range(min(m, count - m)):
+                out[r::m] = accumulate(out[r::m])
     return out
 
 

@@ -52,7 +52,7 @@ def gamma0(rep):
     ws = weight_system(rep)
     # s_rho0 / s_delta, rho0 = (n-3, n-3, n-3, n-4, ..., 0): rho0 + delta is
     # 2 delta with 2n-2 replaced by 2n-5, one swap away from sorted.
-    return -ws.sigma * delta_ratio(2 * ws.npos - 5, ws.a_vec)
+    return -ws.sigma * delta_ratio((2 * ws.npos - 5,), ws.a_vec)[0]
 
 
 def gamma1(rep):
@@ -64,23 +64,25 @@ def gamma2(rep):
     tag = classify_case(rep)
     if tag.in_gamma0_exceptions or tag.in_gamma2_exceptions:
         raise ValueError("no closed gamma2 form for %s" % rep)
-    return _gamma2_from(rep, tag, gamma0(rep))
+    return _gamma0_gamma2(rep, tag)[1]
 
 
-def _gamma2_from(rep, tag, g0):
-    # 7/4 gamma0 carries the s_rho term of gamma2, so s_rho is not evaluated
-    # again here.
+def _gamma0_gamma2(rep, tag):
+    """gamma0 and gamma2 from one delta_ratio pass over a_vec."""
     ws = weight_system(rep)
+    # the gamma0 ratio (see gamma0) and s_rho / s_delta for
+    # rho = _staircase(n - 6, n); 7/4 gamma0 carries the s_rho term of gamma2
+    r0, r2 = delta_ratio((2 * ws.npos - 5, 2 * ws.npos - 7), ws.a_vec)
+    g0 = -ws.sigma * r0
     # Power sum over the full weight multiset, zeros and negatives included.
     p2 = power_sum(ws.weights, 2)
-    # s_rho / s_delta for rho = _staircase(n - 6, n)
-    out = Fraction(7, 4) * g0 + ws.sigma * (p2 - 8) / 24 * delta_ratio(2 * ws.npos - 7, ws.a_vec)
+    g2 = Fraction(7, 4) * g0 + ws.sigma * (p2 - 8) / 24 * r2
     if tag.one_v1_rest_even:
         # The V1 summand contributes one extra term built from the even part
         # alone: the gamma0 ratio over a_vec without its single positive V1
         # weight (first in a_vec), with n - 1 points.
-        out -= delta_ratio(2 * ws.npos - 7, ws.a_vec[1:]) / 4
-    return out
+        g2 -= delta_ratio((2 * ws.npos - 7,), ws.a_vec[1:])[0] / 4
+    return g0, g2
 
 
 def gamma3(rep):
@@ -117,11 +119,10 @@ def _coefficients(rep, tag):
         exp = laurent_at_one(series, 4)
     if tag.in_gamma0_exceptions:
         return exp.coeffs, exp.pole_order, series.degree(), ("SeriesFallback",) * 4
-    g0 = gamma0(rep)
     if tag.in_gamma2_exceptions:
-        g2, m2 = exp.coeffs[2], "SeriesFallback"
+        g0, g2, m2 = gamma0(rep), exp.coeffs[2], "SeriesFallback"
     else:
-        g2, m2 = _gamma2_from(rep, tag, g0), "ClosedForm"
+        (g0, g2), m2 = _gamma0_gamma2(rep, tag), "ClosedForm"
     gamma = (g0, Fraction(3, 2) * g0, g2, Fraction(5, 2) * (g2 - g0))
     return gamma, rep.dim - 3, -rep.dim, ("ClosedForm", "ClosedForm", m2, "ClosedForm")
 
@@ -144,7 +145,7 @@ def first_coeff_sum(rep):
         return FIRST_COEFF_EXCEPTIONS[rep.degrees]
     ws = weight_system(rep)
     # 2 * Sigma_{dim-3} collapses to a Schur vector with a repeated entry.
-    return delta_ratio(2 * ws.npos - 4, ws.a_vec)
+    return delta_ratio((2 * ws.npos - 4,), ws.a_vec)[0]
 
 
 def hilbert1893_gamma0(d):

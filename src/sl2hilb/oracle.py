@@ -4,12 +4,25 @@ The multiplicity of the trivial module inside the degree n part of the
 polynomial ring is (number of monomials of torus weight 0) minus
 (number of monomials of torus weight 2): raising by the nilpotent
 matches weight 2 vectors against highest weight vectors of weight 0.
-Counting monomials by weight is a coin-change walk over the variable
+Counting monomials by weight is a coin-change count over the variable
 weights, so this route shares nothing with the rational function
 pipeline beyond the weight list itself.  Even that list is built here
 from rep.degrees rather than read from repmodel.weight_system, so a fault
 in the pipeline's weight list cannot also hide from this check.
+
+The counts are packed by Kronecker substitution (D. Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution",
+J. Symbolic Comput. 44 (2009)): row n, the degree n monomials, is one
+Python int whose bit slot w + n*M holds the count of weight w, M the
+largest |weight|.  Admitting a variable of weight a adds row n-1 shifted
+by a + M slots into row n, one big-int operation per row.  A slot is
+B = bitlen(C(D+N-1, N-1)) + 1 bits wide for N variables and depth D; no
+count exceeds the number of degree D monomials C(D+N-1, N-1), so no slot
+carries into the next.
 """
+
+from collections import Counter
+from math import comb
 
 
 def _variable_weights(rep):
@@ -18,55 +31,31 @@ def _variable_weights(rep):
     return ws
 
 
-def weight_count_table(rep, max_degree):
-    """counts[n][w + offset] = number of degree n monomials of weight w."""
-    ws = _variable_weights(rep)
-    if not ws:
-        raise ValueError("the zero rep has no monomials to count")
-    return _weight_counts(ws, max_degree)
-
-
-def _weight_counts(ws, max_degree):
-    """weight_count_table for the variable weights ws: a coin-change walk."""
-    offset = max_degree * max(max(abs(w) for w in ws), 1)
-    width = 2 * offset + 1
-    rows = [[0] * width for _ in range(max_degree + 1)]
-    rows[0][offset] = 1
+def _packed_rows(ws, max_degree):
+    """(rows, M, B): bit slot w + n*M, B bits wide, of rows[n] counts the
+    degree n monomials of weight w in variables of weights ws."""
+    m = max(max(abs(w) for w in ws), 1)
+    width = comb(max_degree + len(ws) - 1, len(ws) - 1).bit_length() + 1
+    rows = [1] + [0] * max_degree
     for a in ws:
-        # in place: rows[n] picks up rows[n-1][w - a] with the new
-        # variable already admitted in row n-1 (geometric factor)
+        shift = (a + m) * width
+        # ascending n: rows[n-1] already admits the new variable (geometric factor)
         for n in range(1, max_degree + 1):
-            cur = rows[n]
-            prev = rows[n - 1]
-            if a >= 0:
-                for i in range(width - 1, a - 1, -1):
-                    v = prev[i - a]
-                    if v:
-                        cur[i] += v
-            else:
-                for i in range(width + a):
-                    v = prev[i - a]
-                    if v:
-                        cur[i] += v
-    return rows, offset
+            rows[n] += rows[n - 1] << shift
+    return rows, m, width
 
 
 def truncated_series(rep, max_degree):
     """Invariant dimensions in degrees 0..max_degree, as a list."""
     if max_degree < 0:
         return []
-    rows, offset = weight_count_table(rep, max_degree)
-    out = []
-    for n in range(max_degree + 1):
-        row = rows[n]
-        two = row[offset + 2] if offset + 2 < len(row) else 0
-        out.append(row[offset] - two)
-    return out
-
-
-def dim_invariants(rep, n):
-    """Dimension of the degree n invariants."""
-    return truncated_series(rep, n)[n]
+    ws = _variable_weights(rep)
+    if not ws:
+        raise ValueError("the zero rep has no monomials to count")
+    rows, m, width = _packed_rows(ws, max_degree)
+    mask = (1 << width) - 1
+    return [((row >> n * m * width) & mask) - ((row >> (n * m + 2) * width) & mask)
+            for n, row in enumerate(rows)]
 
 
 def multigraded_dim(rep, degs):
@@ -80,15 +69,15 @@ def multigraded_dim(rep, degs):
     if any(p < 0 for p in degs):
         raise ValueError("degrees must be nonnegative")
     # weight distribution of each summand at its exact degree, then convolve
-    total = {0: 1}
+    total = Counter({0: 1})
     for d, p in zip(rep.degrees, degs):
-        rows, offset = _weight_counts([2 * i - d for i in range(d + 1)], p)
-        dist = {j - offset: v for j, v in enumerate(rows[p]) if v}
-        merged = {}
+        rows, m, width = _packed_rows([2 * i - d for i in range(d + 1)], p)
+        mask = (1 << width) - 1
+        dist = {k - p * m: v for k in range(2 * p * m + 1)
+                if (v := (rows[p] >> k * width) & mask)}
+        merged = Counter()
         for w1, c1 in total.items():
             for w2, c2 in dist.items():
-                w = w1 + w2
-                merged[w] = merged.get(w, 0) + c1 * c2
+                merged[w1 + w2] += c1 * c2
         total = merged
-    return total.get(0, 0) - total.get(2, 0)
-
+    return total[0] - total[2]

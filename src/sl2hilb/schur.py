@@ -12,14 +12,15 @@ permutation, a repeated entry kills the term, and a common negative shift
 c comes out as (x_1...x_n)^(-c).  `schur_eval` then takes a Jacobi-Trudi
 determinant in the complete homogeneous basis, well defined at repeated
 points; it is the oracle for `delta_ratio` and the route of
-`laurent.sigma_sum_schur`.  The bialternant quotient is an independent
-cross check at distinct points.
+`laurent.sigma_sum_schur`.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import lcm, prod
+from operator import sub
 
 
 @dataclass(frozen=True)
@@ -123,11 +124,12 @@ def schur_delta(points):
     return prod((x + y for i, x in enumerate(points) for y in points[i + 1:]), start=Fraction(1))
 
 
-def delta_ratio(e, points):
-    """s_rho / s_delta at positive points, where rho + delta is 2 delta =
-    (2n-2, ..., 2, 0) with its top entry replaced by e: the divided
-    difference of y^(e/2) over y_i = x_i^2 (Macdonald I.3),
+def delta_ratio(es, points):
+    """s_rho / s_delta at positive points for each e in the tuple es, where
+    rho + delta is 2 delta = (2n-2, ..., 2, 0) with its top entry replaced by
+    e: the divided difference of y^(e/2) over y_i = x_i^2 (Macdonald I.3),
     R_e = sum_i x_i^e / prod_{j != i} (x_i^2 - x_j^2), with no determinant.
+    The node products are built once for all exponents.
 
     Where points repeat it is the confluent limit: a node x of multiplicity
     m, the other nodes z of multiplicity m_z, gives x^e / prod_z (x^2 -
@@ -142,54 +144,40 @@ def delta_ratio(e, points):
     if any(p <= 0 for p in points):  # the y^(e/2) branch needs x > 0
         raise ValueError("delta_ratio needs positive points")
     n = len(points)
-    if e % 2 == 0 and 0 <= e <= 2 * n - 4:
-        return Fraction(0)  # e repeats an entry of 2 delta
+    zero = [e % 2 == 0 and 0 <= e <= 2 * n - 4 for e in es]  # e repeats an entry of 2 delta
+    if all(zero):
+        return (Fraction(0),) * len(es)
     ints, scale = _scale_to_integers(points)
     mult = Counter(ints)
     squares = [x * x for x in ints]
-    nums, dens = [], []
+    # per node: x, the pairs (up_j, down_j) of T_j = e up_j - down_j, and the
+    # e-free denominator (4q)^(m-1) prod_{w != y} (y - w) (filter drops w = y)
+    nodes = []
     for x, m in mult.items():
         y = x * x
         # the other nodes enter the h^(m-1) coefficient only when m > 1
         others = [(y - z * z, mz) for z, mz in mult.items() if z != x] if m > 1 else []
         q = lcm(y, *(d for d, _ in others))
-        steps = [(-1) ** (j - 1) * 2 ** (2 * j - 1)
-                 * (e * (q // y) ** j - 2 * sum(mz * (q // d) ** j for d, mz in others))
-                 for j in range(1, m)]
-        h = [1]
-        for t in range(1, m):
-            h.append(sum(steps[j - 1] * h[t - j] for j in range(1, t + 1)) // t)
-        nums.append(h[-1] * x ** max(e, 0))
-        dens.append((4 * q) ** (m - 1) * prod(y - w for w in squares if w != y)
-                    * x ** max(-e, 0))
-    common = lcm(*dens)
-    total = sum(num * (common // den) for num, den in zip(nums, dens))
-    # R_e is homogeneous of degree e - 2(n-1) in the points
-    return Fraction(total, common) / Fraction(scale) ** (e - 2 * n + 2)
+        signs = [(-1) ** (j - 1) * 2 ** (2 * j - 1) for j in range(1, m)]
+        nodes.append((x, [(s * (q // y) ** j, s * 2 * sum(mz * (q // d) ** j for d, mz in others))
+                          for j, s in enumerate(signs, 1)],
+                      (4 * q) ** (m - 1) * prod(filter(None, map(sub, repeat(y), squares)))))
 
+    def ratio(e):
+        nums, dens = [], []
+        for x, parts, den in nodes:
+            steps = [e * up - down for up, down in parts]
+            h = [1]
+            for t in range(1, len(steps) + 1):
+                h.append(sum(steps[j - 1] * h[t - j] for j in range(1, t + 1)) // t)
+            nums.append(h[-1] * x ** max(e, 0))
+            dens.append(den * x ** max(-e, 0))
+        common = lcm(*dens)
+        total = sum(num * (common // den) for num, den in zip(nums, dens))
+        # R_e is homogeneous of degree e - 2(n-1) in the points
+        return Fraction(total, common) / Fraction(scale) ** (e - 2 * n + 2)
 
-def bialternant_eval(rho, points):
-    """s_rho as det(x_i^(delta+rho)_j) / det(x_i^delta_j); distinct points only.
-
-    Independent of the Jacobi-Trudi route; used as a cross check.
-    """
-    n = len(rho)
-    if len(points) != n:
-        raise ValueError("rho and points must have the same length")
-    if len(set(points)) != n:
-        raise ValueError("bialternant needs distinct points")
-    exps = [rho[j] + n - 1 - j for j in range(n)]
-    shift = -min(exps) if exps and min(exps) < 0 else 0
-    if shift and any(p == 0 for p in points):
-        raise ValueError("negative exponents need nonzero points")
-    ints, scale = _scale_to_integers(points)
-    top = bareiss_det([[x ** (e + shift) for e in exps] for x in ints])
-    vand = prod(ints[i] - ints[j] for i in range(n) for j in range(i + 1, n))
-    value = Fraction(top, vand)
-    if shift:
-        value /= Fraction(prod(ints)) ** shift
-    # undo the clearing of denominators: s_rho is homogeneous of degree |rho|
-    return value / Fraction(scale) ** sum(rho)
+    return tuple(Fraction(0) if z else ratio(e) for e, z in zip(es, zero))
 
 
 def power_sum(points, s):

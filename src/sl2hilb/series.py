@@ -12,8 +12,9 @@ functions have strictly positive valuation in z.
 
 All arithmetic is exact and runs on integers: every piece carries one
 common integer scale, which is divided out of the assembled numerator
-exactly once.  The assembled series is checked against the brute force
-monomial counts before being returned.
+exactly once.  The assembled series is checked against the functional
+equation, which covers the whole numerator, and against the brute force
+monomial counts up to CHECK_DEPTH before being returned.
 """
 
 from collections import Counter
@@ -21,17 +22,17 @@ from math import comb, factorial, gcd
 
 from .exactalg import (Polynomial, FactoredDenominator, RationalFunction, _times_factors,
                        taylor_coeffs)
-from .repmodel import weight_system
+from .repmodel import FIRST_COEFF_EXCEPTIONS, weight_system
 from . import oracle
 
 
 class SeriesConsistencyError(RuntimeError):
     """The assembled series disagrees with the brute force counts."""
 
-    def __init__(self, rep, degree, got, want):
+    def __init__(self, rep, degree, got, want, source="direct count"):
         super().__init__(
             "series check failed for %s at degree %d: series gives %s, "
-            "direct count gives %s" % (rep, degree, got, want)
+            "%s gives %s" % (rep, degree, got, source, want)
         )
         self.rep = rep
         self.degree = degree
@@ -179,11 +180,12 @@ def hilbert_series(rep):
     The pieces are assembled in integers over the one common scale
     (M-1)!, M the largest multiplicity of a weight, which is divided out
     of the numerator exactly once; a remainder raises
-    SeriesConsistencyError.  The result is reduced and verified against
-    brute force monomial counts up to min(CHECK_DEPTH, denominator
-    degree); a mismatch raises SeriesConsistencyError.  Trivial summands
-    contribute 1/(1-t) each.  Every call returns a fresh object; the memo
-    keeps its own.
+    SeriesConsistencyError.  The result is reduced, checked against the
+    functional equation H(1/t) = (-1)^(dim-3) t^dim H(t) outside
+    FIRST_COEFF_EXCEPTIONS, and verified against brute force monomial
+    counts up to min(CHECK_DEPTH, denominator degree); a mismatch raises
+    SeriesConsistencyError.  Trivial summands contribute 1/(1-t) each.
+    Every call returns a fresh object; the memo keeps its own.
     """
     memo_key = (rep.degrees, rep.trivial_count)
     if memo_key not in _MEMO:
@@ -218,6 +220,8 @@ def _compute(rep):
                                          "an integer")
         num.append(q)
     total = RationalFunction(Polynomial(num), total.den).reduce()
+    if rep.degrees not in FIRST_COEFF_EXCEPTIONS:
+        _check_functional_equation(rep, total)
     if rep.trivial_count:
         total = total * RationalFunction(1, {1: rep.trivial_count})
     if total.num.is_zero or total.degree() > 0:
@@ -229,3 +233,17 @@ def _compute(rep):
         if g != w:
             raise SeriesConsistencyError(rep, n, g, w)
     return total
+
+
+def _check_functional_equation(rep, f):
+    """H(1/t) = (-1)^(dim-3) t^dim H(t) for the nontrivial part f = N / Q, in
+    coefficients N_j = s N_(deg Q - dim - j), s = (-1)^(dim-3) times the sign
+    of Q(1/t); unlike the oracle prefix it reaches every coefficient of N."""
+    c = f.num.c
+    top = f.den.degree - rep.dim
+    sign = (-1) ** (sum(f.den.factors.values()) + rep.dim - 3)
+    for j in range(max(len(c), top + 1)):
+        got = c[j] if j < len(c) else 0
+        mirror = sign * c[top - j] if 0 <= top - j < len(c) else 0
+        if got != mirror:
+            raise SeriesConsistencyError(rep, j, got, mirror, "the functional equation")

@@ -8,6 +8,7 @@ import random
 import time
 from fractions import Fraction
 
+from references import bialternant_eval
 from sl2hilb.cli import FIXTURES
 from sl2hilb.exactalg import (FactoredDenominator, Polynomial,
                               RationalFunction, laurent_at_one, rf_equal,
@@ -18,7 +19,7 @@ from sl2hilb.laurent import (first_coeff_sum, gamma0, gamma1, gamma2, gamma3,
 from sl2hilb.oracle import truncated_series
 from sl2hilb.repmodel import Representation, classify_case, parse_rep, \
     weight_system
-from sl2hilb.schur import bialternant_eval, schur_delta, schur_eval
+from sl2hilb.schur import schur_delta, schur_eval
 from sl2hilb.series import hilbert_series
 
 

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from references import div_factors_loop, times_factors_loop
 from sl2hilb.exactalg import (FactoredDenominator, Polynomial,
                               RationalFunction, _div_factors, _times_factors,
                               laurent_at_one, rf_equal, taylor_coeffs)
@@ -213,3 +214,24 @@ def test_taylor_matches_defining_recurrence(num, den):
                   for j in range(min(n + 1, len(expanded))))
         want = f.num.c[n] if n <= f.num.degree else 0
         assert acc == want
+
+
+_coeff = st.one_of(st.integers(-50, 50),
+                   st.builds(Fraction, st.integers(-50, 50), st.integers(1, 7)))
+
+
+@given(st.lists(_coeff, max_size=25),
+       st.dictionaries(st.integers(1, 30), st.integers(0, 3), max_size=4),
+       st.integers(-1, 30))
+@example([1, 2, 3], {5: 2}, 3)                        # m > cutoff, m > count
+@example([1, 2, 3, 4], {4: 1}, 3)                     # m = count
+@example([1, 2, 3], {4: 1}, 4)                        # m = cutoff
+@example([1, 2], {1: 1, 3: 2}, -1)                    # count = 0
+@example([Fraction(1, 2), 3, Fraction(-5, 3)], {1: 2, 2: 1, 3: 0}, 12)
+@example([], {2: 1}, 0)
+@settings(max_examples=300, deadline=None)
+def test_slice_kernels_equal_the_loops(c, factors, cutoff):
+    # cutoff + 1 doubles as the Taylor count: count = 0, m = count, m > count
+    assert _times_factors(c, factors, cutoff) == times_factors_loop(c, factors, cutoff)
+    count = cutoff + 1
+    assert _div_factors(c, factors, count) == div_factors_loop(c, factors, count)

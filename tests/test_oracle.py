@@ -1,8 +1,14 @@
-import pytest
+from itertools import product
+from math import comb
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from references import dim_invariants, multigraded_dim_walk, truncated_series_walk
 from sl2hilb.exactalg import taylor_coeffs
-from sl2hilb.oracle import dim_invariants, multigraded_dim, truncated_series
-from sl2hilb.repmodel import parse_rep
+from sl2hilb.oracle import _packed_rows, _variable_weights, multigraded_dim, truncated_series
+from sl2hilb.repmodel import Representation, parse_rep
 
 
 def test_single_even_form():
@@ -62,3 +68,48 @@ def test_oracle_matches_series_smoke():
         rep = parse_rep(text)
         f = hilbert_series(rep)
         assert taylor_coeffs(f, 21) == truncated_series(rep, 20)
+
+
+@st.composite
+def _reps(draw):
+    # nontrivial dim <= 14, V0 summands allowed, V0-only reps included
+    degrees, dim = [], 0
+    for d in draw(st.lists(st.integers(1, 13), max_size=6)):
+        if dim + d + 1 <= 14:
+            degrees.append(d)
+            dim += d + 1
+    trivial = draw(st.integers(0 if degrees else 1, 3))
+    return Representation(tuple(degrees), trivial)
+
+
+@given(_reps(), st.integers(0, 40))
+@example(Representation((), 1), 40)           # V0 alone: M = 1
+@example(Representation((), 3), 40)
+@example(Representation((13,), 0), 40)        # largest weight at the largest depth
+@example(Representation((1, 1, 2), 2), 40)
+@settings(max_examples=100, deadline=None)
+def test_packed_counts_equal_the_walk(rep, depth):
+    assert truncated_series(rep, depth) == truncated_series_walk(rep, depth)
+
+
+@pytest.mark.parametrize("rep", [Representation((), 30), Representation((1,), 20)])
+def test_counts_near_the_slot_width(rep):
+    # 30V0: the degree 40 count C(69, 29) fills exactly B - 1 bits of its
+    # slot; a carry would show in the weight 2 slot truncated_series subtracts.
+    # 20V0+V1 fills B - 3 bits with both weight parities present
+    ws = _variable_weights(rep)
+    rows, m, width = _packed_rows(ws, 40)
+    mask = (1 << width) - 1
+    top = max((row >> k * width) & mask for row in rows for k in range(2 * 40 * m + 1))
+    assert top.bit_length() >= width - 3
+    if not rep.degrees:
+        assert top.bit_length() == width - 1
+        assert truncated_series(rep, 40) == [comb(n + 29, 29) for n in range(41)]
+    assert truncated_series(rep, 40) == truncated_series_walk(rep, 40)
+
+
+def test_multigraded_dim_equals_the_walk():
+    for text in ["V2+V3", "V1+V4", "2V2", "V1+V2+V3", "V5+V6"]:
+        rep = parse_rep(text)
+        for degs in product(range(5), repeat=len(rep.degrees)):
+            assert multigraded_dim(rep, degs) == multigraded_dim_walk(rep, degs)

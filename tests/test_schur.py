@@ -5,10 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from references import bialternant_eval
 from sl2hilb.repmodel import parse_rep, weight_system
-from sl2hilb.schur import (StraightenedSchur, bareiss_det, bialternant_eval,
-                           complete_homogeneous, delta_ratio, power_sum, schur_delta,
-                           schur_eval, straighten)
+from sl2hilb.schur import (StraightenedSchur, bareiss_det, complete_homogeneous, delta_ratio,
+                           power_sum, schur_delta, schur_eval, straighten)
 
 
 def test_straighten_examples():
@@ -172,7 +172,7 @@ def test_delta_ratio_matches_jacobi_trudi(case):
     points, e = case
     n = len(points)
     rho = _staircase(e - n + 1, n)
-    value = delta_ratio(e, points)
+    value = delta_ratio((e,), points)[0]
     assert type(value) is Fraction
     assert value * schur_delta(points) == schur_eval(rho, points)
     if len(set(points)) == n:
@@ -183,6 +183,17 @@ def test_delta_ratio_matches_jacobi_trudi(case):
 def test_delta_ratio_rejects_nonpositive_points():
     for points in [(1, 0, 2), (3, -1), (Fraction(-1, 2),)]:
         with pytest.raises(ValueError):
-            delta_ratio(3, points)
+            delta_ratio((3,), points)
     with pytest.raises(ValueError):
-        delta_ratio(2, (0, 1, 2))    # checked before the repeated-exponent zero
+        delta_ratio((2,), (0, 1, 2))    # checked before the repeated-exponent zero
+
+
+@given(_points_and_exponent(), st.lists(st.integers(-8, 20), max_size=4))
+@example(((Fraction(2),) * 7, 9), [7, 0, 9])   # zero and repeated exponents in one call
+@settings(max_examples=200, deadline=None)
+def test_delta_ratio_several_exponents_in_one_pass(case, more):
+    points, e = case
+    es = (e, *more)
+    n = len(points)
+    assert delta_ratio(es, points) == tuple(
+        schur_eval(_staircase(x - n + 1, n), points) / schur_delta(points) for x in es)

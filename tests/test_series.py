@@ -155,6 +155,30 @@ def test_scale_division_must_be_exact(monkeypatch):
         hilbert_series(parse_rep("3V4"))
 
 
+def test_functional_equation_sees_past_the_oracle_depth(monkeypatch):
+    # V10's numerator has degree 42 and the oracle compares degrees
+    # 0..CHECK_DEPTH = 30, so a wrong t^35 coefficient escapes the oracle
+    # and only the functional equation can catch it
+    true_c35 = hilbert_series(parse_rep("V10")).num.c[35]
+    reduce_exact = RationalFunction.reduce
+
+    def reduce_perturbed(self):
+        out = reduce_exact(self)
+        c = list(out.num.c)
+        assert len(c) == 43
+        c[35] += 1
+        return RationalFunction(Polynomial(c), out.den)
+
+    monkeypatch.setattr(RationalFunction, "reduce", reduce_perturbed)
+    monkeypatch.setattr(series_mod, "_MEMO", {})
+    with monkeypatch.context() as m:
+        m.setattr(series_mod, "_check_functional_equation", lambda rep, f: None)
+        assert hilbert_series(parse_rep("V10")).num.c[35] == true_c35 + 1
+    monkeypatch.setattr(series_mod, "_MEMO", {})
+    with pytest.raises(SeriesConsistencyError, match="functional equation gives"):
+        hilbert_series(parse_rep("V10"))
+
+
 def test_zrational_arithmetic():
     a = ZRationalFunction({0: 1}, {2: 1})
     b = ZRationalFunction({1: 1}, {3: 1})
