@@ -70,12 +70,6 @@ class Polynomial:
     def derivative(self):
         return Polynomial([i * v for i, v in enumerate(self.c)][1:])
 
-    def eval_at(self, x):
-        acc = 0
-        for v in reversed(self.c):
-            acc = acc * x + v
-        return acc
-
     def shifted(self, n):
         """Multiply by t^n."""
         if self.is_zero:

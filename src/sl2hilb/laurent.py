@@ -281,47 +281,3 @@ def sigma_sum_schur(exps, params):
     val = sum((c * schur_eval(_staircase(r + e - shift, npos), blam)
                for e, c in coeffs.items() if c), Fraction(0))
     return val / (2 * schur_delta(blam))
-
-
-def _raw_numerator(order, b, others):
-    # gamma_<order> summand at outer weight b, without b ** (dim - 4 - order).
-    rest = sum(others)
-    if order == 0:
-        return 2 * b - 2 - (b + rest)
-    if order == 1:
-        acc = Fraction(2, 3) * (b * b - 3 * b + 2)
-        for b2 in others:
-            acc += b2 * (b2 - 5 * b + 6 + 3 * (rest - b2)) / 6
-        return acc
-    acc = 12 * b ** 3 - 44 * b * b + 48 * b - 16
-    for i, b2 in enumerate(others):
-        term2 = -16 * b * b + 32 * b - 16 - 4 * b2 + 4 * b * b2
-        for j, b3 in enumerate(others):
-            if j != i:
-                term2 += b3 * (7 * b - 6 - 2 * b2 - (rest - b2 - b3))
-        acc += b2 * term2
-    return acc / 24
-
-
-def gamma_raw(order, params):
-    """gamma0..gamma2 evaluated directly from the perturbed weight sums,
-    before any Schur rewriting.  Test oracle for the closed forms; the raw
-    order-1 form fails at V1+V2 (1/2 against gamma1 = 1/4 at its weights)."""
-    if order not in (0, 1, 2):
-        raise ValueError("raw forms cover orders 0..2")
-    power = params.rep.dim - 4 - order
-    sigma = weight_system(params.rep).sigma
-    total = sigma * sum((b ** power * _raw_numerator(order, b, others) / den
-                         for b, den, others in _outer(params.values)), Fraction(0))
-    if order == 2 and classify_case(params.rep).one_v1_rest_even:
-        # V1 plus even summands adds a sum over the positives outside the V1
-        # pair, with both V1 weights struck from the product as well.  At
-        # order 1 that sum, of b^(dim-5) / (2 prod(b - b')), is half the full
-        # divided difference of x^(|S'|-3) over the symmetric nonzero set S'
-        # once the zero weights are divided out: 0 whenever |S'| >= 4.
-        # Degrees sort ascending, so the V1 pair sits at positions 0 and 1.
-        # The raw form also subtracts the sum of that pair, which is 0: the
-        # pair is (-b1, b1) like every mirrored pair of values.
-        for b, den, others in _outer(params.values, {0, 1}):
-            total += b ** power * ((3 * b - 2 - sum(others)) / 4) / den
-    return total

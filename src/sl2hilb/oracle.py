@@ -21,7 +21,6 @@ count exceeds the number of degree D monomials C(D+N-1, N-1), so no slot
 carries into the next.
 """
 
-from collections import Counter
 from math import comb
 
 
@@ -31,11 +30,23 @@ def _variable_weights(rep):
     return ws
 
 
+def _slots(ws, max_degree):
+    """(M, B): the largest |weight| (at least 1) and the slot width."""
+    m = max(max(abs(w) for w in ws), 1)
+    return m, comb(max_degree + len(ws) - 1, len(ws) - 1).bit_length() + 1
+
+
+def packed_bits(rep, max_degree):
+    """About how many bits truncated_series(rep, max_degree) holds in its
+    rows: row n spans 2nM + 1 slots of B bits, D^2 M B over all D rows."""
+    m, width = _slots(_variable_weights(rep), max_degree)
+    return max_degree ** 2 * m * width
+
+
 def _packed_rows(ws, max_degree):
     """(rows, M, B): bit slot w + n*M, B bits wide, of rows[n] counts the
     degree n monomials of weight w in variables of weights ws."""
-    m = max(max(abs(w) for w in ws), 1)
-    width = comb(max_degree + len(ws) - 1, len(ws) - 1).bit_length() + 1
+    m, width = _slots(ws, max_degree)
     rows = [1] + [0] * max_degree
     for a in ws:
         shift = (a + m) * width
@@ -56,28 +67,3 @@ def truncated_series(rep, max_degree):
     mask = (1 << width) - 1
     return [((row >> n * m * width) & mask) - ((row >> (n * m + 2) * width) & mask)
             for n, row in enumerate(rows)]
-
-
-def multigraded_dim(rep, degs):
-    """Invariant dimension at fixed degree degs[k] in the k-th summand.
-
-    Trivial summands are excluded from the grading; degs matches
-    rep.degrees position by position.
-    """
-    if len(degs) != len(rep.degrees):
-        raise ValueError("need one degree per nontrivial summand")
-    if any(p < 0 for p in degs):
-        raise ValueError("degrees must be nonnegative")
-    # weight distribution of each summand at its exact degree, then convolve
-    total = Counter({0: 1})
-    for d, p in zip(rep.degrees, degs):
-        rows, m, width = _packed_rows([2 * i - d for i in range(d + 1)], p)
-        mask = (1 << width) - 1
-        dist = {k - p * m: v for k in range(2 * p * m + 1)
-                if (v := (rows[p] >> k * width) & mask)}
-        merged = Counter()
-        for w1, c1 in total.items():
-            for w2, c2 in dist.items():
-                merged[w1 + w2] += c1 * c2
-        total = merged
-    return total[0] - total[2]

@@ -50,7 +50,7 @@ class Representation:
 
     @property
     def key(self):
-        """Canonical text form, e.g. '2V3+V4' or '1' for the trivial rep."""
+        """Canonical text form, e.g. '2V3+V4'; '0' for the zero rep."""
         if not self.degrees and not self.trivial_count:
             return "0"
         parts = []

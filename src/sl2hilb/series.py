@@ -3,7 +3,8 @@
 The series is the constant term in z of (1 - z^2) * prod (1 - t z^w)^-1
 over the torus weights w of the rep.  Grouping equal weights first, the
 product is split by partial fractions in t; every coefficient is a power
-series in z over a product of (1 - z^b)^e factors.  The term attached to
+series in z, an integer polynomial over a product of (1 - z^b)^e factors
+that the distances between the weights fix in advance.  The term attached to
 the factor of weight -alpha (alpha >= 0) survives constant term
 extraction and turns into an ordinary rational function of t through the
 substitution operator U_alpha and the derivative operator D_n.  Factors
@@ -19,9 +20,10 @@ monomial counts up to CHECK_DEPTH before being returned.
 
 from collections import Counter
 from math import comb, factorial, gcd
+from operator import add
 
-from .exactalg import (Polynomial, FactoredDenominator, RationalFunction, _times_factors,
-                       taylor_coeffs)
+from .exactalg import (Polynomial, FactoredDenominator, RationalFunction, _mul_trunc,
+                       _times_factors, taylor_coeffs)
 from .repmodel import FIRST_COEFF_EXCEPTIONS, weight_system
 from . import oracle
 
@@ -43,7 +45,7 @@ class SeriesConsistencyError(RuntimeError):
 class ZRationalFunction:
     """Power series in z: a numerator dict exponent -> coefficient, no
     exponent negative, over a product of (1 - z^b)^e factors, b >= 1.
-    Arithmetic runs on RationalFunction in z.
+    The record ua_transform takes; it does no arithmetic.
     """
 
     __slots__ = ("num", "den")
@@ -58,21 +60,6 @@ class ZRationalFunction:
     def is_zero(self):
         return not self.num
 
-    def scale(self, c):
-        return ZRationalFunction({e: v * c for e, v in self.num.items()}, self.den)
-
-    def __mul__(self, other):
-        if self.is_zero or other.is_zero:
-            return ZRationalFunction()
-        return _from_rf(_to_rf(self) * _to_rf(other))
-
-    def __add__(self, other):
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        return _from_rf(_to_rf(self) + _to_rf(other))
-
     def __repr__(self):
         return "ZRationalFunction(%r, %r)" % (self.num, self.den)
 
@@ -81,52 +68,49 @@ def _to_rf(f):
     return RationalFunction(Polynomial.from_dict(f.num), f.den)
 
 
-def _from_rf(g):
-    return ZRationalFunction(dict(enumerate(g.num.c)), g.den)
-
-
-def _inv_one_minus(c, e):
-    """(1 - z^c)^-e as a ZRationalFunction, for c != 0.
-
-    Negative c is normalized through 1 - z^c = -z^c (1 - z^-c).
-    """
-    if c > 0:
-        return ZRationalFunction({0: 1}, {c: e})
-    return ZRationalFunction({-c * e: (-1) ** e}, {-c: e})
-
-
 def _coeffs_for_index(weights, mults, i):
     """0! G_{i,0}, 1! G_{i,1}, ..., (m_i - 1)! G_{i,m_i - 1} at position i.
 
     With F(t) the product of all other factors (1 - t z^w)^-m, the
     coefficient of (1 - t z^{w_i})^(j - m_i) is
-    G_{i,j} = F^(j) (1/x_i) / (j! (-x_i)^j), x_i = z^{w_i}; the factor 1/j!
-    is left out, so j! G_{i,j} = (-1)^j F^(j) (1/x_i) / x_i^j has integer
-    coefficients.  F' = F * S, S the logarithmic derivative, gives the
-    recursion for F^(j) (1/x_i) / x_i^j; its inputs S^(k) (1/x_i) / x_i^(k+1)
-    sum the power series (-1)^(k+1) m k! (1 - x_i/z^w)^-(k+1).
+    G_{i,j} = F^(j) (1/x_i) / (j! (-x_i)^j), x_i = z^{w_i}, so
+    j! G_{i,j} = (-1)^j P_j / (B E^j) with B = prod (1 - z^|w - w_i|)^m over
+    the other weights and E = prod (1 - z^c) over their distinct distances
+    c = |w - w_i|.  P_0 = F(1/x_i) B = (-1)^s z^K, s and K the multiplicity
+    and the distance sum of the weights below w_i.  F' = F S, S the
+    logarithmic derivative, gives P_j = sum_(m<j) C(j-1, m) P_m Q_(j-1-m),
+    where Q_k / E^(k+1) = S^(k) (1/x_i) / x_i^(k+1) is the power series
+    (-1)^(k+1) k! sum m (1 - x_i/z^w)^-(k+1); a weight w_i + c enters it
+    through 1 - z^-c = -z^-c (1 - z^c).
     """
-    wi = weights[i]
-    mi = mults[i]
-    fval = ZRationalFunction({0: 1})
-    for l, (w, m) in enumerate(zip(weights, mults)):
-        if l != i:
-            fval = fval * _inv_one_minus(w - wi, m)
-    svals = []
-    for k in range(mi - 1):
-        sk = ZRationalFunction()
-        for l, (w, m) in enumerate(zip(weights, mults)):
-            if l != i:
-                part = _inv_one_minus(wi - w, k + 1)
-                sk = sk + part.scale((-1) ** (k + 1) * m * factorial(k))
-        svals.append(sk)
-    derivs = [fval]
+    wi, mi = weights[i], mults[i]
+    below, above = Counter(), Counter()     # distance c -> multiplicity of w_i -/+ c
+    for w, m in zip(weights, mults):
+        if w < wi:
+            below[wi - w] += m
+        elif w > wi:
+            above[w - wi] += m
+    den = below + above                     # B, distance -> exponent
+    span = sum(den)                         # degree of E, the distances summed
+    low = sum(c * m for c, m in below.items())
+    nums = [[0] * low + [(-1) ** sum(below.values())]]
+    logs = []                               # Q_(e-1), over E^e
+    for e in range(1, mi):
+        q = [0] * (e * span + 1)
+        for c in den:
+            top = [below[c]] + [0] * (c * e - 1) + [(-1) ** e * above[c]]
+            q = list(map(add, q, _times_factors(top, {b: e for b in den if b != c}, e * span)))
+        logs.append([(-1) ** e * factorial(e - 1) * v for v in q])
     for j in range(1, mi):
-        acc = ZRationalFunction()
+        cutoff = low + j * span
+        acc = [0] * (cutoff + 1)
         for m in range(j):
-            acc = acc + derivs[m] * svals[j - 1 - m].scale(comb(j - 1, m))
-        derivs.append(acc)
-    return [d.scale((-1) ** j) for j, d in enumerate(derivs)]
+            term = _mul_trunc(nums[m], logs[j - 1 - m], cutoff)
+            acc = [a + comb(j - 1, m) * v for a, v in zip(acc, term)]
+        nums.append(acc)
+    return [ZRationalFunction(dict(enumerate([(-1) ** j * v for v in p])),
+                              {c: den[c] + j for c in den})
+            for j, p in enumerate(nums)]
 
 
 def ua_transform(f, a):
@@ -199,7 +183,6 @@ def _compute(rep):
         return RationalFunction(1, {1: rep.trivial_count})
     mult_of = Counter(weight_system(rep).weights)
     weights, mults = list(mult_of), list(mult_of.values())
-    one_minus_z2 = ZRationalFunction({0: 1, 2: -1})
     # piece (j, order) comes out j! (order-1)! times too large, and
     # j + order - 1 = mult - 1 <= max(mults) - 1, so each factor is exact
     scale = factorial(max(mults) - 1)
@@ -210,7 +193,10 @@ def _compute(rep):
         omitted = weights.index(-alpha)
         for j, g in enumerate(_coeffs_for_index(weights, mults, omitted)):
             order = mult - j
-            piece = dn_apply(ua_transform(one_minus_z2 * g, alpha), order - 1)
+            zc = _to_rf(g).num.c
+            # times the factor 1 - z^2 of the integrand
+            g = ZRationalFunction(dict(enumerate(_times_factors(zc, {2: 1}, len(zc) + 1))), g.den)
+            piece = dn_apply(ua_transform(g, alpha), order - 1)
             total = total + piece.scaled(scale // (factorial(j) * factorial(order - 1)))
     num = []
     for n, c in enumerate(total.num.c):

@@ -3,14 +3,27 @@
 The package packs the oracle's weight counts into big-int rows and runs
 its strided passes as slice operations; the plain loops here are the
 references those versions must equal exactly.  The bialternant quotient
-is an independent cross check of the Schur evaluations.
+is an independent cross check of the Schur evaluations, and the raw
+weight sums gamma_raw one of the closed forms.  multigraded_dim refines
+the oracle's counts by summand, and eval_at evaluates a Polynomial.
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import prod
 
-from sl2hilb.oracle import truncated_series
+from sl2hilb.laurent import _outer
+from sl2hilb.oracle import _packed_rows, truncated_series
+from sl2hilb.repmodel import classify_case, weight_system
 from sl2hilb.schur import _scale_to_integers, bareiss_det
+
+
+def eval_at(p, x):
+    """The Polynomial p at x, by Horner's rule."""
+    acc = 0
+    for v in reversed(p.c):
+        acc = acc * x + v
+    return acc
 
 
 def weight_counts_walk(ws, max_degree):
@@ -107,3 +120,72 @@ def bialternant_eval(rho, points):
         value /= Fraction(prod(ints)) ** shift
     # undo the clearing of denominators: s_rho is homogeneous of degree |rho|
     return value / Fraction(scale) ** sum(rho)
+
+
+def multigraded_dim(rep, degs):
+    """Invariant dimension at fixed degree degs[k] in the k-th summand.
+
+    Trivial summands are excluded from the grading; degs matches
+    rep.degrees position by position.
+    """
+    if len(degs) != len(rep.degrees):
+        raise ValueError("need one degree per nontrivial summand")
+    if any(p < 0 for p in degs):
+        raise ValueError("degrees must be nonnegative")
+    # weight distribution of each summand at its exact degree, then convolve
+    total = Counter({0: 1})
+    for d, p in zip(rep.degrees, degs):
+        rows, m, width = _packed_rows([2 * i - d for i in range(d + 1)], p)
+        mask = (1 << width) - 1
+        dist = {k - p * m: v for k in range(2 * p * m + 1)
+                if (v := (rows[p] >> k * width) & mask)}
+        merged = Counter()
+        for w1, c1 in total.items():
+            for w2, c2 in dist.items():
+                merged[w1 + w2] += c1 * c2
+        total = merged
+    return total[0] - total[2]
+
+
+def _raw_numerator(order, b, others):
+    # gamma_<order> summand at outer weight b, without b ** (dim - 4 - order).
+    rest = sum(others)
+    if order == 0:
+        return 2 * b - 2 - (b + rest)
+    if order == 1:
+        acc = Fraction(2, 3) * (b * b - 3 * b + 2)
+        for b2 in others:
+            acc += b2 * (b2 - 5 * b + 6 + 3 * (rest - b2)) / 6
+        return acc
+    acc = 12 * b ** 3 - 44 * b * b + 48 * b - 16
+    for i, b2 in enumerate(others):
+        term2 = -16 * b * b + 32 * b - 16 - 4 * b2 + 4 * b * b2
+        for j, b3 in enumerate(others):
+            if j != i:
+                term2 += b3 * (7 * b - 6 - 2 * b2 - (rest - b2 - b3))
+        acc += b2 * term2
+    return acc / 24
+
+
+def gamma_raw(order, params):
+    """gamma0..gamma2 evaluated directly from the perturbed weight sums,
+    before any Schur rewriting.  Test oracle for the closed forms; the raw
+    order-1 form fails at V1+V2 (1/2 against gamma1 = 1/4 at its weights)."""
+    if order not in (0, 1, 2):
+        raise ValueError("raw forms cover orders 0..2")
+    power = params.rep.dim - 4 - order
+    sigma = weight_system(params.rep).sigma
+    total = sigma * sum((b ** power * _raw_numerator(order, b, others) / den
+                         for b, den, others in _outer(params.values)), Fraction(0))
+    if order == 2 and classify_case(params.rep).one_v1_rest_even:
+        # V1 plus even summands adds a sum over the positives outside the V1
+        # pair, with both V1 weights struck from the product as well.  At
+        # order 1 that sum, of b^(dim-5) / (2 prod(b - b')), is half the full
+        # divided difference of x^(|S'|-3) over the symmetric nonzero set S'
+        # once the zero weights are divided out: 0 whenever |S'| >= 4.
+        # Degrees sort ascending, so the V1 pair sits at positions 0 and 1.
+        # The raw form also subtracts the sum of that pair, which is 0: the
+        # pair is (-b1, b1) like every mirrored pair of values.
+        for b, den, others in _outer(params.values, {0, 1}):
+            total += b ** power * ((3 * b - 2 - sum(others)) / 4) / den
+    return total

@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 
 import sl2hilb.cli as cli
+import sl2hilb.oracle as oracle
+import sl2hilb.series as series_mod
 from sl2hilb.cli import (FIXTURES, FixtureRow, HilbertResult, _int_out,
                          load_cached, main, store_cached)
-from sl2hilb.exactalg import (LaurentExpansion, laurent_at_one, rf_equal,
-                              taylor_coeffs)
+from sl2hilb.exactalg import (LaurentExpansion, Polynomial, RationalFunction,
+                              laurent_at_one, rf_equal, taylor_coeffs)
 from sl2hilb.laurent import gammas
 from sl2hilb.repmodel import parse_rep
 from sl2hilb.series import SeriesConsistencyError, hilbert_series
@@ -340,3 +342,38 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "series", "V3", "--no-cache")
     assert (code, out) == (3, "")
     assert err.startswith("internal error:") and "Traceback" not in err
+
+
+def test_verify_functional_equation_failure_exit_code(capsys, monkeypatch):
+    # V10's t^35 numerator coefficient raised by one escapes the oracle's
+    # 31 terms; hilbert_series' own functional equation check stops verify
+    reduce_exact = RationalFunction.reduce
+
+    def reduce_perturbed(self):
+        out = reduce_exact(self)
+        c = list(out.num.c)
+        c[35] += 1
+        return RationalFunction(Polynomial(c), out.den)
+
+    monkeypatch.setattr(RationalFunction, "reduce", reduce_perturbed)
+    monkeypatch.setattr(series_mod, "_MEMO", {})
+    code, out, err = run(capsys, "verify", "V10", "--draws", "0", "--no-cache")
+    assert (code, out) == (3, "")
+    assert "functional equation gives" in err and "Traceback" not in err
+
+
+def test_verify_max_degree_over_memory_limit(capsys, monkeypatch):
+    # V16 to degree 10000 would need about 32 GiB of oracle rows; the
+    # estimate refuses it before the series or the oracle is built
+    def unreached(*args):
+        raise AssertionError("verify built something past the memory check")
+
+    monkeypatch.setattr(cli, "hilbert_series", unreached)
+    monkeypatch.setattr(cli, "truncated_series", unreached)
+    monkeypatch.setattr(oracle, "_packed_rows", unreached)
+    code, out, err = run(capsys, "verify", "V16", "--max-degree", "10000", "--draws", "0")
+    assert (code, out) == (2, "")
+    assert "over the limit of 1 GiB" in err and "Traceback" not in err
+    # the depths CI checks stay well inside the limit
+    for spec, depth in (("V16", 155), ("4V7", 181)):
+        assert oracle.packed_bits(parse_rep(spec), depth) < cli.MAX_ORACLE_BYTES

@@ -5,11 +5,12 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from references import gamma_raw
 from sl2hilb.exactalg import laurent_at_one
 from sl2hilb.laurent import (a_invariant, first_coeff_sum, gamma0, gamma1,
-                             gamma2, gamma3, gamma_raw, gammas,
-                             hilbert1893_gamma0, perturbed_params,
-                             random_params, sigma_sum_raw, sigma_sum_schur)
+                             gamma2, gamma3, gammas, hilbert1893_gamma0,
+                             perturbed_params, random_params, sigma_sum_raw,
+                             sigma_sum_schur)
 from sl2hilb.repmodel import (FIRST_COEFF_EXCEPTIONS, MAX_DIM, Representation,
                                classify_case, parse_rep, weight_system)
 from sl2hilb.schur import power_sum, schur_delta, schur_eval

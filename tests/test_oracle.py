@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from references import dim_invariants, multigraded_dim_walk, truncated_series_walk
+from references import (dim_invariants, multigraded_dim, multigraded_dim_walk,
+                        truncated_series_walk)
 from sl2hilb.exactalg import taylor_coeffs
-from sl2hilb.oracle import _packed_rows, _variable_weights, multigraded_dim, truncated_series
+from sl2hilb.oracle import _packed_rows, _variable_weights, truncated_series
 from sl2hilb.repmodel import Representation, parse_rep
 
 

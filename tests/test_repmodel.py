@@ -178,6 +178,15 @@ def test_weight_list_properties(rep, data):
     assert [b for b in values if b > 0] == vals
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, 12), min_size=1, max_size=8))
+def test_key_parses_back(degrees):
+    # every rep a spec can name; the zero rep has no spec (its key "0"
+    # reads as the degree list [0], i.e. V0)
+    rep = Representation(tuple(d for d in degrees if d), degrees.count(0))
+    assert parse_rep(rep.key) == rep
+
+
 def test_parse_rejects_dimension_over_limit():
     assert parse_rep("%dV0" % MAX_DIM).trivial_count == MAX_DIM
     for text in ["%dV0" % (MAX_DIM + 1), "99999999999999999999V1", "5,%d" % MAX_DIM]:

