@@ -50,9 +50,9 @@ class Representation:
 
     @property
     def key(self):
-        """Canonical text form, e.g. '2V3+V4'; '0' for the zero rep."""
+        """Canonical text form, e.g. '2V3+V4'; '0V0', which parse_rep rejects, for the zero rep."""
         if not self.degrees and not self.trivial_count:
-            return "0"
+            return "0V0"
         parts = []
         if self.trivial_count:
             parts.append(_term_text(0, self.trivial_count))

@@ -7,9 +7,10 @@ series in z, an integer polynomial over a product of (1 - z^b)^e factors
 that the distances between the weights fix in advance.  The term attached to
 the factor of weight -alpha (alpha >= 0) survives constant term
 extraction and turns into an ordinary rational function of t through the
-substitution operator U_alpha and the derivative operator D_n.  Factors
-of strictly positive weight contribute nothing: their coefficient
-functions have strictly positive valuation in z.
+substitution operator U_alpha, which completes each z-factor by its
+conjugates to a series in z^alpha, and the derivative operator D_n.  Factors
+of strictly positive weight contribute nothing: their coefficient functions
+have strictly positive valuation in z.
 
 All arithmetic is exact and runs on integers: every piece carries one
 common integer scale, which is divided out of the assembled numerator
@@ -22,8 +23,8 @@ from collections import Counter
 from math import comb, factorial, gcd
 from operator import add
 
-from .exactalg import (Polynomial, FactoredDenominator, RationalFunction, _mul_trunc,
-                       _times_factors, taylor_coeffs)
+from .exactalg import (Polynomial, FactoredDenominator, RationalFunction, _div_factors,
+                       _mul_trunc, _times_factors, _times_rest, taylor_coeffs)
 from .repmodel import FIRST_COEFF_EXCEPTIONS, weight_system
 from . import oracle
 
@@ -116,11 +117,13 @@ def _coeffs_for_index(weights, mults, i):
 def ua_transform(f, a):
     """Extract every a-th z-coefficient of the power series f into t.
 
-    U_a sends sum c_n z^n to sum c_{an} t^n.  Each denominator factor
-    transforms by (1 - z^b) -> (1 - t^(b/gcd(a,b)))^gcd(a,b); the
-    numerator is recovered exactly from a truncated expansion, with a
-    margin of two coefficients beyond the degree bound checked to be
-    zero.  U_0 keeps the constant coefficient over a factor 1/(1 - t).
+    U_a sends sum c_n z^n to sum c_{an} t^n.  In ascending b, each factor
+    (1 - z^b)^e, g = gcd(a, b), q = b/g, is completed to a series in z^a by
+    multiplying the numerator by the conjugates ((1 - z^(aq)) / (1 - z^b))^e
+    (G. Xin, Electron. J. Combin. 11 (2004)): one multiply pass and one
+    divide pass, whose last b e terms must be zero.  U_a then keeps every
+    a-th numerator coefficient over the tight prod (1 - t^q)^e.  U_0 keeps
+    [z^0]f over 1/(1 - t).
     """
     if a < 0:
         raise ValueError("a must be nonnegative")
@@ -129,17 +132,17 @@ def ua_transform(f, a):
     if a == 0:
         # every denominator factor starts with 1, so [z^0]f is the numerator's
         return RationalFunction(Polynomial([f.num.get(0, 0)]), FactoredDenominator({1: 1}))
-    den_t = {}
-    for b, e in f.den.factors.items():
-        g = gcd(a, b)
-        den_t[b // g] = den_t.get(b // g, 0) + g * e
-    bound = (max(f.num) + (a - 1) * f.den.degree) // a
-    margin = 2
-    sub = taylor_coeffs(_to_rf(f), a * (bound + margin) + 1)[::a]
-    num = _times_factors(sub, den_t, bound + margin)
-    if any(num[bound + 1:]):
-        raise RuntimeError("numerator degree bound violated in U_%d" % a)
-    return RationalFunction(Polynomial(num[:bound + 1]), den_t)
+    c, den_t = _to_rf(f).num.c, {}
+    for b, e in sorted(f.den.factors.items()):
+        q = b // gcd(a, b)
+        den_t[q] = den_t.get(q, 0) + e
+        if a * q != b:                      # else (1 - z^b) is a series in z^a already
+            n = len(c) + (a * q - b) * e    # length of the exact quotient
+            c = _div_factors(_times_factors(c, {a * q: e}, n + b * e - 1), {b: e}, n + b * e)
+            if any(c[n:]):
+                raise RuntimeError("conjugate product not divisible in U_%d" % a)
+            c = c[:n]
+    return RationalFunction(Polynomial(c[::a]), den_t)
 
 
 def dn_apply(f, n):
@@ -186,7 +189,8 @@ def _compute(rep):
     # piece (j, order) comes out j! (order-1)! times too large, and
     # j + order - 1 = mult - 1 <= max(mults) - 1, so each factor is exact
     scale = factorial(max(mults) - 1)
-    total = RationalFunction(0)
+    # reduce cancels best effort, so it runs over the gcd rule's (1 - t^(b/g))^(g e): wide
+    total, wide = RationalFunction(0), Counter()
     for alpha, mult in zip(weights, mults):
         if alpha < 0:
             continue
@@ -197,7 +201,12 @@ def _compute(rep):
             # times the factor 1 - z^2 of the integrand
             g = ZRationalFunction(dict(enumerate(_times_factors(zc, {2: 1}, len(zc) + 1))), g.den)
             piece = dn_apply(ua_transform(g, alpha), order - 1)
+            rule = Counter(piece.den.factors)       # tight, raised to the gcd rule
+            for b, e in g.den.factors.items() if alpha and rule else ():
+                rule[b // gcd(alpha, b)] += (gcd(alpha, b) - 1) * e
+            wide |= rule
             total = total + piece.scaled(scale // (factorial(j) * factorial(order - 1)))
+    total = RationalFunction(_times_rest(total.num, wide, total.den.factors), dict(wide))
     num = []
     for n, c in enumerate(total.num.c):
         q, r = divmod(c, scale)

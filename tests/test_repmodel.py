@@ -41,7 +41,12 @@ def test_degrees_sorted_and_key_canonical():
     assert rep.degrees == (3, 3, 4)
     assert rep.key == "2V3+V4"
     assert parse_rep("V0").key == "V0"
-    assert Representation((), 0).key == "0"
+    assert Representation((), 0).key == "0V0"
+    # no spec names the zero rep, so its key must not parse to another rep
+    # such as V0, which the list "0" names
+    with pytest.raises(RepParseError):
+        parse_rep(Representation(()).key)
+    assert parse_rep("0") == Representation((), 1)
     assert parse_rep("V3+V2+V3").key == "V2+2V3"
 
 
@@ -181,8 +186,8 @@ def test_weight_list_properties(rep, data):
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.integers(0, 12), min_size=1, max_size=8))
 def test_key_parses_back(degrees):
-    # every rep a spec can name; the zero rep has no spec (its key "0"
-    # reads as the degree list [0], i.e. V0)
+    # every rep a spec can name; the zero rep, which none names, is checked
+    # in test_degrees_sorted_and_key_canonical
     rep = Representation(tuple(d for d in degrees if d), degrees.count(0))
     assert parse_rep(rep.key) == rep
 

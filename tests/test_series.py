@@ -1,5 +1,7 @@
+import json
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,12 +33,28 @@ def test_ua_even_subsequence():
 
 
 def test_ua_denominator_gcd_rule():
-    # the (1-z^4) factor under U_6 maps to (1-t^2)^2, with the numerator
-    # supplying the cancelling factor: U_6(1/(1-z^4)) = 1/(1-t^2)
+    # the (1-z^4) factor under U_6 is completed by its conjugates to
+    # (1-z^12), a series in z^6, so it maps to the tight (1-t^2) and not to
+    # the (1-t^2)^gcd(6,4): U_6(1/(1-z^4)) = 1/(1-t^2)
     f = ZRationalFunction({0: 1}, {4: 1})
     out = ua_transform(f, 6)
-    assert out.den.factors == {2: 2}
+    assert out.den.factors == {2: 1}
     assert rf_equal(out, rf([1], {2: 1}))
+
+
+def test_ua_conjugate_division_is_checked(monkeypatch):
+    # a divide pass one factor short leaves a remainder in its top b e
+    # terms, which U_a reports instead of returning a wrong series
+    div_exact = series_mod._div_factors
+
+    def div_one_pass_short(c, factors, count):
+        factors = dict(factors)
+        factors[max(factors)] -= 1
+        return div_exact(c, factors, count)
+
+    monkeypatch.setattr(series_mod, "_div_factors", div_one_pass_short)
+    with pytest.raises(RuntimeError, match="not divisible"):
+        ua_transform(ZRationalFunction({0: 1, 3: 2}, {4: 2, 3: 1}), 6)
 
 
 def test_ua_zero_extracts_constant_term():
@@ -247,8 +265,14 @@ def test_z_side_matches_brute_force(f):
     top = 24
     ef = _expand(f, top)
     for a in range(1, 5):
-        got = taylor_coeffs(ua_transform(f, a), top // a + 1)
+        out = ua_transform(f, a)
+        got = taylor_coeffs(out, top // a + 1)
         assert got == [ef.get(a * i, 0) for i in range(top // a + 1)]
+        # the tight denominator: (1 - z^b)^e goes to (1 - t^(b/gcd(a,b)))^e
+        tight = {}
+        for b, e in f.den.factors.items() if not f.is_zero else ():
+            tight[b // gcd(a, b)] = tight.get(b // gcd(a, b), 0) + e
+        assert out.den.factors == tight
 
 
 def test_pipeline_stays_integer(monkeypatch):
@@ -279,3 +303,21 @@ def test_series_numerator_is_int():
     # the JSON writer serialises ints only; a Fraction numerator would not
     for spec in ("V5", "3V4", "4V1+2V5", "V0+V3+V4"):
         assert all(type(v) is int for v in hilbert_series(parse_rep(spec)).num.c), spec
+
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+
+
+def test_series_match_the_benchmark_reference(monkeypatch):
+    # the exact numerator and [m, e] denominator of every series operation
+    # in the benchmark's reference file, which perfbench/make_reference.py
+    # records only after the oracle and functional-equation checks pass
+    ops = json.loads(REFERENCE.read_text())["ops"]
+    cases = [(json.loads(key)[1], want) for key, want in ops.items()
+             if json.loads(key)[0] == "series"]
+    assert len(cases) == 28
+    monkeypatch.setattr(series_mod, "_MEMO", {})
+    for spec, want in cases:
+        f = hilbert_series(parse_rep(spec))
+        assert f.num.c == want["numerator"], spec
+        assert [list(m_e) for m_e in sorted(f.den.factors.items())] == want["denominator"], spec
