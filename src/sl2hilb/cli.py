@@ -35,6 +35,9 @@ _INT64_MAX = 2 ** 63
 # Largest oracle table `verify --max-degree` may build (oracle.packed_bits).
 MAX_ORACLE_BYTES = 1 << 30
 
+# Most Taylor coefficients `series --terms` and `expand --terms` print.
+MAX_TERMS = 10 ** 6
+
 
 @dataclass
 class HilbertResult:
@@ -397,6 +400,13 @@ def _nonnegative_int(text):
     return value
 
 
+def _term_count(text):
+    value = _nonnegative_int(text)
+    if value > MAX_TERMS:
+        raise argparse.ArgumentTypeError("expected at most %d terms, got %s" % (MAX_TERMS, text))
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="sl2hilb",
@@ -413,13 +423,13 @@ def build_parser():
 
     p = sub.add_parser("series", help="exact Hilbert series")
     common(p)
-    p.add_argument("--terms", type=_nonnegative_int, default=0,
+    p.add_argument("--terms", type=_term_count, default=0,
                    help="also print this many leading coefficients")
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("expand", help="leading series coefficients")
     common(p)
-    p.add_argument("--terms", type=_nonnegative_int, default=10)
+    p.add_argument("--terms", type=_term_count, default=10)
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("gamma", help="Laurent coefficients and a-invariant")

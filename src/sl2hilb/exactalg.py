@@ -6,6 +6,8 @@ factor 1 - t^m is one slice operation per factor: out[i] -= out[i-m] is a
 single map over two slices, out[i] += out[i-m] a running sum (accumulate)
 along each residue class mod m.
 Laurent expansion at t = 1 substitutes t = 1 - s and divides series.
+RationalFunction.derivative stays, though series.dn_apply no longer calls
+it: it is the tests' reference for dn_apply, and perfbench traces it.
 """
 
 from dataclasses import dataclass
@@ -171,9 +173,6 @@ class RationalFunction:
         if self.num.is_zero:
             raise ValueError("zero function has no degree")
         return self.num.degree - self.den.degree
-
-    def scaled(self, c):
-        return RationalFunction(self.num * c, self.den)
 
     def __add__(self, other):
         fs, fo = self.den.factors, other.den.factors

@@ -12,15 +12,15 @@ conjugates to a series in z^alpha, and the derivative operator D_n.  Factors
 of strictly positive weight contribute nothing: their coefficient functions
 have strictly positive valuation in z.
 
-All arithmetic is exact and runs on integers: every piece carries one
-common integer scale, which is divided out of the assembled numerator
-exactly once.  The assembled series is checked against the functional
-equation, which covers the whole numerator, and against the brute force
-monomial counts up to CHECK_DEPTH before being returned.
+All arithmetic is exact and runs on integers: every piece is an exact
+integer rational function as it is built, so the pieces are added as they
+come.  The assembled series is checked against the functional equation,
+which covers the whole numerator, and against the brute force monomial
+counts up to CHECK_DEPTH before being returned.
 """
 
 from collections import Counter
-from math import comb, factorial, gcd
+from math import comb, gcd
 from operator import add
 
 from .exactalg import (Polynomial, FactoredDenominator, RationalFunction, _div_factors,
@@ -70,19 +70,19 @@ def _to_rf(f):
 
 
 def _coeffs_for_index(weights, mults, i):
-    """0! G_{i,0}, 1! G_{i,1}, ..., (m_i - 1)! G_{i,m_i - 1} at position i.
+    """G_{i,0}, G_{i,1}, ..., G_{i,m_i - 1} at position i.
 
     With F(t) the product of all other factors (1 - t z^w)^-m, the
     coefficient of (1 - t z^{w_i})^(j - m_i) is
     G_{i,j} = F^(j) (1/x_i) / (j! (-x_i)^j), x_i = z^{w_i}, so
-    j! G_{i,j} = (-1)^j P_j / (B E^j) with B = prod (1 - z^|w - w_i|)^m over
+    G_{i,j} = (-1)^j p_j / (B E^j) with B = prod (1 - z^|w - w_i|)^m over
     the other weights and E = prod (1 - z^c) over their distinct distances
-    c = |w - w_i|.  P_0 = F(1/x_i) B = (-1)^s z^K, s and K the multiplicity
+    c = |w - w_i|.  p_0 = F(1/x_i) B = (-1)^s z^K, s and K the multiplicity
     and the distance sum of the weights below w_i.  F' = F S, S the
-    logarithmic derivative, gives P_j = sum_(m<j) C(j-1, m) P_m Q_(j-1-m),
-    where Q_k / E^(k+1) = S^(k) (1/x_i) / x_i^(k+1) is the power series
-    (-1)^(k+1) k! sum m (1 - x_i/z^w)^-(k+1); a weight w_i + c enters it
-    through 1 - z^-c = -z^-c (1 - z^c).
+    logarithmic derivative, gives j p_j = sum_(m<j) p_m q_(j-1-m), divided
+    by j exactly, where q_k / E^(k+1) = S^(k) (1/x_i) / (k! x_i^(k+1)) is
+    the power series (-1)^(k+1) sum m (1 - x_i/z^w)^-(k+1); a weight
+    w_i + c enters it through 1 - z^-c = -z^-c (1 - z^c).
     """
     wi, mi = weights[i], mults[i]
     below, above = Counter(), Counter()     # distance c -> multiplicity of w_i -/+ c
@@ -95,20 +95,21 @@ def _coeffs_for_index(weights, mults, i):
     span = sum(den)                         # degree of E, the distances summed
     low = sum(c * m for c, m in below.items())
     nums = [[0] * low + [(-1) ** sum(below.values())]]
-    logs = []                               # Q_(e-1), over E^e
+    logs = []                               # q_(e-1), over E^e
     for e in range(1, mi):
         q = [0] * (e * span + 1)
         for c in den:
             top = [below[c]] + [0] * (c * e - 1) + [(-1) ** e * above[c]]
             q = list(map(add, q, _times_factors(top, {b: e for b in den if b != c}, e * span)))
-        logs.append([(-1) ** e * factorial(e - 1) * v for v in q])
+        logs.append([(-1) ** e * v for v in q])
     for j in range(1, mi):
         cutoff = low + j * span
         acc = [0] * (cutoff + 1)
         for m in range(j):
-            term = _mul_trunc(nums[m], logs[j - 1 - m], cutoff)
-            acc = [a + comb(j - 1, m) * v for a, v in zip(acc, term)]
-        nums.append(acc)
+            acc = list(map(add, acc, _mul_trunc(nums[m], logs[j - 1 - m], cutoff)))
+        if any(v % j for v in acc):
+            raise RuntimeError("partial fraction numerator not divisible by %d" % j)
+        nums.append([v // j for v in acc])
     return [ZRationalFunction(dict(enumerate([(-1) ** j * v for v in p])),
                               {c: den[c] + j for c in den})
             for j, p in enumerate(nums)]
@@ -146,13 +147,17 @@ def ua_transform(f, a):
 
 
 def dn_apply(f, n):
-    """The operator D_n = (d/dt)^n after multiplication by t^n."""
+    """D_n / n!, D_n = (d/dt)^n after multiplication by t^n: sum a_k t^k goes
+    to sum C(k + n, n) a_k t^k over every denominator exponent raised by n, a
+    numerator of degree at most deg num + n sum m, so one multiply pass."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out = RationalFunction(f.num.shifted(n), f.den)
-    for _ in range(n):
-        out = out.derivative()
-    return out
+    if not n:
+        return f
+    top = f.num.degree + n * sum(f.den.factors)
+    c = [comb(k + n, n) * v for k, v in enumerate(taylor_coeffs(f, top + 1))]
+    den = {m: e + n for m, e in f.den.factors.items()}
+    return RationalFunction(Polynomial(_times_factors(c, den, top)), den)
 
 
 # Terms of the series compared with the brute force counts, at most.
@@ -164,13 +169,11 @@ _MEMO = {}
 def hilbert_series(rep):
     """Hilbert series of the invariant ring of rep, as num / factored den.
 
-    The pieces are assembled in integers over the one common scale
-    (M-1)!, M the largest multiplicity of a weight, which is divided out
-    of the numerator exactly once; a remainder raises
-    SeriesConsistencyError.  The result is reduced, checked against the
-    functional equation H(1/t) = (-1)^(dim-3) t^dim H(t) outside
-    FIRST_COEFF_EXCEPTIONS, and verified against brute force monomial
-    counts up to min(CHECK_DEPTH, denominator degree); a mismatch raises
+    Each piece is exact in integers, and the pieces are added as they
+    come.  The sum is reduced, checked against the functional equation
+    H(1/t) = (-1)^(dim-3) t^dim H(t) outside FIRST_COEFF_EXCEPTIONS, and
+    verified against brute force monomial counts up to
+    min(CHECK_DEPTH, denominator degree); a mismatch raises
     SeriesConsistencyError.  Trivial summands contribute 1/(1-t) each.
     Every call returns a fresh object; the memo keeps its own.
     """
@@ -186,9 +189,6 @@ def _compute(rep):
         return RationalFunction(1, {1: rep.trivial_count})
     mult_of = Counter(weight_system(rep).weights)
     weights, mults = list(mult_of), list(mult_of.values())
-    # piece (j, order) comes out j! (order-1)! times too large, and
-    # j + order - 1 = mult - 1 <= max(mults) - 1, so each factor is exact
-    scale = factorial(max(mults) - 1)
     # reduce cancels best effort, so it runs over the gcd rule's (1 - t^(b/g))^(g e): wide
     total, wide = RationalFunction(0), Counter()
     for alpha, mult in zip(weights, mults):
@@ -205,16 +205,8 @@ def _compute(rep):
             for b, e in g.den.factors.items() if alpha and rule else ():
                 rule[b // gcd(alpha, b)] += (gcd(alpha, b) - 1) * e
             wide |= rule
-            total = total + piece.scaled(scale // (factorial(j) * factorial(order - 1)))
-    total = RationalFunction(_times_rest(total.num, wide, total.den.factors), dict(wide))
-    num = []
-    for n, c in enumerate(total.num.c):
-        q, r = divmod(c, scale)
-        if r:
-            raise SeriesConsistencyError(rep, n, "numerator coefficient %s/%d" % (c, scale),
-                                         "an integer")
-        num.append(q)
-    total = RationalFunction(Polynomial(num), total.den).reduce()
+            total = total + piece
+    total = RationalFunction(_times_rest(total.num, wide, total.den.factors), dict(wide)).reduce()
     if rep.degrees not in FIRST_COEFF_EXCEPTIONS:
         _check_functional_equation(rep, total)
     if rep.trivial_count:

@@ -122,6 +122,29 @@ def test_usage_error_exit_code(capsys):
         assert "error:" in err and "Traceback" not in err, argv
 
 
+def test_terms_over_the_limit_are_usage_errors(capsys, monkeypatch):
+    # a huge --terms used to end in MemoryError or OverflowError inside
+    # taylor_coeffs; it is refused before any series is built
+    def unreached(*args):
+        raise AssertionError("a series was built for an out-of-range --terms")
+
+    monkeypatch.setattr(cli, "hilbert_series", unreached)
+    monkeypatch.setattr(cli, "taylor_coeffs", unreached)
+    for command in ("series", "expand"):
+        for terms in ("100000000000", "99999999999999999999999", str(cli.MAX_TERMS + 1)):
+            code, out, err = run(capsys, command, "V3", "--terms", terms)
+            assert (code, out) == (2, ""), (command, terms)
+            assert "error:" in err and "at most 1000000 terms" in err, (command, terms)
+            assert "Traceback" not in err
+
+
+def test_terms_at_the_limit_are_accepted():
+    parser = cli.build_parser()
+    for command in ("series", "expand"):
+        args = parser.parse_args([command, "V3", "--terms", str(cli.MAX_TERMS)])
+        assert args.terms == cli.MAX_TERMS
+
+
 def test_verify_pass(capsys):
     code, out, _ = run(capsys, "verify", "V3+V4", "--max-degree", "15",
                        "--draws", "2")
@@ -375,5 +398,6 @@ def test_verify_max_degree_over_memory_limit(capsys, monkeypatch):
     assert (code, out) == (2, "")
     assert "over the limit of 1 GiB" in err and "Traceback" not in err
     # the depths CI checks stay well inside the limit
-    for spec, depth in (("V16", 155), ("4V7", 181)):
+    for spec, depth in (("V16", 155), ("4V7", 181), ("7V2", 36), ("5V3", 52),
+                        ("4V4", 44), ("3V8", 126)):
         assert oracle.packed_bits(parse_rep(spec), depth) < cli.MAX_ORACLE_BYTES

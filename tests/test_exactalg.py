@@ -98,7 +98,7 @@ def test_rational_add_and_scale():
     # 1/(1-t) + 1/(1-t^2) agree with coefficient sums
     want = [a + b for a, b in zip(taylor_coeffs(f, 8), taylor_coeffs(g, 8))]
     assert taylor_coeffs(h, 8) == want
-    assert taylor_coeffs(f.scaled(Fraction(1, 2)), 3) == [Fraction(1, 2)] * 3
+    assert taylor_coeffs(rf([Fraction(1, 2)], {1: 1}), 3) == [Fraction(1, 2)] * 3
 
 
 def test_rational_derivative():

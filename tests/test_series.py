@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 from math import factorial, gcd
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import sl2hilb.series as series_mod
 from sl2hilb.exactalg import (FactoredDenominator, Polynomial,
                               RationalFunction, rf_equal, taylor_coeffs)
-from sl2hilb.repmodel import parse_rep
+from sl2hilb.repmodel import parse_rep, weight_system
 from sl2hilb.series import (SeriesConsistencyError, ZRationalFunction,
                             _coeffs_for_index, _to_rf, dn_apply,
                             hilbert_series, ua_transform)
@@ -74,6 +75,27 @@ def test_dn_zero_is_identity():
     assert rf_equal(dn_apply(f, 0), f)
 
 
+@given(st.lists(st.integers(-5, 5), max_size=6),
+       st.dictionaries(st.integers(1, 4), st.integers(1, 2), max_size=3),
+       st.integers(0, 4))
+@example([1], {1: 1}, 4)
+@example([], {2: 1}, 2)
+@example([3, 0, -1], {}, 3)
+@settings(max_examples=80, deadline=None)
+def test_dn_matches_derivatives(num, den, n):
+    # D_n / n!: n derivatives of t^n f, divided by n!, every denominator
+    # exponent raised by n; derivative is the independent reference
+    f = rf(num, den)
+    ref = RationalFunction(f.num.shifted(n), f.den)
+    for _ in range(n):
+        ref = ref.derivative()
+    ref = RationalFunction(Polynomial([Fraction(v, factorial(n)) for v in ref.num.c]), ref.den)
+    out = dn_apply(f, n)
+    assert rf_equal(out, ref)
+    assert out.den.factors == {m: e + n for m, e in den.items()}
+    assert all(type(v) is int for v in out.num.c)
+
+
 def test_partial_fraction_single_weight():
     coeffs = _coeffs_for_index((3,), (1,), 0)
     assert len(coeffs) == 1
@@ -101,8 +123,8 @@ def _zr_at(f, z):
 @example({2: 2, 0: 3, -2: 2, 3: 1})
 @settings(max_examples=40, deadline=None)
 def test_partial_fraction_reassembles_with_multiplicities(mult_of):
-    # j! G_{i,j} / j! over (1 - t z^{w_i})^(m_i - j), summed over i and j,
-    # gives back the product; no t z^w below is 1 and no z^b is 1
+    # G_{i,j} over (1 - t z^{w_i})^(m_i - j), summed over i and j, gives
+    # back the product; no t z^w below is 1 and no z^b is 1
     weights, mults = list(mult_of), list(mult_of.values())
     coeffs = [_coeffs_for_index(weights, mults, i) for i in range(len(weights))]
     assert [len(c) for c in coeffs] == mults
@@ -112,7 +134,7 @@ def test_partial_fraction_reassembles_with_multiplicities(mult_of):
         want = Fraction(1)
         for w, m in zip(weights, mults):
             want /= (1 - t * z ** w) ** m
-        got = sum(_zr_at(g, z) / factorial(j) / (1 - t * z ** w) ** (m - j)
+        got = sum(_zr_at(g, z) / (1 - t * z ** w) ** (m - j)
                   for w, m, gs in zip(weights, mults, coeffs) for j, g in enumerate(gs))
         assert got == want, (z, t)
 
@@ -122,7 +144,7 @@ def test_partial_fraction_reassembles_with_multiplicities(mult_of):
 @example({4: 3})
 @settings(max_examples=40, deadline=None)
 def test_coefficient_denominators_are_fixed_by_the_weights(mult_of):
-    # j! G_{i,j} comes over B E^j exactly: B = prod (1 - z^|w - w_i|)^m over
+    # G_{i,j} comes over B E^j exactly: B = prod (1 - z^|w - w_i|)^m over
     # the other weights, E = prod (1 - z^c) over their distinct distances c
     weights, mults = list(mult_of), list(mult_of.values())
     for i, wi in enumerate(weights):
@@ -168,9 +190,9 @@ def test_consistency_check_trips_on_bad_oracle(monkeypatch):
         hilbert_series(rep)
 
 
-def test_scale_division_must_be_exact(monkeypatch):
-    # 3V4 carries the scale 2!; its first piece enters the sum unscaled, so
-    # adding 1 to it leaves an odd constant term in the assembled numerator
+def test_perturbed_piece_fails_the_functional_equation(monkeypatch):
+    # adding 1 to the first piece of 3V4 changes the assembled numerator;
+    # the functional equation sees it before the oracle is asked
     dn_apply_exact = series_mod.dn_apply
     perturbed = []
 
@@ -187,8 +209,33 @@ def test_scale_division_must_be_exact(monkeypatch):
     monkeypatch.setattr(series_mod, "_MEMO", {})
     monkeypatch.setattr(series_mod, "dn_apply", dn_apply_off_by_one)
     monkeypatch.setattr(series_mod.oracle, "truncated_series", oracle_unreached)
-    with pytest.raises(SeriesConsistencyError, match="gives an integer"):
+    with pytest.raises(SeriesConsistencyError, match="functional equation gives"):
         hilbert_series(parse_rep("3V4"))
+    assert perturbed
+
+
+def test_partial_fraction_division_must_be_exact(monkeypatch):
+    # weight 0 of 3V4 has multiplicity 3, so its j = 2 step sums the two
+    # products p_0 q_1 + p_1 q_0 and divides by 2; one product off by one
+    # leaves an odd coefficient, which is reported instead of truncated
+    mul_trunc_exact = series_mod._mul_trunc
+    calls = []
+
+    def mul_trunc_second_off_by_one(a, b, cutoff):
+        out = mul_trunc_exact(a, b, cutoff)
+        calls.append(cutoff)
+        if len(calls) == 2:             # the first product of j = 2
+            out[-1] += 1
+        return out
+
+    mult_of = Counter(weight_system(parse_rep("3V4")).weights)
+    assert mult_of[0] == 3
+    ws, ms = list(mult_of), list(mult_of.values())
+    assert len(_coeffs_for_index(ws, ms, ws.index(0))) == 3
+    monkeypatch.setattr(series_mod, "_mul_trunc", mul_trunc_second_off_by_one)
+    with pytest.raises(RuntimeError, match="not divisible by 2"):
+        _coeffs_for_index(ws, ms, ws.index(0))
+    assert calls[0] < calls[1]          # one j = 1 product, then j = 2
 
 
 def test_functional_equation_sees_past_the_oracle_depth(monkeypatch):
@@ -276,8 +323,8 @@ def test_z_side_matches_brute_force(f):
 
 
 def test_pipeline_stays_integer(monkeypatch):
-    # the z-series entering U_alpha and every sum, the assembled numerator
-    # before its division by the scale included, have int coefficients
+    # the z-series entering U_alpha and every sum of pieces, each piece
+    # exact as it is built, have int coefficients
     seen = set()
     ua_transform_exact, add_exact = series_mod.ua_transform, RationalFunction.__add__
 
