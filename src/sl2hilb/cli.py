@@ -413,11 +413,10 @@ def build_parser():
         description="Hilbert series and Laurent data of SL2 invariant rings")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec=True):
+    def common(p, spec=True, formats=("text", "json", "latex")):
         if spec:
             p.add_argument("spec", help="representation, e.g. V6, 2V3+V4, '2,3,3'")
-        p.add_argument("--format", choices=["text", "json", "latex"],
-                       default="text")
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--no-cache", action="store_true",
                        help="skip the result cache")
 
@@ -428,7 +427,7 @@ def build_parser():
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("expand", help="leading series coefficients")
-    common(p)
+    common(p, formats=("text", "json"))
     p.add_argument("--terms", type=_term_count, default=10)
     p.set_defaults(func=cmd_expand)
 

@@ -10,6 +10,7 @@ RationalFunction.derivative stays, though series.dn_apply no longer calls
 it: it is the tests' reference for dn_apply, and perfbench traces it.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -199,23 +200,51 @@ class RationalFunction:
             top = top + _times_rest(self.num, once, {m: 1}).shifted(m - 1) * (e * m)
         return RationalFunction(top, FactoredDenominator({m: e + 1 for m, e in f.items()}))
 
-    def reduce(self):
-        """Cancel factors (1 - t^m) dividing the numerator; best effort.
+    def reduce(self, over=None):
+        """Cancel factors (1 - t^m) dividing the numerator; best effort: in
+        ascending m, as many 1 - t^m as divide what is left.
 
+        With over, a multiple {m: e} of the denominator, it returns what that
+        cancel gives on the function rewritten over the denominator over,
+        without building that numerator.  As 1 - t^m = -prod_(d|m) Phi_d, one
+        more 1 - t^m cancels iff each such Phi_d still divides it: v_d(num)
+        plus the exponents over - den at multiples of d, less what is
+        cancelled.  v_d(num) is found by division, only as far as asked.
         Integral Fraction coefficients of the numerator come back as ints.
         """
-        c = [_normalize(v) for v in self.num.c]
+        c = self.num.c
         factors = dict(self.den.factors)
+        if over is not None and any(over.get(m, 0) < e for m, e in factors.items()):
+            raise ValueError("over must be a multiple of the denominator")
         for m in sorted(factors):
-            while factors[m] and c:
-                # c / (1 - t^m) is a polynomial iff its terms deg-m+1..deg vanish
-                deg = len(c) - 1
-                s = _div_factors(c, {m: 1}, deg + 1)
-                if any(s[max(deg - m + 1, 0):]):
-                    break
-                c = s[:deg - m + 1]
+            while factors[m] and (q := _times_over(c, {}, {m: 1})) is not None:
+                c = q
                 factors[m] -= 1
-        return RationalFunction(Polynomial(c), FactoredDenominator(factors))
+        if over is None or not c:
+            return RationalFunction(Polynomial(list(map(_normalize, c))),
+                                    factors if over is None else over)
+        extra = {j: e - factors.get(j, 0) for j, e in over.items()}
+        spare, found, cut = Counter(), {}, {}   # spare[d]: what extra adds to v_d, less cuts
+        for j, x in extra.items():
+            for d in _divisors(j):
+                spare[d] += x
+        for m in sorted(over):
+            k = over[m]
+            for d in _divisors(m):
+                q = found.setdefault(d, [c, 0])     # [c / Phi_d^n, or None past v_d(c); n]
+                while q[0] is not None and q[1] < k - spare[d]:
+                    q[0] = _div_cyclotomic(q[0], d)
+                    q[1] += q[0] is not None
+                k = min(k, spare[d] + q[1])
+            for d in _divisors(m):
+                spare[d] -= k
+            cut[m] = k
+        c = _times_over(c, {j: x - cut[j] for j, x in extra.items() if x > cut[j]},
+                        {j: cut[j] - x for j, x in extra.items() if cut[j] > x})
+        if c is None:
+            raise RuntimeError("reduce: the cancelled factors do not divide the numerator")
+        return RationalFunction(Polynomial(list(map(_normalize, c))),
+                                {m: e - cut[m] for m, e in over.items()})
 
     def at_reciprocal(self):
         """The rational function f(1/t); requires degree <= 0."""
@@ -324,6 +353,39 @@ def _div_factors(c, factors, count):
             for r in range(min(m, count - m)):
                 out[r::m] = accumulate(out[r::m])
     return out
+
+
+def _times_over(c, up, down):
+    """c * prod (1 - t^m)^e over up / prod (1 - t^m)^e over down, as the
+    coefficients of a polynomial, or None when that is not one."""
+    top = len(c) - 1 + sum(m * e for m, e in up.items())
+    deg = top - sum(m * e for m, e in down.items())
+    out = _div_factors(_times_factors(c, up, top), down, top + 1)
+    return out[:deg + 1] if deg >= 0 and not any(out[deg + 1:]) else None
+
+
+def _div_cyclotomic(c, d):
+    """c / Phi_d, or None: Phi_d = +-prod (1 - t^(d/k))^mu(k), k | d squarefree."""
+    up, down = {}, {}
+    for k in _divisors(d):
+        ps = list(_primes(k))
+        if len(set(ps)) == len(ps):
+            (up if len(ps) % 2 else down)[d // k] = 1
+    return _times_over(c, up, down)
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _primes(n):
+    """The prime factors of n >= 1 in ascending order, with multiplicity."""
+    p = 2
+    while n > 1:
+        while n % p == 0:
+            yield p
+            n //= p
+        p += 1
 
 
 def _normalize(x):

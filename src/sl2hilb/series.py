@@ -7,24 +7,26 @@ series in z, an integer polynomial over a product of (1 - z^b)^e factors
 that the distances between the weights fix in advance.  The term attached to
 the factor of weight -alpha (alpha >= 0) survives constant term
 extraction and turns into an ordinary rational function of t through the
-substitution operator U_alpha, which completes each z-factor by its
-conjugates to a series in z^alpha, and the derivative operator D_n.  Factors
-of strictly positive weight contribute nothing: their coefficient functions
-have strictly positive valuation in z.
+substitution operator U_alpha, one prime of alpha at a time, each stage
+completing the z-factors by their conjugates, and the derivative operator
+D_n.  Factors of strictly positive weight contribute nothing: their
+coefficient functions have strictly positive valuation in z.
 
 All arithmetic is exact and runs on integers: every piece is an exact
 integer rational function as it is built, so the pieces are added as they
-come.  The assembled series is checked against the functional equation,
-which covers the whole numerator, and against the brute force monomial
-counts up to CHECK_DEPTH before being returned.
+come, over their tight denominators.  reduce cancels the sum as if it sat
+over the gcd rule's wider denominator, without building that numerator.
+The assembled series is checked against the functional equation, which
+covers the whole numerator, and against the brute force monomial counts up
+to CHECK_DEPTH before being returned.
 """
 
 from collections import Counter
 from math import comb, gcd
 from operator import add
 
-from .exactalg import (Polynomial, FactoredDenominator, RationalFunction, _div_factors,
-                       _mul_trunc, _times_factors, _times_rest, taylor_coeffs)
+from .exactalg import (Polynomial, FactoredDenominator, RationalFunction, _mul_trunc,
+                       _primes, _times_factors, _times_over, taylor_coeffs)
 from .repmodel import FIRST_COEFF_EXCEPTIONS, weight_system
 from . import oracle
 
@@ -118,13 +120,16 @@ def _coeffs_for_index(weights, mults, i):
 def ua_transform(f, a):
     """Extract every a-th z-coefficient of the power series f into t.
 
-    U_a sends sum c_n z^n to sum c_{an} t^n.  In ascending b, each factor
-    (1 - z^b)^e, g = gcd(a, b), q = b/g, is completed to a series in z^a by
-    multiplying the numerator by the conjugates ((1 - z^(aq)) / (1 - z^b))^e
-    (G. Xin, Electron. J. Combin. 11 (2004)): one multiply pass and one
-    divide pass, whose last b e terms must be zero.  U_a then keeps every
-    a-th numerator coefficient over the tight prod (1 - t^q)^e.  U_0 keeps
-    [z^0]f over 1/(1 - t).
+    U_a sends sum c_n z^n to sum c_{an} t^n.  With f = g(z^s), s the gcd of
+    the numerator exponents and the factors b, and h = gcd(a, s), U_a f is
+    (U_(a/h) g)(t^(s/h)), and U_(a/h) runs as U_p for each prime p of a/h
+    in ascending order.  In each stage, ascending in b, a factor
+    (1 - z^b)^e with p not dividing b is completed to a series in z^p by
+    the conjugates ((1 - z^(pb)) / (1 - z^b))^e (G. Xin, Electron. J.
+    Combin. 11 (2004)): one multiply pass and one divide pass, whose last
+    b e terms must be zero.  The stage keeps every p-th coefficient and
+    turns b into b/p where p divides b.  The result sits over the tight
+    prod (1 - t^(b/gcd(a,b)))^e.  U_0 keeps [z^0]f over 1/(1 - t).
     """
     if a < 0:
         raise ValueError("a must be nonnegative")
@@ -133,17 +138,20 @@ def ua_transform(f, a):
     if a == 0:
         # every denominator factor starts with 1, so [z^0]f is the numerator's
         return RationalFunction(Polynomial([f.num.get(0, 0)]), FactoredDenominator({1: 1}))
-    c, den_t = _to_rf(f).num.c, {}
+    den_t = Counter()
     for b, e in sorted(f.den.factors.items()):
-        q = b // gcd(a, b)
-        den_t[q] = den_t.get(q, 0) + e
-        if a * q != b:                      # else (1 - z^b) is a series in z^a already
-            n = len(c) + (a * q - b) * e    # length of the exact quotient
-            c = _div_factors(_times_factors(c, {a * q: e}, n + b * e - 1), {b: e}, n + b * e)
-            if any(c[n:]):
+        den_t[b // gcd(a, b)] += e
+    s = gcd(*f.num, *f.den.factors) or 1
+    h = gcd(a, s)
+    c, den = _to_rf(f).num.c[::s], [(b // s, e) for b, e in f.den.factors.items()]
+    for p in _primes(a // h):
+        for b, e in sorted(den):
+            if b % p and (c := _times_over(c, {p * b: e}, {b: e})) is None:
                 raise RuntimeError("conjugate product not divisible in U_%d" % a)
-            c = c[:n]
-    return RationalFunction(Polynomial(c[::a]), den_t)
+        c, den = c[::p], [(b // p if b % p == 0 else b, e) for b, e in den]
+    out = [0] * ((len(c) - 1) * (s // h) + 1)
+    out[::s // h] = c
+    return RationalFunction(Polynomial(out), den_t)
 
 
 def dn_apply(f, n):
@@ -206,7 +214,7 @@ def _compute(rep):
                 rule[b // gcd(alpha, b)] += (gcd(alpha, b) - 1) * e
             wide |= rule
             total = total + piece
-    total = RationalFunction(_times_rest(total.num, wide, total.den.factors), dict(wide)).reduce()
+    total = total.reduce(over=wide)
     if rep.degrees not in FIRST_COEFF_EXCEPTIONS:
         _check_functional_equation(rep, total)
     if rep.trivial_count:

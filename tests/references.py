@@ -6,12 +6,17 @@ references those versions must equal exactly.  The bialternant quotient
 is an independent cross check of the Schur evaluations, and the raw
 weight sums gamma_raw one of the closed forms.  multigraded_dim refines
 the oracle's counts by summand, and eval_at evaluates a Polynomial.
+ua_transform_single_stage is U_alpha with every z-factor completed to a
+series in z^alpha at once, and reduce_multiplied_up the cancel over a
+wider denominator with the widened numerator built: the series pipeline
+takes U_alpha one prime at a time and reduces without that numerator.
 """
 
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
+from sl2hilb.exactalg import FactoredDenominator, Polynomial, RationalFunction
 from sl2hilb.laurent import _outer
 from sl2hilb.oracle import _packed_rows, truncated_series
 from sl2hilb.repmodel import classify_case, weight_system
@@ -91,6 +96,46 @@ def div_factors_loop(c, factors, count):
             for i in range(m, count):
                 out[i] += out[i - m]
     return out
+
+
+def ua_transform_single_stage(f, a):
+    """U_a of the z-series f, a >= 1: in ascending b, each factor
+    (1 - z^b)^e, q = b/gcd(a, b), is completed by the conjugates
+    ((1 - z^(aq)) / (1 - z^b))^e, then every a-th coefficient is kept over
+    prod (1 - t^q)^e."""
+    if f.is_zero:
+        return RationalFunction(0)
+    top = max(f.num)
+    c, den_t = [f.num.get(e, 0) for e in range(top + 1)], {}
+    for b, e in sorted(f.den.factors.items()):
+        q = b // gcd(a, b)
+        den_t[q] = den_t.get(q, 0) + e
+        if a * q != b:
+            n = len(c) + (a * q - b) * e
+            c = div_factors_loop(times_factors_loop(c, {a * q: e}, n + b * e - 1), {b: e}, n + b * e)
+            if any(c[n:]):
+                raise RuntimeError("conjugate product not divisible in U_%d" % a)
+            c = c[:n]
+    return RationalFunction(Polynomial(c[::a]), den_t)
+
+
+def reduce_multiplied_up(f, over):
+    """f rewritten over `over`, a multiple {m: e} of its denominator, then
+    in ascending m as many 1 - t^m cancelled as divide what is left."""
+    rest = {m: e - f.den.factors.get(m, 0) for m, e in over.items()}
+    c = Polynomial(times_factors_loop(f.num.c, rest,
+                                      f.num.degree + sum(m * e for m, e in rest.items()))).c
+    c = [int(v) if isinstance(v, Fraction) and v.denominator == 1 else v for v in c]
+    factors = dict(over)
+    for m in sorted(factors):
+        while factors[m] and c:
+            deg = len(c) - 1
+            s = div_factors_loop(c, {m: 1}, deg + 1)
+            if any(s[max(deg - m + 1, 0):]):
+                break
+            c = s[:deg - m + 1]
+            factors[m] -= 1
+    return RationalFunction(Polynomial(c), FactoredDenominator(factors))
 
 
 def dim_invariants(rep, n):

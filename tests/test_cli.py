@@ -108,6 +108,7 @@ def test_parse_error_exit_code(capsys):
 USAGE_ERRORS = [
     ["frobnicate"],
     ["expand", "V3", "--terms", "-1"],
+    ["expand", "V2", "--format", "latex"],      # expand prints no latex
     ["series", "V3", "--terms", "-2"],
     ["series", "99999999999999999999V1"],
     ["series", "V" + "9" * 5000],
@@ -372,9 +373,10 @@ def test_verify_functional_equation_failure_exit_code(capsys, monkeypatch):
     # 31 terms; hilbert_series' own functional equation check stops verify
     reduce_exact = RationalFunction.reduce
 
-    def reduce_perturbed(self):
-        out = reduce_exact(self)
+    def reduce_perturbed(self, over=None):
+        out = reduce_exact(self, over)
         c = list(out.num.c)
+        assert len(c) == 43             # the numerator hilbert_series returns
         c[35] += 1
         return RationalFunction(Polynomial(c), out.den)
 
@@ -399,5 +401,5 @@ def test_verify_max_degree_over_memory_limit(capsys, monkeypatch):
     assert "over the limit of 1 GiB" in err and "Traceback" not in err
     # the depths CI checks stay well inside the limit
     for spec, depth in (("V16", 155), ("4V7", 181), ("7V2", 36), ("5V3", 52),
-                        ("4V4", 44), ("3V8", 126)):
+                        ("4V4", 44), ("3V8", 126), ("V30", 297), ("V27", 369)):
         assert oracle.packed_bits(parse_rep(spec), depth) < cli.MAX_ORACLE_BYTES

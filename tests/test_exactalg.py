@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from references import div_factors_loop, eval_at, times_factors_loop
+from references import div_factors_loop, eval_at, reduce_multiplied_up, times_factors_loop
 from sl2hilb.exactalg import (FactoredDenominator, Polynomial,
                               RationalFunction, _div_factors, _times_factors,
                               laurent_at_one, rf_equal, taylor_coeffs)
@@ -163,6 +163,39 @@ def test_reduce_property(base, shared, den):
     assert all(type(v) is int for v in g.num.c)
     for m in g.den.factors:
         assert any(_long_division_remainder(g.num.c, [1] + [0] * (m - 1) + [-1]))
+
+
+# Phi_1..Phi_6, up to sign: 1 - t^m is -prod_(d|m) Phi_d
+CYCLOTOMIC = {1: [1, -1], 2: [1, 1], 3: [1, 1, 1], 4: [1, 0, 1], 5: [1] * 5, 6: [1, -1, 1]}
+
+
+@given(st.lists(st.integers(-4, 4) | st.fractions(-2, 2, max_denominator=3), max_size=3),
+       st.lists(st.sampled_from(sorted(CYCLOTOMIC)), max_size=6),
+       st.dictionaries(st.integers(1, 8), st.integers(1, 3), max_size=4),
+       st.dictionaries(st.integers(1, 8), st.integers(1, 3), max_size=4))
+@example([], [], {2: 1}, {3: 1})
+@example([1], [2], {2: 1}, {5: 1})          # only v_2(num) decides 1 - t^2
+@example([1], [1, 2, 3, 6, 6], {2: 1}, {3: 1, 6: 2})
+@example([Fraction(1, 2), 1], [2, 4], {1: 1}, {2: 2, 4: 1})
+@settings(max_examples=200, deadline=None)
+def test_reduce_over_matches_multiplying_up(base, phis, den, extra):
+    # over a multiple of the denominator, reduce returns what the ascending
+    # cancel returns on the numerator multiplied up to it
+    num = Polynomial(base)
+    for d in phis:
+        num = num * Polynomial(CYCLOTOMIC[d])
+    f = RationalFunction(num, FactoredDenominator(den))
+    over = {m: den.get(m, 0) + extra.get(m, 0) for m in set(den) | set(extra)}
+    g, want = f.reduce(over=over), reduce_multiplied_up(f, over)
+    assert g.num.c == want.num.c
+    assert g.den.factors == want.den.factors
+    if all(type(v) is int for v in want.num.c):
+        assert all(type(v) is int for v in g.num.c)
+
+
+def test_reduce_over_must_be_a_multiple():
+    with pytest.raises(ValueError, match="multiple"):
+        rf([1], {2: 2}).reduce(over={2: 1, 3: 1})
 
 
 def test_rational_function_numerator_types():

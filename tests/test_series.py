@@ -5,14 +5,17 @@ from math import factorial, gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import sl2hilb.exactalg as exactalg
 import sl2hilb.series as series_mod
+from references import ua_transform_single_stage
 from sl2hilb.exactalg import (FactoredDenominator, Polynomial,
                               RationalFunction, rf_equal, taylor_coeffs)
+from sl2hilb.oracle import truncated_series
 from sl2hilb.repmodel import parse_rep, weight_system
-from sl2hilb.series import (SeriesConsistencyError, ZRationalFunction,
+from sl2hilb.series import (CHECK_DEPTH, SeriesConsistencyError, ZRationalFunction,
                             _coeffs_for_index, _to_rf, dn_apply,
                             hilbert_series, ua_transform)
 
@@ -46,14 +49,14 @@ def test_ua_denominator_gcd_rule():
 def test_ua_conjugate_division_is_checked(monkeypatch):
     # a divide pass one factor short leaves a remainder in its top b e
     # terms, which U_a reports instead of returning a wrong series
-    div_exact = series_mod._div_factors
+    div_exact = exactalg._div_factors
 
     def div_one_pass_short(c, factors, count):
         factors = dict(factors)
         factors[max(factors)] -= 1
         return div_exact(c, factors, count)
 
-    monkeypatch.setattr(series_mod, "_div_factors", div_one_pass_short)
+    monkeypatch.setattr(exactalg, "_div_factors", div_one_pass_short)
     with pytest.raises(RuntimeError, match="not divisible"):
         ua_transform(ZRationalFunction({0: 1, 3: 2}, {4: 2, 3: 1}), 6)
 
@@ -245,8 +248,8 @@ def test_functional_equation_sees_past_the_oracle_depth(monkeypatch):
     true_c35 = hilbert_series(parse_rep("V10")).num.c[35]
     reduce_exact = RationalFunction.reduce
 
-    def reduce_perturbed(self):
-        out = reduce_exact(self)
+    def reduce_perturbed(self, over=None):
+        out = reduce_exact(self, over)
         c = list(out.num.c)
         assert len(c) == 43
         c[35] += 1
@@ -298,20 +301,32 @@ def _expand(f, top):
     return coeffs
 
 
+def _with_period(f, s):
+    """f(z^s)."""
+    return ZRationalFunction({s * e: c for e, c in f.num.items()},
+                             {s * b: e for b, e in f.den.factors.items()})
+
+
 z_functions = st.builds(
-    ZRationalFunction,
-    st.dictionaries(st.integers(0, 12),
-                    st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4),
-                    min_size=1, max_size=4),
-    st.dictionaries(st.integers(1, 4), st.integers(1, 2), max_size=3))
+    _with_period,
+    st.builds(ZRationalFunction,
+              st.dictionaries(st.integers(0, 12),
+                              st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4),
+                              min_size=1, max_size=4),
+              st.dictionaries(st.integers(1, 4), st.integers(1, 2), max_size=3)),
+    st.sampled_from([1, 2, 3]))
 
 
 @given(z_functions)
+@example(ZRationalFunction({0: 1, 4: -2, 10: 1}, {2: 2, 4: 1, 6: 1}))
+@example(ZRationalFunction({3: 1, 9: 2}, {3: 1, 6: 2, 12: 1}))
 @settings(max_examples=80, deadline=None)
 def test_z_side_matches_brute_force(f):
-    top = 24
+    # prime by prime, and through the period s of f, U_a gives the
+    # brute-force a-section and the single-stage reference's numerator
+    top = 90
     ef = _expand(f, top)
-    for a in range(1, 5):
+    for a in (1, 2, 3, 4, 6, 8, 9, 12, 30):
         out = ua_transform(f, a)
         got = taylor_coeffs(out, top // a + 1)
         assert got == [ef.get(a * i, 0) for i in range(top // a + 1)]
@@ -320,6 +335,7 @@ def test_z_side_matches_brute_force(f):
         for b, e in f.den.factors.items() if not f.is_zero else ():
             tight[b // gcd(a, b)] = tight.get(b // gcd(a, b), 0) + e
         assert out.den.factors == tight
+        assert out.num.c == ua_transform_single_stage(f, a).num.c
 
 
 def test_pipeline_stays_integer(monkeypatch):
@@ -344,6 +360,29 @@ def test_pipeline_stays_integer(monkeypatch):
         seen.clear()
         hilbert_series(parse_rep(spec))
         assert seen == {int}, spec
+
+
+@st.composite
+def small_reps(draw):
+    # degree lists of dimension sum (d + 1) <= 14, trivial summands included
+    degrees, room = [], 14
+    while room >= 2 and (not degrees or draw(st.booleans())):
+        d = draw(st.integers(0, room - 1))
+        degrees.append(d)
+        room -= d + 1
+    assume(any(degrees))
+    return parse_rep(",".join(map(str, degrees)))
+
+
+@given(small_reps())
+@example(parse_rep("V13"))
+@example(parse_rep("V0+V2+V3+V5"))
+@settings(max_examples=25, deadline=None)
+def test_series_matches_the_oracle_through_the_numerator(rep):
+    # every Taylor term through the numerator degree, far past CHECK_DEPTH
+    f = hilbert_series(rep)
+    depth = max(f.num.degree, CHECK_DEPTH)
+    assert taylor_coeffs(f, depth + 1) == truncated_series(rep, depth), rep.key
 
 
 def test_series_numerator_is_int():
