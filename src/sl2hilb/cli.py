@@ -2,9 +2,11 @@
 
 Subcommands: series (rational function, optionally leading coefficients),
 gamma (Laurent data), verify (oracle and identity checks), table (recompute
-the shipped fixture table), expand (series coefficients only).  Results of
-series, expand and gamma --format json cache as one JSON file per canonical
+the shipped fixture table), expand (series coefficients only).  Only
+series, expand and gamma take --format and --no-cache.  Results of series,
+expand and gamma --format json cache as one JSON file per canonical
 representation key; gamma in text or latex prints from gammas() alone.
+Series numerators print through exactalg.format_terms in text and LaTeX.
 """
 
 import argparse
@@ -18,7 +20,7 @@ from fractions import Fraction
 
 from . import __version__
 from .exactalg import (FactoredDenominator, Polynomial, RationalFunction,
-                       laurent_at_one, rf_equal, taylor_coeffs)
+                       format_terms, laurent_at_one, rf_equal, taylor_coeffs)
 from .laurent import first_coeff_sum, gammas, random_params, sigma_sum_raw, \
     sigma_sum_schur
 from .oracle import packed_bits, truncated_series
@@ -208,31 +210,8 @@ def _get_result(rep, use_cache=True):
     return result
 
 
-def _poly_latex(poly):
-    terms = []
-    for e, c in enumerate(poly.c):
-        if not c:
-            continue
-        if e == 0:
-            terms.append(str(c))
-        else:
-            mono = "t" if e == 1 else "t^{%d}" % e
-            if c == 1:
-                terms.append(mono)
-            elif c == -1:
-                terms.append("-" + mono)
-            else:
-                terms.append("%d %s" % (c, mono))
-    if not terms:
-        return "0"
-    out = terms[0]
-    for term in terms[1:]:
-        out += " - " + term[1:] if term.startswith("-") else " + " + term
-    return out
-
-
 def _series_latex(rf):
-    num = _poly_latex(rf.num)
+    num = format_terms(rf.num.c, "t^{%d}", "%s %s")
     if rf.den.is_one:
         return num
     den = "".join("(1-t^{%d})%s" % (m, "^{%d}" % e if e > 1 else "")
@@ -413,12 +392,12 @@ def build_parser():
         description="Hilbert series and Laurent data of SL2 invariant rings")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec=True, formats=("text", "json", "latex")):
-        if spec:
-            p.add_argument("spec", help="representation, e.g. V6, 2V3+V4, '2,3,3'")
-        p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--no-cache", action="store_true",
-                       help="skip the result cache")
+    def common(p, formats=("text", "json", "latex")):
+        p.add_argument("spec", help="representation, e.g. V6, 2V3+V4, '2,3,3'")
+        if formats:
+            p.add_argument("--format", choices=formats, default="text")
+            p.add_argument("--no-cache", action="store_true",
+                           help="skip the result cache")
 
     p = sub.add_parser("series", help="exact Hilbert series")
     common(p)
@@ -436,14 +415,13 @@ def build_parser():
     p.set_defaults(func=cmd_gamma)
 
     p = sub.add_parser("verify", help="oracle and identity checks")
-    common(p)
+    common(p, formats=())
     p.add_argument("--max-degree", type=_nonnegative_int, default=20)
     p.add_argument("--draws", type=_nonnegative_int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("table", help="recompute the shipped fixture table")
-    common(p, spec=False)
     p.set_defaults(func=cmd_table)
 
     return parser

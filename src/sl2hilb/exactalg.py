@@ -84,24 +84,22 @@ class Polynomial:
         return Polynomial(list(reversed(self.c)))
 
     def __repr__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, v in enumerate(self.c):
-            if not v:
-                continue
-            if i == 0:
-                parts.append(str(v))
-            elif v == 1:
-                parts.append("t" if i == 1 else "t^%d" % i)
-            elif v == -1:
-                parts.append("-t" if i == 1 else "-t^%d" % i)
-            else:
-                parts.append("%s*t" % v if i == 1 else "%s*t^%d" % (v, i))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return format_terms(self.c, "t^%d", "%s*%s")
+
+
+def format_terms(coeffs, power, scaled):
+    """The nonzero terms v t^e of a coefficient list joined by + and -, or
+    "0" when there are none.  `power % e` writes t^e for e >= 2, and
+    `scaled % (v, monomial)` a term whose coefficient is not +-1."""
+    terms = []
+    for e, v in enumerate(coeffs):
+        if v and e == 0:
+            terms.append(str(v))
+        elif v:
+            mono = "t" if e == 1 else power % e
+            terms.append(mono if v == 1 else "-" + mono if v == -1 else scaled % (v, mono))
+    # no term holds " + ", so this only turns "+ -v" into "- v"
+    return " + ".join(terms).replace(" + -", " - ") or "0"
 
 
 class FactoredDenominator:
@@ -204,9 +202,9 @@ class RationalFunction:
         """Cancel factors (1 - t^m) dividing the numerator; best effort: in
         ascending m, as many 1 - t^m as divide what is left.
 
-        With over, a multiple {m: e} of the denominator, it returns what that
-        cancel gives on the function rewritten over the denominator over,
-        without building that numerator.  As 1 - t^m = -prod_(d|m) Phi_d, one
+        It returns what that cancel gives on the function rewritten over the
+        denominator over, a multiple {m: e} of its own (the default), without
+        building that numerator.  As 1 - t^m = -prod_(d|m) Phi_d, one
         more 1 - t^m cancels iff each such Phi_d still divides it: v_d(num)
         plus the exponents over - den at multiples of d, less what is
         cancelled.  v_d(num) is found by division, only as far as asked.
@@ -214,15 +212,15 @@ class RationalFunction:
         """
         c = self.num.c
         factors = dict(self.den.factors)
-        if over is not None and any(over.get(m, 0) < e for m, e in factors.items()):
+        over = self.den.factors if over is None else over
+        if any(over.get(m, 0) < e for m, e in factors.items()):
             raise ValueError("over must be a multiple of the denominator")
+        if not c:
+            return RationalFunction(Polynomial(), over)
         for m in sorted(factors):
             while factors[m] and (q := _times_over(c, {}, {m: 1})) is not None:
                 c = q
                 factors[m] -= 1
-        if over is None or not c:
-            return RationalFunction(Polynomial(list(map(_normalize, c))),
-                                    factors if over is None else over)
         extra = {j: e - factors.get(j, 0) for j, e in over.items()}
         spare, found, cut = Counter(), {}, {}   # spare[d]: what extra adds to v_d, less cuts
         for j, x in extra.items():

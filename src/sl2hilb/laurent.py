@@ -14,12 +14,12 @@ oracle for the raw weight sums.
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 from .exactalg import laurent_at_one
 from .repmodel import (FIRST_COEFF_EXCEPTIONS, GAMMA0_EXCEPTIONS, Representation,
                        classify_case, weight_system)
-from .schur import delta_ratio, power_sum, schur_delta, schur_eval
+from .schur import _scale_to_integers, delta_ratio, power_sum, schur_delta, schur_eval
 from .series import hilbert_series
 
 
@@ -233,8 +233,7 @@ def sigma_sum_raw(exps, params):
     values scaled to integers (b ** r as a Fraction: r < 0 for the smallest
     reps) and the scale is divided out once."""
     r, inner = exps[0], exps[1:]
-    scale = lcm(*(v.denominator for v in params.values))
-    values = [int(v * scale) for v in params.values]
+    values, scale = _scale_to_integers(params.values)
     total = sum((Fraction(b) ** r * _distinct_sum(inner, others) / den
                  for b, den, others in _outer(values)), Fraction(0))
     return total / Fraction(scale) ** (r + sum(inner) - len(values) + 1)

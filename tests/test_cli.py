@@ -30,10 +30,36 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+# whole stdout of `series` in text and LaTeX: V0+V2 holds the (1 - t) factor,
+# which the text writes as (1-t) and LaTeX as (1-t^{1}); V2+2V3 has
+# coefficients other than +-1 of both signs
+SERIES_TEXT = {
+    "V1": "1\n",
+    "V5": "(1 - t^6 + t^12)/(1-t^4)(1-t^6)(1-t^8)\n",
+    "V0+V2": "(1)/(1-t)(1-t^2)\n",
+    "V2+2V3": "(1 + t^3 + 3*t^4 + 4*t^5 + 5*t^6 + 8*t^7 + 7*t^8 + 3*t^9 + 2*t^10"
+              " - 2*t^11 - 3*t^12 - 7*t^13 - 8*t^14 - 5*t^15 - 4*t^16 - 3*t^17 - t^18"
+              " - t^21)/(1-t^2)^2(1-t^3)^2(1-t^4)^3(1-t^5)^2\n",
+}
+SERIES_LATEX = {
+    "V1": "H(t) = 1\n",
+    "V5": "H(t) = \\frac{1 - t^{6} + t^{12}}{(1-t^{4})(1-t^{6})(1-t^{8})}\n",
+    "V0+V2": "H(t) = \\frac{1}{(1-t^{1})(1-t^{2})}\n",
+    "V2+2V3": "H(t) = \\frac{1 + t^{3} + 3 t^{4} + 4 t^{5} + 5 t^{6} + 8 t^{7} + 7 t^{8}"
+              " + 3 t^{9} + 2 t^{10} - 2 t^{11} - 3 t^{12} - 7 t^{13} - 8 t^{14}"
+              " - 5 t^{15} - 4 t^{16} - 3 t^{17} - t^{18} - t^{21}}"
+              "{(1-t^{2})^{2}(1-t^{3})^{2}(1-t^{4})^{3}(1-t^{5})^{2}}\n",
+}
+
+
 def test_series_text(capsys):
-    code, out, _ = run(capsys, "series", "V5")
-    assert code == 0
-    assert out.strip() == "(1 - t^6 + t^12)/(1-t^4)(1-t^6)(1-t^8)"
+    for spec, want in SERIES_TEXT.items():
+        assert run(capsys, "series", spec) == (0, want, ""), spec
+
+
+def test_series_latex(capsys):
+    for spec, want in SERIES_LATEX.items():
+        assert run(capsys, "series", spec, "--format", "latex") == (0, want, ""), spec
 
 
 def test_series_trivial(capsys):
@@ -74,12 +100,6 @@ def test_json_round_trip():
     assert rf_equal(result.series(), hilbert_series(rep))
 
 
-def test_series_latex(capsys):
-    code, out, _ = run(capsys, "series", "V2+V3", "--format", "latex")
-    assert code == 0
-    assert "\\frac" in out and "(1-t^{2})" in out
-
-
 def test_expand(capsys):
     code, out, _ = run(capsys, "expand", "V2+V3", "--terms", "12")
     assert code == 0
@@ -113,6 +133,8 @@ USAGE_ERRORS = [
     ["series", "99999999999999999999V1"],
     ["series", "V" + "9" * 5000],
     ["verify", "V3", "--max-degree", "-1", "--draws", "0"],
+    ["verify", "V3", "--format", "json"],       # verify and table print text only
+    ["table", "--no-cache"],                    # and never read the cache
 ]
 
 
@@ -382,7 +404,7 @@ def test_verify_functional_equation_failure_exit_code(capsys, monkeypatch):
 
     monkeypatch.setattr(RationalFunction, "reduce", reduce_perturbed)
     monkeypatch.setattr(series_mod, "_MEMO", {})
-    code, out, err = run(capsys, "verify", "V10", "--draws", "0", "--no-cache")
+    code, out, err = run(capsys, "verify", "V10", "--draws", "0")
     assert (code, out) == (3, "")
     assert "functional equation gives" in err and "Traceback" not in err
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from references import div_factors_loop, eval_at, reduce_multiplied_up, times_factors_loop
 from sl2hilb.exactalg import (FactoredDenominator, Polynomial,
                               RationalFunction, _div_factors, _times_factors,
-                              laurent_at_one, rf_equal, taylor_coeffs)
+                              format_terms, laurent_at_one, rf_equal, taylor_coeffs)
 
 
 def rf(num, den):
@@ -29,6 +29,33 @@ def _dense(factors):
         for _ in range(e):
             out = _convolve(out, [1] + [0] * (m - 1) + [-1])
     return out
+
+
+TERMS_GOLDEN = [
+    # coefficients, text, LaTeX
+    ([], "0", "0"),
+    ([0, 0], "0", "0"),
+    ([1], "1", "1"),
+    ([-3], "-3", "-3"),
+    ([0, 1], "t", "t"),
+    ([0, -1], "-t", "-t"),
+    ([0, 0, 1, 0, -1], "t^2 - t^4", "t^{2} - t^{4}"),
+    ([2, -1, 0, -5, 1], "2 - t - 5*t^3 + t^4", "2 - t - 5 t^{3} + t^{4}"),
+    ([0, -7, 12], "-7*t + 12*t^2", "-7 t + 12 t^{2}"),
+    ([Fraction(1, 2), Fraction(-3, 4), 0, Fraction(-1), Fraction(5, 3)],
+     "1/2 - 3/4*t - t^3 + 5/3*t^4", "1/2 - 3/4 t - t^{3} + 5/3 t^{4}"),
+    ([Fraction(-1, 2), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1],
+     "-1/2 + t^11", "-1/2 + t^{11}"),
+]
+
+
+def test_term_formatting_golden():
+    for coeffs, text, latex in TERMS_GOLDEN:
+        assert repr(Polynomial(coeffs)) == text, coeffs
+        assert format_terms(coeffs, "t^%d", "%s*%s") == text, coeffs
+        assert format_terms(coeffs, "t^{%d}", "%s %s") == latex, coeffs
+    assert repr(rf([1, 0, -1], {1: 1, 3: 2})) == "(1 - t^2)/(1-t)(1-t^3)^2"
+    assert repr(rf([Fraction(-1, 2)], {})) == "-1/2"
 
 
 def test_polynomial_arithmetic():
