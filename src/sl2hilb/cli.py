@@ -12,10 +12,8 @@ Series numerators print through exactalg.format_terms in text and LaTeX.
 import argparse
 import json
 import os
-import random
 import sys
-import tempfile
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import __version__
@@ -41,16 +39,12 @@ MAX_ORACLE_BYTES = 1 << 30
 MAX_TERMS = 10 ** 6
 
 
-@dataclass
-class HilbertResult:
-    rep_degrees: tuple
-    numerator: list
-    denominator: list          # [(m, e)] sorted by m
-    gamma: tuple               # four Fractions, or None with trivial summands
-    a_invariant: int
-    pole_order: int
-    methods: tuple
-    version: str
+class HilbertResult(namedtuple("HilbertResult", "rep_degrees numerator denominator gamma "
+                                                "a_invariant pole_order methods version")):
+    """One series result as cached and printed: denominator lists (m, e)
+    sorted by m; gamma holds four Fractions, or None with trivial summands."""
+
+    __slots__ = ()
 
     @classmethod
     def compute(cls, rep):
@@ -104,12 +98,7 @@ def _int_out(v):
     return v if -_INT64_MAX <= v < _INT64_MAX else str(v)
 
 
-@dataclass(frozen=True)
-class FixtureRow:
-    key: str
-    series: RationalFunction
-    gamma: tuple
-    a_invariant: int
+FixtureRow = namedtuple("FixtureRow", "key series gamma a_invariant")
 
 
 def _rf(num, den):
@@ -181,7 +170,10 @@ def load_cached(rep):
 def store_cached(rep, result):
     path = _cache_path(rep)
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    # what tempfile.mkstemp guarantees (a new file, mode 0600) without
+    # importing tempfile at start-up
+    tmp = "%s.%s.tmp" % (path, os.urandom(8).hex())
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
     try:
         with os.fdopen(fd, "w") as fh:
             json.dump(result.to_json_dict(), fh, indent=2, sort_keys=True)
@@ -328,6 +320,7 @@ def cmd_verify(args):
             check("fixture table row", not problems, "; ".join(problems))
 
         if args.draws:
+            import random       # only --draws needs it; kept out of start-up
             rng = random.Random(args.seed)
             shapes = [(dim - 3,), (dim - 4, 1), (dim - 5, 1, 1), (dim - 6, 1, 1, 1)]
             bad_draw = None

@@ -10,8 +10,7 @@ RationalFunction.derivative stays, though series.dn_apply no longer calls
 it: it is the tests' reference for dn_apply, and perfbench traces it.
 """
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
@@ -137,12 +136,8 @@ class FactoredDenominator:
         return "".join(parts)
 
 
-@dataclass(frozen=True)
-class LaurentExpansion:
-    """Leading Laurent data at t = 1: f = sum c_j (1-t)^(j - pole_order)."""
-
-    pole_order: int
-    coeffs: tuple
+LaurentExpansion = namedtuple("LaurentExpansion", "pole_order coeffs")
+LaurentExpansion.__doc__ = "Leading Laurent data at t = 1: f = sum c_j (1-t)^(j - pole_order)."
 
 
 class RationalFunction:

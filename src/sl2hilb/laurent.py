@@ -11,27 +11,20 @@ fall back to expanding the series.  Jacobi-Trudi determinants
 oracle for the raw weight sums.
 """
 
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from math import comb, factorial
 
 from .exactalg import laurent_at_one
-from .repmodel import (FIRST_COEFF_EXCEPTIONS, GAMMA0_EXCEPTIONS, Representation,
-                       classify_case, weight_system)
+from .repmodel import FIRST_COEFF_EXCEPTIONS, GAMMA0_EXCEPTIONS, classify_case, weight_system
 from .schur import _scale_to_integers, delta_ratio, power_sum, schur_delta, schur_eval
 from .series import hilbert_series
 
 
-@dataclass(frozen=True)
-class GammaResult:
+class GammaResult(namedtuple("GammaResult", "rep gamma pole_order a_invariant methods")):
     """Laurent coefficients, pole order, a-invariant and how each was found."""
 
-    rep: Representation
-    gamma: tuple
-    pole_order: int
-    a_invariant: int
-    methods: tuple
+    __slots__ = ()
 
     def __repr__(self):
         parts = ", ".join(str(g) for g in self.gamma)
@@ -158,18 +151,14 @@ def hilbert1893_gamma0(d):
     return Fraction(-1, sign_factor * factorial(d)) * total
 
 
-@dataclass(frozen=True)
-class PerturbedParams:
-    """Weight parameters b moved off the integer weights.
+PerturbedParams = namedtuple("PerturbedParams", "rep values")
+PerturbedParams.__doc__ = """Weight parameters b moved off the integer weights.
 
-    values runs parallel to weight_system(rep).weights.  Values for the
-    positive weights are chosen freely (pairwise distinct, positive); zero
-    weights stay 0 and each negative weight is minus its mirror in the same
-    summand, matching the symmetry of the true weights.
-    """
-
-    rep: Representation
-    values: tuple
+values runs parallel to weight_system(rep).weights.  Values for the
+positive weights are chosen freely (pairwise distinct, positive); zero
+weights stay 0 and each negative weight is minus its mirror in the same
+summand, matching the symmetry of the true weights.
+"""
 
 
 def perturbed_params(rep, lam_values):

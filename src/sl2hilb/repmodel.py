@@ -10,7 +10,7 @@ polynomial variable each, i.e. a factor 1/(1-t) in the Hilbert series,
 and are excluded from the weight combinatorics.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
@@ -24,24 +24,43 @@ class RepParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
 class Representation:
     """Multiset of irreducible degrees, kept sorted ascending.
 
     degrees holds the nontrivial degrees d_k >= 1; trivial_count the
-    number of V_0 summands.  dim counts the nontrivial part only.
+    number of V_0 summands.  dim counts the nontrivial part only.  Not a
+    tuple, so that "%s" % rep formats the rep rather than unpacking it.
     """
 
-    degrees: tuple
-    trivial_count: int = 0
+    __slots__ = ("degrees", "trivial_count")
 
-    def __post_init__(self):
-        degs = tuple(sorted(self.degrees))
+    def __init__(self, degrees, trivial_count=0):
+        degs = tuple(sorted(degrees))
         if any(not isinstance(d, int) or d < 1 for d in degs):
             raise ValueError("degrees must be positive integers")
-        if not isinstance(self.trivial_count, int) or self.trivial_count < 0:
+        if not isinstance(trivial_count, int) or trivial_count < 0:
             raise ValueError("trivial_count must be a nonnegative integer")
         object.__setattr__(self, "degrees", degs)
+        object.__setattr__(self, "trivial_count", trivial_count)
+
+    def __setattr__(self, *args):
+        raise AttributeError("Representation is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Representation, (self.degrees, self.trivial_count)
+
+    def __eq__(self, other):
+        if other.__class__ is not Representation:
+            return NotImplemented
+        return self.degrees == other.degrees and self.trivial_count == other.trivial_count
+
+    def __hash__(self):
+        return hash((self.degrees, self.trivial_count))
+
+    def __repr__(self):
+        return "Representation(degrees=%r, trivial_count=%r)" % (self.degrees, self.trivial_count)
 
     @property
     def dim(self):
@@ -73,21 +92,15 @@ def _term_text(d, m):
     return ("%dV%d" % (m, d)) if m > 1 else ("V%d" % d)
 
 
-@dataclass(frozen=True)
-class WeightSystem:
-    """Torus weights of the nontrivial part, summand by summand.
+WeightSystem = namedtuple("WeightSystem", "weights a_vec npos neven sigma")
+WeightSystem.__doc__ = """Torus weights of the nontrivial part, summand by summand.
 
-    weights lists 2i - d_k for i = 0..d_k, one summand after the other;
-    a_vec the strictly positive ones in the same order.  Invariants:
-    dim = 2*npos + neven, the weights sum to 0, and every odd power sum
-    over them vanishes.
-    """
-
-    weights: tuple      # 2i - d_k, summand by summand
-    a_vec: tuple        # positive entries of weights in order
-    npos: int           # number of positive weights, C
-    neven: int          # number of even degrees, e
-    sigma: int          # 2 if all degrees even else 1
+weights lists 2i - d_k for i = 0..d_k, one summand after the other;
+a_vec the strictly positive ones in the same order; npos their number
+C; neven the number of even degrees e; sigma 2 if all degrees are even,
+else 1.  Invariants: dim = 2*npos + neven, the weights sum to 0, and
+every odd power sum over them vanishes.
+"""
 
 
 def weight_system(rep):
@@ -111,11 +124,7 @@ GAMMA2_ONLY_EXCEPTIONS = frozenset(
 # with that sum; the pole order is dim-3 for every other rep.
 FIRST_COEFF_EXCEPTIONS = {(1,): Fraction(1), (2,): Fraction(-1, 4), (1, 1): Fraction(-1)}
 
-@dataclass(frozen=True)
-class CaseTag:
-    in_gamma0_exceptions: bool
-    in_gamma2_exceptions: bool
-    one_v1_rest_even: bool
+CaseTag = namedtuple("CaseTag", "in_gamma0_exceptions in_gamma2_exceptions one_v1_rest_even")
 
 
 def classify_case(rep):

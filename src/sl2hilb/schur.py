@@ -15,21 +15,15 @@ points; it is the oracle for `delta_ratio` and the route of
 `laurent.sigma_sum_schur`.
 """
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import repeat
 from math import lcm, prod
 from operator import sub
 
 
-@dataclass(frozen=True)
-class StraightenedSchur:
-    """sign * (x_1...x_n)^(-shift) * s_partition, or zero when sign == 0."""
-
-    sign: int
-    partition: tuple
-    shift: int
+StraightenedSchur = namedtuple("StraightenedSchur", "sign partition shift")
+StraightenedSchur.__doc__ = "sign * (x_1...x_n)^(-shift) * s_partition, or zero when sign == 0."
 
 
 def straighten(rho):

@@ -284,6 +284,30 @@ def test_store_cached_atomic(isolated_cache):
     assert names == ["V2.json"]      # no stray temp files
 
 
+def test_store_cached_writes_mode_0600(isolated_cache):
+    rep = parse_rep("V2+V3")
+    result = HilbertResult.compute(rep)
+    store_cached(rep, result)
+    path = isolated_cache / "V2+V3.json"
+    assert path.stat().st_mode & 0o777 == 0o600
+    assert path.read_text() == json.dumps(result.to_json_dict(), indent=2,
+                                          sort_keys=True) + "\n"
+
+
+def test_failed_cache_write_leaves_no_temp_file(isolated_cache, monkeypatch):
+    rep = parse_rep("V2")
+    result = HilbertResult.compute(rep)
+
+    def dump_half(obj, fh, **kwargs):
+        fh.write("{")
+        raise RuntimeError("disk gave out")
+
+    monkeypatch.setattr(cli.json, "dump", dump_half)
+    with pytest.raises(RuntimeError, match="disk gave out"):
+        store_cached(rep, result)
+    assert os.listdir(isolated_cache) == []
+
+
 def test_big_int_serialization():
     big = 2 ** 70 + 3
     assert _int_out(big) == str(big)
@@ -367,6 +391,19 @@ def test_parser_not_built_at_import():
     probe = "import sl2hilb.cli as c; assert c._parser is None"
     subprocess.run([sys.executable, "-c", probe], check=True,
                    env=dict(os.environ, PYTHONPATH=src))
+
+
+def test_import_leaves_out_unused_stdlib_chains():
+    # start-up is most of what a cached CLI call costs; modules that site
+    # already imported count as loaded before the package
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = ("import sys; before = set(sys.modules); import sl2hilb, sl2hilb.cli; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+    new = set(out.split())
+    assert "sl2hilb.cli" in new
+    assert not new & {"dataclasses", "inspect", "tempfile", "shutil", "random", "typing"}
 
 
 def test_unwritable_cache_warns_and_prints(tmp_path, capsys, monkeypatch):

@@ -34,6 +34,13 @@ def test_gamma0_exceptions_raise():
             gamma0(parse_rep(text))
 
 
+def test_closed_form_refusals_name_the_rep():
+    # the message formats the rep with "%s" % rep, which a tuple would unpack
+    for closed, text in [(gamma0, "V1"), (gamma2, "V5"), (gamma3, "V1")]:
+        with pytest.raises(ValueError, match="form for %s$" % text):
+            closed(parse_rep(text))
+
+
 def test_gamma1_is_three_halves_gamma0():
     for text in ["V5", "V7", "2V3", "V2+V4", "V9"]:
         rep = parse_rep(text)

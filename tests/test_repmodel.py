@@ -1,3 +1,4 @@
+import pickle
 from collections import Counter
 from fractions import Fraction
 
@@ -48,6 +49,23 @@ def test_degrees_sorted_and_key_canonical():
         parse_rep(Representation(()).key)
     assert parse_rep("0") == Representation((), 1)
     assert parse_rep("V3+V2+V3").key == "V2+2V3"
+
+
+def test_representation_is_an_immutable_sorted_record():
+    rep = Representation((3, 1), 2)
+    assert rep.degrees == (1, 3) and rep.trivial_count == 2
+    for degrees, trivial in [((0,), 0), ((-2,), 0), (("3",), 0), ((2.0,), 0),
+                             ((2,), -1), ((2,), 1.0)]:
+        with pytest.raises(ValueError):
+            Representation(degrees, trivial)
+    with pytest.raises(AttributeError):
+        rep.degrees = (5,)
+    with pytest.raises(AttributeError):
+        rep.label = "V1+V3"
+    same = parse_rep("V3+V1+2V0")
+    assert same == rep and hash(same) == hash(rep)
+    assert str(rep) == "%s" % rep == rep.key == "2V0+V1+V3"
+    assert pickle.loads(pickle.dumps(rep)) == rep
 
 
 def test_parse_errors_carry_position():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import factorial, gcd
@@ -407,3 +410,15 @@ def test_series_match_the_benchmark_reference(monkeypatch):
         f = hilbert_series(parse_rep(spec))
         assert f.num.c == want["numerator"], spec
         assert [list(m_e) for m_e in sorted(f.den.factors.items())] == want["denominator"], spec
+
+
+def test_reference_checks_run_on_a_non_tiny_rep():
+    # make_reference.py formats a rep into each check's message before it
+    # knows the outcome; V5 takes the functional-equation, Hilbert 1893 and
+    # fixture-row checks that the tiny reps skip
+    probe = ("import make_reference as m; from sl2hilb import parse_rep; "
+             "res = m.certified_gammas(parse_rep('V5')); print(res.gamma[0])")
+    out = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True,
+                         text=True, cwd=REFERENCE.parent,
+                         env=dict(os.environ, PYTHONPATH=str(REFERENCE.parent))).stdout
+    assert out == "1/192\n"
