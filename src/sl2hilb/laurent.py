@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .exactalg import laurent_at_one
-from .repmodel import FIRST_COEFF_EXCEPTIONS, GAMMA0_EXCEPTIONS, classify_case, weight_system
+from .repmodel import FIRST_COEFF_EXCEPTIONS, classify_case, weight_system
 from .schur import _scale_to_integers, delta_ratio, power_sum, schur_delta, schur_eval
 from .series import hilbert_series
 
@@ -86,18 +86,8 @@ def gamma3(rep):
 
 
 def a_invariant(rep):
-    """Degree of the Hilbert series as a rational function.
-
-    Equals -dim except for a few tiny reps where the series degenerates;
-    those are read off the series directly.
-    """
-    if not rep.degrees:
-        raise ValueError("a-invariant undefined for trivial representations")
-    if rep.trivial_count:
-        raise ValueError("a-invariant undefined with trivial summands")
-    if rep.degrees in GAMMA0_EXCEPTIONS:
-        return hilbert_series(rep).degree()
-    return -rep.dim
+    """Degree of the Hilbert series as a rational function, as gammas finds it."""
+    return gammas(rep).a_invariant
 
 
 def _coefficients(rep, tag):

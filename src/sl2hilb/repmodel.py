@@ -10,8 +10,10 @@ polynomial variable each, i.e. a factor 1/(1-t) in the Hilbert series,
 and are excluded from the weight combinatorics.
 """
 
+import re
 from collections import namedtuple
 from fractions import Fraction
+from itertools import groupby
 
 
 class RepParseError(ValueError):
@@ -75,13 +77,7 @@ class Representation:
         parts = []
         if self.trivial_count:
             parts.append(_term_text(0, self.trivial_count))
-        seen = []
-        for d in self.degrees:
-            if seen and seen[-1][0] == d:
-                seen[-1][1] += 1
-            else:
-                seen.append([d, 1])
-        parts.extend(_term_text(d, m) for d, m in seen)
+        parts.extend(_term_text(d, len(list(run))) for d, run in groupby(self.degrees))
         return "+".join(parts)
 
     def __str__(self):
@@ -149,114 +145,63 @@ MAX_DIM = 1000
 def parse_rep(text):
     """Parse a rep spec: either 'V3+2V2' style terms or a '3,2,2' list.
 
-    Multiplicities allow an optional '*': '2*V3' and '2V3' agree.  The
-    letter V is case insensitive and whitespace is ignored.  Degree 0
-    terms are recorded as trivial summands.  Specs of dimension above
-    MAX_DIM are rejected.
+    Whitespace is ignored anywhere.  A term is [m[*]]Vd: the
+    multiplicity m defaults to 1 and takes an optional '*', so '2*V3'
+    and '2V3' agree, and the letter V is case insensitive.  A list
+    names one degree per comma-separated chunk, read by int().  Degree
+    0 terms are recorded as trivial summands, and specs of dimension
+    above MAX_DIM are rejected.  Errors carry the 0-based position in
+    text; an empty term points at the separator after it, or at the end
+    of the spec (its last non-space character + 1).
     """
     if not isinstance(text, str):
         raise RepParseError("rep spec must be a string")
-    stripped = [(idx, ch) for idx, ch in enumerate(text) if not ch.isspace()]
-    if not stripped:
+    idx = [i for i, ch in enumerate(text) if not ch.isspace()]
+    if not idx:
         raise RepParseError("empty rep spec", 0)
-    if any(ch in "vV" for _, ch in stripped):
-        return _parse_terms(stripped)
-    return _parse_list(text, stripped)
-
-
-def _split(stripped, sep):
-    # Runs of (index, char) pairs between separators; empty runs are kept.
-    chunks = [[]]
-    for idx, ch in stripped:
-        if ch == sep:
-            chunks.append([])
-        else:
-            chunks[-1].append((idx, ch))
-    return chunks
-
-
-def _parse_list(text, stripped):
-    degrees = []
-    trivial = 0
-    dim = 0
-    pos_after = len(text)
-    for chunk in _split(stripped, ","):
+    spec = "".join(text[i] for i in idx)
+    idx.append(idx[-1] + 1)                 # positions in text, the end of the spec last
+    terms = "v" in spec or "V" in spec
+    degrees, trivial, dim, start = [], 0, 0, 0
+    for chunk in spec.split("+" if terms else ","):
+        end = start + len(chunk)
         if not chunk:
-            raise RepParseError("expected a degree", pos_after)
-        s = "".join(ch for _, ch in chunk)
-        start = chunk[0][0]
-        try:
-            d = int(s)
-        except ValueError:
-            raise RepParseError("expected an integer degree, got %r" % s, start) from None
-        if d < 0:
-            raise RepParseError("negative degree %d" % d, start)
-        dim = _add_dim(dim, 1, d, start)
-        if d == 0:
-            trivial += 1
+            raise RepParseError("empty term" if terms else "expected a degree", idx[start])
+        if not terms:
+            try:
+                mult, degree = 1, int(chunk)
+            except ValueError:
+                raise RepParseError("expected an integer degree, got %r" % chunk, idx[start]) from None
+            if degree < 0:
+                raise RepParseError("negative degree %d" % degree, idx[start])
         else:
-            degrees.append(d)
-    return Representation(tuple(degrees), trivial)
-
-
-def _parse_terms(stripped):
-    degrees = []
-    trivial = 0
-    dim = 0
-    end_pos = stripped[-1][0] + 1
-    for term in _split(stripped, "+"):
-        mult, degree = _parse_term(term, end_pos)
-        dim = _add_dim(dim, mult, degree, term[0][0])
-        if degree == 0:
+            # multiplicity, '*', V, degree; positions in chunk are offsets from start
+            m = re.match(r"(\d*)(\*?)([vV]?)(\d*)", chunk)
+            if m[2] and not m[1]:
+                raise RepParseError("'*' without a multiplicity", idx[start + m.start(2)])
+            mult = _int(m[1] or "1", idx[start])
+            if not mult:
+                raise RepParseError("zero multiplicity", idx[start])
+            for group, message in ((3, "expected 'V'"), (4, "expected a degree after 'V'")):
+                if not m[group]:            # at the end of a term: past its last character
+                    k = start + m.start(group)
+                    raise RepParseError(message, idx[k] if k < end else idx[end - 1] + 1)
+            degree = _int(m[4], idx[start + m.start(4)])
+            if m.end() < len(chunk):
+                raise RepParseError("trailing characters %r" % chunk[m.end():], idx[start + m.end()])
+        dim += mult * (degree + 1)
+        if dim > MAX_DIM:
+            raise RepParseError("dimension exceeds %d" % MAX_DIM, idx[start])
+        if degree:
+            degrees += [degree] * mult
+        else:
             trivial += mult
-        else:
-            degrees.extend([degree] * mult)
-    return Representation(tuple(degrees), trivial)
+        start = end + 1
+    return Representation(degrees, trivial)
 
 
-def _add_dim(dim, mult, degree, position):
-    dim += mult * (degree + 1)
-    if dim > MAX_DIM:
-        raise RepParseError("dimension exceeds %d" % MAX_DIM, position)
-    return dim
-
-
-def _parse_term(term, end_pos):
-    if not term:
-        raise RepParseError("empty term", end_pos)
-    pos = 0
-    n = len(term)
-
-    def take_int():
-        nonlocal pos
-        start = pos
-        while pos < n and term[pos][1].isdigit():
-            pos += 1
-        if pos == start:
-            return None
-        digits = "".join(ch for _, ch in term[start:pos])
-        try:
-            return int(digits)
-        except ValueError:  # digits int() refuses, or too many of them
-            raise RepParseError("bad integer", term[start][0]) from None
-
-    mult = take_int()
-    if pos < n and term[pos][1] == "*":
-        if mult is None:
-            raise RepParseError("'*' without a multiplicity", term[pos][0])
-        pos += 1
-    if mult is None:
-        mult = 1
-    elif mult == 0:
-        raise RepParseError("zero multiplicity", term[0][0])
-    if pos >= n or term[pos][1] not in "vV":
-        where = term[pos][0] if pos < n else term[-1][0] + 1
-        raise RepParseError("expected 'V'", where)
-    pos += 1
-    degree = take_int()
-    if degree is None:
-        where = term[pos][0] if pos < n else term[-1][0] + 1
-        raise RepParseError("expected a degree after 'V'", where)
-    if pos != n:
-        raise RepParseError("trailing characters %r" % "".join(ch for _, ch in term[pos:]), term[pos][0])
-    return mult, degree
+def _int(digits, position):
+    try:
+        return int(digits)
+    except ValueError:      # more digits than int() takes
+        raise RepParseError("bad integer", position) from None

@@ -67,12 +67,9 @@ class ZRationalFunction:
         return "ZRationalFunction(%r, %r)" % (self.num, self.den)
 
 
-def _to_rf(f):
-    return RationalFunction(Polynomial.from_dict(f.num), f.den)
-
-
 def _coeffs_for_index(weights, mults, i):
-    """G_{i,0}, G_{i,1}, ..., G_{i,m_i - 1} at position i.
+    """G_{i,0}, G_{i,1}, ..., G_{i,m_i - 1} at position i, each as a pair
+    (numerator coefficients, denominator {b: e}).
 
     With F(t) the product of all other factors (1 - t z^w)^-m, the
     coefficient of (1 - t z^{w_i})^(j - m_i) is
@@ -112,8 +109,7 @@ def _coeffs_for_index(weights, mults, i):
         if any(v % j for v in acc):
             raise RuntimeError("partial fraction numerator not divisible by %d" % j)
         nums.append([v // j for v in acc])
-    return [ZRationalFunction(dict(enumerate([(-1) ** j * v for v in p])),
-                              {c: den[c] + j for c in den})
+    return [([(-1) ** j * v for v in p], {c: den[c] + j for c in den})
             for j, p in enumerate(nums)]
 
 
@@ -143,7 +139,8 @@ def ua_transform(f, a):
         den_t[b // gcd(a, b)] += e
     s = gcd(*f.num, *f.den.factors) or 1
     h = gcd(a, s)
-    c, den = _to_rf(f).num.c[::s], [(b // s, e) for b, e in f.den.factors.items()]
+    c = [f.num.get(e, 0) for e in range(0, max(f.num) + 1, s)]
+    den = [(b // s, e) for b, e in f.den.factors.items()]
     for p in _primes(a // h):
         for b, e in sorted(den):
             if b % p and (c := _times_over(c, {p * b: e}, {b: e})) is None:
@@ -203,12 +200,10 @@ def _compute(rep):
         if alpha < 0:
             continue
         omitted = weights.index(-alpha)
-        for j, g in enumerate(_coeffs_for_index(weights, mults, omitted)):
-            order = mult - j
-            zc = _to_rf(g).num.c
+        for j, (zc, zden) in enumerate(_coeffs_for_index(weights, mults, omitted)):
             # times the factor 1 - z^2 of the integrand
-            g = ZRationalFunction(dict(enumerate(_times_factors(zc, {2: 1}, len(zc) + 1))), g.den)
-            piece = dn_apply(ua_transform(g, alpha), order - 1)
+            g = ZRationalFunction(dict(enumerate(_times_factors(zc, {2: 1}, len(zc) + 1))), zden)
+            piece = dn_apply(ua_transform(g, alpha), mult - j - 1)
             rule = Counter(piece.den.factors)       # tight, raised to the gcd rule
             for b, e in g.den.factors.items() if alpha and rule else ():
                 rule[b // gcd(alpha, b)] += (gcd(alpha, b) - 1) * e

@@ -10,6 +10,9 @@ ua_transform_single_stage is U_alpha with every z-factor completed to a
 series in z^alpha at once, and reduce_multiplied_up the cancel over a
 wider denominator with the widened numerator built: the series pipeline
 takes U_alpha one prime at a time and reduces without that numerator.
+to_rf reads a z-side record as a RationalFunction.  parse_rep_scanner is
+the character scanner that parse_rep's one regular expression replaced;
+both must accept the same specs and report the same errors.
 """
 
 from collections import Counter
@@ -19,7 +22,8 @@ from math import gcd, prod
 from sl2hilb.exactalg import FactoredDenominator, Polynomial, RationalFunction
 from sl2hilb.laurent import _outer
 from sl2hilb.oracle import _packed_rows, truncated_series
-from sl2hilb.repmodel import classify_case, weight_system
+from sl2hilb.repmodel import (MAX_DIM, RepParseError, Representation, classify_case,
+                              weight_system)
 from sl2hilb.schur import _scale_to_integers, bareiss_det
 
 
@@ -117,6 +121,11 @@ def ua_transform_single_stage(f, a):
                 raise RuntimeError("conjugate product not divisible in U_%d" % a)
             c = c[:n]
     return RationalFunction(Polynomial(c[::a]), den_t)
+
+
+def to_rf(f):
+    """The ZRationalFunction f as a RationalFunction."""
+    return RationalFunction(Polynomial.from_dict(f.num), f.den)
 
 
 def reduce_multiplied_up(f, over):
@@ -234,3 +243,119 @@ def gamma_raw(order, params):
         for b, den, others in _outer(params.values, {0, 1}):
             total += b ** power * ((3 * b - 2 - sum(others)) / 4) / den
     return total
+
+
+def parse_rep_scanner(text):
+    """Parse a rep spec: either 'V3+2V2' style terms or a '3,2,2' list.
+
+    Multiplicities allow an optional '*': '2*V3' and '2V3' agree.  The
+    letter V is case insensitive and whitespace is ignored.  Degree 0
+    terms are recorded as trivial summands.  Specs of dimension above
+    MAX_DIM are rejected.
+    """
+    if not isinstance(text, str):
+        raise RepParseError("rep spec must be a string")
+    stripped = [(idx, ch) for idx, ch in enumerate(text) if not ch.isspace()]
+    if not stripped:
+        raise RepParseError("empty rep spec", 0)
+    if any(ch in "vV" for _, ch in stripped):
+        return _parse_terms(stripped)
+    return _parse_list(text, stripped)
+
+
+def _split(stripped, sep):
+    # Runs of (index, char) pairs between separators; empty runs are kept.
+    chunks = [[]]
+    for idx, ch in stripped:
+        if ch == sep:
+            chunks.append([])
+        else:
+            chunks[-1].append((idx, ch))
+    return chunks
+
+
+def _parse_list(text, stripped):
+    degrees = []
+    trivial = 0
+    dim = 0
+    pos_after = len(text)
+    for chunk in _split(stripped, ","):
+        if not chunk:
+            raise RepParseError("expected a degree", pos_after)
+        s = "".join(ch for _, ch in chunk)
+        start = chunk[0][0]
+        try:
+            d = int(s)
+        except ValueError:
+            raise RepParseError("expected an integer degree, got %r" % s, start) from None
+        if d < 0:
+            raise RepParseError("negative degree %d" % d, start)
+        dim = _add_dim(dim, 1, d, start)
+        if d == 0:
+            trivial += 1
+        else:
+            degrees.append(d)
+    return Representation(tuple(degrees), trivial)
+
+
+def _parse_terms(stripped):
+    degrees = []
+    trivial = 0
+    dim = 0
+    end_pos = stripped[-1][0] + 1
+    for term in _split(stripped, "+"):
+        mult, degree = _parse_term(term, end_pos)
+        dim = _add_dim(dim, mult, degree, term[0][0])
+        if degree == 0:
+            trivial += mult
+        else:
+            degrees.extend([degree] * mult)
+    return Representation(tuple(degrees), trivial)
+
+
+def _add_dim(dim, mult, degree, position):
+    dim += mult * (degree + 1)
+    if dim > MAX_DIM:
+        raise RepParseError("dimension exceeds %d" % MAX_DIM, position)
+    return dim
+
+
+def _parse_term(term, end_pos):
+    if not term:
+        raise RepParseError("empty term", end_pos)
+    pos = 0
+    n = len(term)
+
+    def take_int():
+        nonlocal pos
+        start = pos
+        while pos < n and term[pos][1].isdigit():
+            pos += 1
+        if pos == start:
+            return None
+        digits = "".join(ch for _, ch in term[start:pos])
+        try:
+            return int(digits)
+        except ValueError:  # digits int() refuses, or too many of them
+            raise RepParseError("bad integer", term[start][0]) from None
+
+    mult = take_int()
+    if pos < n and term[pos][1] == "*":
+        if mult is None:
+            raise RepParseError("'*' without a multiplicity", term[pos][0])
+        pos += 1
+    if mult is None:
+        mult = 1
+    elif mult == 0:
+        raise RepParseError("zero multiplicity", term[0][0])
+    if pos >= n or term[pos][1] not in "vV":
+        where = term[pos][0] if pos < n else term[-1][0] + 1
+        raise RepParseError("expected 'V'", where)
+    pos += 1
+    degree = take_int()
+    if degree is None:
+        where = term[pos][0] if pos < n else term[-1][0] + 1
+        raise RepParseError("expected a degree after 'V'", where)
+    if pos != n:
+        raise RepParseError("trailing characters %r" % "".join(ch for _, ch in term[pos:]), term[pos][0])
+    return mult, degree

@@ -125,6 +125,12 @@ def test_parse_error_exit_code(capsys):
     assert "position" in err
 
 
+def test_parse_error_points_at_the_empty_term(capsys):
+    code, out, err = run(capsys, "series", "V2++V3")
+    assert (code, out) == (2, "")
+    assert "position 3" in err and "Traceback" not in err
+
+
 USAGE_ERRORS = [
     ["frobnicate"],
     ["expand", "V3", "--terms", "-1"],

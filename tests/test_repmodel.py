@@ -3,9 +3,10 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from references import parse_rep_scanner
 from sl2hilb.laurent import perturbed_params
 from sl2hilb.oracle import _variable_weights
 from sl2hilb.repmodel import (MAX_DIM, Representation, RepParseError,
@@ -18,6 +19,7 @@ def test_parse_basic_forms():
     assert parse_rep("2*V3").degrees == (3, 3)
     assert parse_rep("v3 + v4").degrees == (3, 4)
     assert parse_rep(" V2 +2 V3 ").degrees == (2, 3, 3)
+    assert parse_rep(" 2 * v3 + V0 ") == parse_rep("V0+2V3")
 
 
 def test_parse_list_form():
@@ -73,6 +75,55 @@ def test_parse_errors_carry_position():
         with pytest.raises(RepParseError) as err:
             parse_rep(text)
         assert "position" in str(err.value)
+
+
+def test_empty_term_positions():
+    # an empty term or degree points at the separator after it, or at the
+    # end of the spec: its last non-space character + 1, in both forms
+    cases = {"+V2": 0, "V2++V3": 3, "2,,3": 2, "V2+": 3, "V2 + ": 4, "2,3, ": 4}
+    for text, position in cases.items():
+        with pytest.raises(RepParseError) as err:
+            parse_rep(text)
+        assert err.value.position == position, text
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except RepParseError as exc:
+        return str(exc), exc.position
+
+
+EMPTY_TERM_MESSAGES = ("empty term", "expected a degree")
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.text(alphabet="0123456789 vV+*, x-_", max_size=12))
+@example("2 * v3 + V0")
+@example("2V +V3")
+@example("3_0,+3")
+@example("9" * 5000)
+@example("V" + "9" * 5000)
+@example("5,%d" % MAX_DIM)
+def test_parse_matches_the_scanner(text):
+    # the regular expression accepts what the character scanner accepted,
+    # and rejects the rest with the same message at the same position;
+    # empty terms, whose positions moved on purpose, compare by message
+    got, want = _outcome(parse_rep, text), _outcome(parse_rep_scanner, text)
+    if isinstance(want, tuple) and want[0].startswith(EMPTY_TERM_MESSAGES):
+        assert isinstance(got, tuple) and got[0].split(" (at")[0] == want[0].split(" (at")[0]
+    else:
+        assert got == want
+
+
+def test_non_ascii_digits_parse_as_int_or_fail_with_a_position():
+    # '²' passes str.isdigit but not int(); '٣' is a digit int() reads as 3
+    assert parse_rep("٣V2") == parse_rep("3V2")
+    assert parse_rep("٣,2") == parse_rep("3,2")
+    for text, position in (("V²", 1), ("²V3", 0)):
+        with pytest.raises(RepParseError) as err:
+            parse_rep(text)
+        assert err.value.position == position, text
 
 
 def test_dim():
