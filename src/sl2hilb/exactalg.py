@@ -5,7 +5,8 @@ stay factored as products of (1 - t^m)^e, and a product or quotient by a
 factor 1 - t^m is one slice operation per factor: out[i] -= out[i-m] is a
 single map over two slices, out[i] += out[i-m] a running sum (accumulate)
 along each residue class mod m.
-Laurent expansion at t = 1 substitutes t = 1 - s and divides series.
+Laurent expansion at t = 1 substitutes t = 1 - s and divides series, in
+integers up to one Fraction per returned coefficient.
 RationalFunction.derivative stays, though series.dn_apply no longer calls
 it: it is the tests' reference for dn_apply, and perfbench traces it.
 """
@@ -305,12 +306,17 @@ def laurent_at_one(f, count):
         # the function vanishes at t = 1 beyond the requested window
         return LaurentExpansion(0, (0,) * count)
     pole = zeros - val
-    # expand (unit part of numerator) / (unit part of denominator) in s
+    # expand (unit part of numerator) / (unit part of denominator) in s, on
+    # the integers scaled[n] = c_n u0^(n+1), u0 = unit[0] = prod m^e:
+    # scaled[n] = cur[val+n] u0^n - sum_j unit[j] u0^(j-1) scaled[n-j]
     length = count if pole >= 0 else max(count + pole, 0)
-    series = []
+    u0 = unit[0]
+    powers = [u0 ** j for j in range(length + 1)]
+    scaled = []
     for n in range(length):
-        acc = cur[val + n] - sum(unit[j] * series[n - j] for j in range(1, n + 1))
-        series.append(_normalize(Fraction(acc) / unit[0]))
+        scaled.append(cur[val + n] * powers[n] - sum(
+            unit[j] * powers[j - 1] * scaled[n - j] for j in range(1, n + 1)))
+    series = [_normalize(Fraction(x, powers[n + 1])) for n, x in enumerate(scaled)]
     if pole >= 0:
         return LaurentExpansion(pole, tuple(series))
     return LaurentExpansion(0, tuple(([0] * min(-pole, count) + series)[:count]))

@@ -69,7 +69,7 @@ def _gamma0_gamma2(rep, tag):
     g0 = -ws.sigma * r0
     # Power sum over the full weight multiset, zeros and negatives included.
     p2 = power_sum(ws.weights, 2)
-    g2 = Fraction(7, 4) * g0 + ws.sigma * (p2 - 8) / 24 * r2
+    g2 = Fraction(7, 4) * g0 + ws.sigma * Fraction(p2 - 8, 24) * r2
     if tag.one_v1_rest_even:
         # The V1 summand contributes one extra term built from the even part
         # alone: the gamma0 ratio over a_vec without its single positive V1

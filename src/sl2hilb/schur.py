@@ -13,6 +13,12 @@ c comes out as (x_1...x_n)^(-c).  `schur_eval` then takes a Jacobi-Trudi
 determinant in the complete homogeneous basis, well defined at repeated
 points; it is the oracle for `delta_ratio` and the route of
 `laurent.sigma_sum_schur`.
+
+Points are ints or Fractions; anything else (a float included) is a
+TypeError.  The points are scaled to integers by the lcm of their
+denominators and the work runs in integers, so `delta_ratio` builds one
+Fraction per ratio it returns, and `power_sum` returns a value of the
+points' own type (an int over int points).
 """
 
 from collections import Counter, namedtuple
@@ -82,9 +88,17 @@ def bareiss_det(m):
     return sign * m[-1][-1]
 
 
+def _check_points(points):
+    for p in points:
+        if not isinstance(p, (int, Fraction)):
+            raise TypeError("points must be ints or Fractions, not %r (%s)"
+                            % (p, type(p).__name__))
+
+
 def _scale_to_integers(points):
-    scale = lcm(*(Fraction(p).denominator for p in points))
-    return [int(p * scale) for p in points], scale
+    _check_points(points)
+    scale = lcm(*(p.denominator for p in points))
+    return [p.numerator * (scale // p.denominator) for p in points], scale
 
 
 def schur_eval(rho, points):
@@ -96,13 +110,13 @@ def schur_eval(rho, points):
     """
     if len(rho) != len(points):
         raise ValueError("rho and points must have the same length")
+    ints, scale = _scale_to_integers(points)
     st = straighten(rho)
     if st.sign == 0:
         return Fraction(0)
-    if st.shift and any(p == 0 for p in points):
+    if st.shift and 0 in ints:
         raise ValueError("negative exponents need nonzero points")
     parts = [p for p in st.partition if p]
-    ints, scale = _scale_to_integers(points)
     h = complete_homogeneous(ints, parts[0] + len(parts) - 1) if parts else []
     det = bareiss_det([[h[p - i + j] if p - i + j >= 0 else 0 for j in range(len(parts))]
                        for i, p in enumerate(parts)])
@@ -135,13 +149,13 @@ def delta_ratio(es, points):
     (q/(x^2 - z^2))^j.  The node terms are summed over one common
     denominator in integers.
     """
-    if any(p <= 0 for p in points):  # the y^(e/2) branch needs x > 0
+    ints, scale = _scale_to_integers(points)
+    if any(x <= 0 for x in ints):  # the y^(e/2) branch needs x > 0
         raise ValueError("delta_ratio needs positive points")
-    n = len(points)
+    n = len(ints)
     zero = [e % 2 == 0 and 0 <= e <= 2 * n - 4 for e in es]  # e repeats an entry of 2 delta
     if all(zero):
         return (Fraction(0),) * len(es)
-    ints, scale = _scale_to_integers(points)
     mult = Counter(ints)
     squares = [x * x for x in ints]
     # per node: x, the pairs (up_j, down_j) of T_j = e up_j - down_j, and the
@@ -168,14 +182,19 @@ def delta_ratio(es, points):
             dens.append(den * x ** max(-e, 0))
         common = lcm(*dens)
         total = sum(num * (common // den) for num, den in zip(nums, dens))
-        # R_e is homogeneous of degree e - 2(n-1) in the points
-        return Fraction(total, common) / Fraction(scale) ** (e - 2 * n + 2)
+        # R_e is homogeneous of degree k = e - 2(n-1) in the points
+        k = e - 2 * n + 2
+        if k < 0:
+            return Fraction(total * scale ** -k, common)
+        return Fraction(total, common * scale ** k)
 
     return tuple(Fraction(0) if z else ratio(e) for e, z in zip(es, zero))
 
 
 def power_sum(points, s):
-    """Power sum p_s over the points, with p_0 = the number of points."""
+    """Power sum p_s over the points, with p_0 = the number of points; an
+    int over int points, a Fraction once a point is one."""
     if s < 0:
         raise ValueError("exponent must be nonnegative")
-    return sum((Fraction(p) ** s for p in points), Fraction(0))
+    _check_points(points)
+    return sum(p ** s for p in points)

@@ -13,13 +13,18 @@ takes U_alpha one prime at a time and reduces without that numerator.
 to_rf reads a z-side record as a RationalFunction.  parse_rep_scanner is
 the character scanner that parse_rep's one regular expression replaced;
 both must accept the same specs and report the same errors.
+laurent_at_one_fractions and power_sum_fractions are the Laurent layer as
+it ran in Fractions, one per coefficient step and per point; the package
+runs both on integers and builds one Fraction per returned value.
 """
 
 from collections import Counter
 from fractions import Fraction
-from math import gcd, prod
+from math import comb, gcd, prod
+from operator import sub
 
-from sl2hilb.exactalg import FactoredDenominator, Polynomial, RationalFunction
+from sl2hilb.exactalg import (FactoredDenominator, LaurentExpansion, Polynomial,
+                              RationalFunction, _mul_trunc, _normalize)
 from sl2hilb.laurent import _outer
 from sl2hilb.oracle import _packed_rows, truncated_series
 from sl2hilb.repmodel import (MAX_DIM, RepParseError, Representation, classify_case,
@@ -145,6 +150,45 @@ def reduce_multiplied_up(f, over):
             c = s[:deg - m + 1]
             factors[m] -= 1
     return RationalFunction(Polynomial(c), FactoredDenominator(factors))
+
+
+def laurent_at_one_fractions(f, count):
+    """exactalg.laurent_at_one with the series division run in Fractions:
+    c_n = (cur[val+n] - sum_j unit[j] c_(n-j)) / unit[0]."""
+    if f.num.is_zero:
+        raise ValueError("zero function has no Laurent expansion")
+    zeros = sum(f.den.factors.values())
+    cutoff = zeros + count
+    cur = [0] * (cutoff + 1)
+    for v in reversed(f.num.c):
+        cur[1:] = map(sub, cur[1:], cur[:cutoff])
+        cur[0] += v
+    unit = [1] + [0] * cutoff
+    for m, e in f.den.factors.items():
+        um = [-comb(m, j + 1) * (-1) ** (j + 1) for j in range(min(m, cutoff + 1))]
+        for _ in range(e):
+            unit = _mul_trunc(unit, um, cutoff)
+    val = 0
+    while val <= cutoff and cur[val] == 0:
+        val += 1
+    if val > cutoff:
+        return LaurentExpansion(0, (0,) * count)
+    pole = zeros - val
+    length = count if pole >= 0 else max(count + pole, 0)
+    series = []
+    for n in range(length):
+        acc = cur[val + n] - sum(unit[j] * series[n - j] for j in range(1, n + 1))
+        series.append(_normalize(Fraction(acc) / unit[0]))
+    if pole >= 0:
+        return LaurentExpansion(pole, tuple(series))
+    return LaurentExpansion(0, tuple(([0] * min(-pole, count) + series)[:count]))
+
+
+def power_sum_fractions(points, s):
+    """schur.power_sum as a Fraction always: p_s over the points."""
+    if s < 0:
+        raise ValueError("exponent must be nonnegative")
+    return sum((Fraction(p) ** s for p in points), Fraction(0))
 
 
 def dim_invariants(rep, n):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from references import div_factors_loop, eval_at, reduce_multiplied_up, times_factors_loop
+from references import (div_factors_loop, eval_at, laurent_at_one_fractions,
+                        reduce_multiplied_up, times_factors_loop)
 from sl2hilb.exactalg import (FactoredDenominator, Polynomial,
                               RationalFunction, _div_factors, _times_factors,
                               format_terms, laurent_at_one, rf_equal, taylor_coeffs)
@@ -261,6 +262,39 @@ def test_laurent_at_one_zero_rejected():
         laurent_at_one(rf([0], {2: 1}), 3)
 
 
+_coeff = st.one_of(st.integers(-50, 50),
+                   st.builds(Fraction, st.integers(-50, 50), st.integers(1, 7)))
+
+
+@st.composite
+def _laurent_case(draw):
+    # (1 - t)^k times a nonzero cofactor over a random denominator: k above
+    # the denominator's zero order gives a negative pole order, k above
+    # that order plus count a function vanishing past the window
+    den = draw(st.dictionaries(st.integers(1, 6), st.integers(1, 3), max_size=3))
+    count = draw(st.integers(0, 6))
+    k = draw(st.integers(0, sum(den.values()) + count + 2))
+    num = draw(st.lists(_coeff, min_size=1, max_size=6).filter(any))
+    for _ in range(k):
+        num = _convolve(num, [1, -1])
+    return rf(num, den), count
+
+
+@given(_laurent_case())
+@example((rf([1], {2: 1, 3: 1}), 4))                  # positive pole, Fractions
+@example((rf([1, -2, 1], {2: 1}), 4))                 # negative pole order
+@example((rf([1, -2, 1], {1: 1}), 0))                 # count 0
+@example((rf([1, -3, 3, -1], {2: 1}), 1))             # vanishes past the window
+@example((rf([Fraction(1, 2), 4], {1: 2, 5: 1}), 6))  # Fraction numerator
+@example((rf([6], {1: 1}), 3))                        # integral coefficients stay int
+@settings(max_examples=300, deadline=None)
+def test_laurent_at_one_matches_the_fraction_loop(case):
+    f, count = case
+    got, want = laurent_at_one(f, count), laurent_at_one_fractions(f, count)
+    assert got == want
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
 @given(st.lists(st.integers(-4, 4), min_size=1, max_size=5),
        st.dictionaries(st.integers(1, 4), st.integers(1, 2), max_size=3))
 @settings(max_examples=60, deadline=None)
@@ -274,10 +308,6 @@ def test_taylor_matches_defining_recurrence(num, den):
                   for j in range(min(n + 1, len(expanded))))
         want = f.num.c[n] if n <= f.num.degree else 0
         assert acc == want
-
-
-_coeff = st.one_of(st.integers(-50, 50),
-                   st.builds(Fraction, st.integers(-50, 50), st.integers(1, 7)))
 
 
 @given(st.lists(_coeff, max_size=25),

@@ -109,6 +109,22 @@ def test_gammas_match_series_expansion():
         assert res.a_invariant == series.degree(), rep
 
 
+def test_no_float_in_the_laurent_data():
+    # Closed forms (V7, V30, 4V9), one_v1_rest_even (V1+2V4, V1+V2+V4), the
+    # gamma2 exceptions (V5, 2V4, V8) and the full series fallback (V1, V4):
+    # every value is an exact int or Fraction, never a float from an int
+    # power sum divided by an int.
+    for text in ["V7", "V30", "4V9", "V1+2V4", "V1+V2+V4", "V5", "2V4", "V8", "V1", "V4"]:
+        rep = parse_rep(text)
+        values = list(gammas(rep).gamma)
+        for closed in (gamma0, gamma1, gamma2, gamma3, first_coeff_sum):
+            try:
+                values.append(closed(rep))
+            except ValueError:
+                pass
+        assert all(type(v) in (int, Fraction) for v in values), (text, values)
+
+
 def test_a_invariant():
     assert a_invariant(parse_rep("V1")) == 0
     assert a_invariant(parse_rep("V2")) == -2

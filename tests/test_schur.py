@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from references import bialternant_eval
+from references import bialternant_eval, power_sum_fractions
 from sl2hilb.repmodel import parse_rep, weight_system
 from sl2hilb.schur import (StraightenedSchur, bareiss_det, complete_homogeneous, delta_ratio,
                            power_sum, schur_delta, schur_eval, straighten)
@@ -113,6 +113,30 @@ def test_power_sum():
     assert power_sum((Fraction(1, 2),), 3) == Fraction(1, 8)
 
 
+@given(st.lists(st.one_of(st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9),
+                                                         st.integers(1, 5))), max_size=6),
+       st.integers(0, 5))
+@settings(max_examples=200, deadline=None)
+def test_power_sum_matches_the_fraction_sum(points, s):
+    # int points give an int, a Fraction point a Fraction
+    value = power_sum(points, s)
+    assert value == power_sum_fractions(points, s)
+    assert type(value) is (Fraction if any(type(p) is Fraction for p in points) else int)
+
+
+@pytest.mark.parametrize("call, point", [
+    (lambda: delta_ratio((3,), (0.1, 0.2)), "0.1"),
+    (lambda: delta_ratio((0,), (1, 0.5)), "0.5"),      # before the repeated-exponent zero
+    (lambda: schur_eval((1, 0), (2, 0.5)), "0.5"),
+    (lambda: schur_eval((0, 1, 0), (1, 2.0, 3)), "2.0"),  # before the vanishing shortcut
+    (lambda: power_sum((0.5,), 2), "0.5"),
+    (lambda: power_sum((1, Fraction(1, 2), "3"), 0), "'3'"),
+])
+def test_points_other_than_int_or_fraction_are_rejected(call, point):
+    with pytest.raises(TypeError, match="not %s " % point):
+        call()
+
+
 def _fraction_det(m):
     # Gaussian elimination over the rationals, swapping in any nonzero pivot.
     m = [[Fraction(v) for v in row] for row in m]
@@ -197,3 +221,29 @@ def test_delta_ratio_several_exponents_in_one_pass(case, more):
     n = len(points)
     assert delta_ratio(es, points) == tuple(
         schur_eval(_staircase(x - n + 1, n), points) / schur_delta(points) for x in es)
+
+
+@st.composite
+def _scaled_points_and_outer_exponent(draw):
+    # repeated points from a pool, one of them off the integers so the
+    # scale is above 1; e below 0 or above 2n - 2, the two branches of the
+    # one division by the scale
+    pool = draw(st.lists(_positive_point, min_size=1, max_size=5))
+    points = draw(st.lists(st.sampled_from(pool), max_size=5))
+    points.insert(draw(st.integers(0, len(points))),
+                  draw(st.builds(Fraction, st.integers(1, 12), st.integers(2, 5))
+                       .filter(lambda p: p.denominator > 1)))
+    n = len(points)
+    return tuple(points), draw(st.one_of(st.integers(-8, -1), st.integers(2 * n - 1, 2 * n + 8)))
+
+
+@given(_scaled_points_and_outer_exponent())
+@example(((Fraction(1, 2),), -3))
+@example(((Fraction(3, 2), Fraction(3, 2), Fraction(1, 3)), 7))
+@settings(max_examples=300, deadline=None)
+def test_delta_ratio_on_scaled_points_matches_jacobi_trudi(case):
+    points, e = case
+    n = len(points)
+    value = delta_ratio((e,), points)[0]
+    assert type(value) is Fraction
+    assert value * schur_delta(points) == schur_eval(_staircase(e - n + 1, n), points)
