@@ -17,8 +17,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import __version__
-from .exactalg import (FactoredDenominator, Polynomial, RationalFunction,
-                       format_terms, laurent_at_one, rf_equal, taylor_coeffs)
+from .exactalg import (Polynomial, RationalFunction, format_terms, laurent_at_one,
+                       rf_equal, taylor_coeffs)
 from .laurent import first_coeff_sum, gammas, random_params, sigma_sum_raw, \
     sigma_sum_schur
 from .oracle import packed_bits, truncated_series
@@ -62,8 +62,7 @@ class HilbertResult(namedtuple("HilbertResult", "rep_degrees numerator denominat
                    gamma, a_inv, pole, methods, __version__)
 
     def series(self):
-        return RationalFunction(Polynomial(self.numerator),
-                                FactoredDenominator(dict(self.denominator)))
+        return RationalFunction(Polynomial(self.numerator), dict(self.denominator))
 
     def to_json_dict(self):
         return {
@@ -102,8 +101,9 @@ FixtureRow = namedtuple("FixtureRow", "key series gamma a_invariant")
 
 
 def _rf(num, den):
-    num = Polynomial.from_dict(num) if isinstance(num, dict) else Polynomial(num)
-    return RationalFunction(num, FactoredDenominator(den))
+    if isinstance(num, dict):
+        num = [num.get(e, 0) for e in range(max(num) + 1)]
+    return RationalFunction(Polynomial(num), den)
 
 
 def _g(*vals):
@@ -204,7 +204,7 @@ def _get_result(rep, use_cache=True):
 
 def _series_latex(rf):
     num = format_terms(rf.num.c, "t^{%d}", "%s %s")
-    if rf.den.is_one:
+    if not rf.den.factors:
         return num
     den = "".join("(1-t^{%d})%s" % (m, "^{%d}" % e if e > 1 else "")
                   for m, e in rf.den.items_sorted())
@@ -432,7 +432,12 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:     # the reader left early; devnull keeps the exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except RepParseError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

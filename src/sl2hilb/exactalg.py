@@ -4,11 +4,11 @@ Numerators are dense coefficient lists of ints or Fractions.  Denominators
 stay factored as products of (1 - t^m)^e, and a product or quotient by a
 factor 1 - t^m is one slice operation per factor: out[i] -= out[i-m] is a
 single map over two slices, out[i] += out[i-m] a running sum (accumulate)
-along each residue class mod m.
-Laurent expansion at t = 1 substitutes t = 1 - s and divides series, in
-integers up to one Fraction per returned coefficient.
-RationalFunction.derivative stays, though series.dn_apply no longer calls
-it: it is the tests' reference for dn_apply, and perfbench traces it.
+along each residue class mod m.  Rational functions add and reduce; there is
+no product.  Laurent expansion at t = 1 substitutes t = 1 - s and divides
+series, in integers up to one Fraction per returned coefficient.
+RationalFunction.derivative is the tests' reference for series.dn_apply,
+and perfbench traces it.
 """
 
 from collections import Counter, namedtuple
@@ -28,18 +28,6 @@ class Polynomial:
         while c and c[-1] == 0:
             c.pop()
         self.c = c
-
-    @classmethod
-    def from_dict(cls, d):
-        if not d:
-            return cls()
-        top = max(d)
-        coeffs = [0] * (top + 1)
-        for e, v in d.items():
-            if e < 0:
-                raise ValueError("negative exponent %d" % e)
-            coeffs[e] = v
-        return cls(coeffs)
 
     @property
     def degree(self):
@@ -120,15 +108,11 @@ class FactoredDenominator:
     def degree(self):
         return sum(m * e for m, e in self.factors.items())
 
-    @property
-    def is_one(self):
-        return not self.factors
-
     def items_sorted(self):
         return sorted(self.factors.items())
 
     def __repr__(self):
-        if self.is_one:
+        if not self.factors:
             return "1"
         parts = []
         for m, e in self.items_sorted():
@@ -159,10 +143,6 @@ class RationalFunction:
         self.num = num
         self.den = den
 
-    @property
-    def is_zero(self):
-        return self.num.is_zero
-
     def degree(self):
         """Degree as a rational function: deg num - deg den."""
         if self.num.is_zero:
@@ -174,11 +154,6 @@ class RationalFunction:
         common = {m: max(fs.get(m, 0), fo.get(m, 0)) for m in set(fs) | set(fo)}
         num = _times_rest(self.num, common, fs) + _times_rest(other.num, common, fo)
         return RationalFunction(num, FactoredDenominator(common))
-
-    def __mul__(self, other):
-        fs, fo = self.den.factors, other.den.factors
-        den = {m: fs.get(m, 0) + fo.get(m, 0) for m in set(fs) | set(fo)}
-        return RationalFunction(self.num * other.num, FactoredDenominator(den))
 
     def derivative(self):
         """d/dt, with every denominator exponent raised by one."""
@@ -252,7 +227,7 @@ class RationalFunction:
         return RationalFunction(p.reversed_().shifted(shift) * sign, q)
 
     def __repr__(self):
-        if self.den.is_one:
+        if not self.den.factors:
             return repr(self.num)
         return "(%r)/%r" % (self.num, self.den)
 

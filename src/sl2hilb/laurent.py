@@ -21,21 +21,8 @@ from .schur import _scale_to_integers, delta_ratio, power_sum, schur_delta, schu
 from .series import hilbert_series
 
 
-class GammaResult(namedtuple("GammaResult", "rep gamma pole_order a_invariant methods")):
-    """Laurent coefficients, pole order, a-invariant and how each was found."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        parts = ", ".join(str(g) for g in self.gamma)
-        return "GammaResult(%s: [%s], pole=%d, a=%d)" % (
-            self.rep, parts, self.pole_order, self.a_invariant)
-
-
-def _staircase(top, npos):
-    # (top, npos-2, npos-3, ..., 1, 0); the tail below the leading entry
-    # is the staircase shared by every vector we evaluate.
-    return (top,) + tuple(range(npos - 2, -1, -1))
+GammaResult = namedtuple("GammaResult", "rep gamma pole_order a_invariant methods")
+GammaResult.__doc__ = "Laurent coefficients, pole order, a-invariant and how each was found."
 
 
 def gamma0(rep):
@@ -64,7 +51,7 @@ def _gamma0_gamma2(rep, tag):
     """gamma0 and gamma2 from one delta_ratio pass over a_vec."""
     ws = weight_system(rep)
     # the gamma0 ratio (see gamma0) and s_rho / s_delta for
-    # rho = _staircase(n - 6, n); 7/4 gamma0 carries the s_rho term of gamma2
+    # rho = (n - 6, n - 2, ..., 1, 0); 7/4 gamma0 carries the s_rho term of gamma2
     r0, r2 = delta_ratio((2 * ws.npos - 5, 2 * ws.npos - 7), ws.a_vec)
     g0 = -ws.sigma * r0
     # Power sum over the full weight multiset, zeros and negatives included.
@@ -256,6 +243,8 @@ def sigma_sum_schur(exps, params):
             term = nxt
         for e, c in term.items():
             coeffs[e] += c
-    val = sum((c * schur_eval(_staircase(r + e - shift, npos), blam)
+    # the staircase (r + e - shift, npos - 2, npos - 3, ..., 1, 0)
+    tail = tuple(range(npos - 2, -1, -1))
+    val = sum((c * schur_eval((r + e - shift,) + tail, blam)
                for e, c in coeffs.items() if c), Fraction(0))
     return val / (2 * schur_delta(blam))

@@ -4,7 +4,8 @@ The series is the constant term in z of (1 - z^2) * prod (1 - t z^w)^-1
 over the torus weights w of the rep.  Grouping equal weights first, the
 product is split by partial fractions in t; every coefficient is a power
 series in z, an integer polynomial over a product of (1 - z^b)^e factors
-that the distances between the weights fix in advance.  The term attached to
+that the distances between the weights fix in advance, handed on as a
+ZRationalFunction, a named tuple of two dicts.  The term attached to
 the factor of weight -alpha (alpha >= 0) survives constant term
 extraction and turns into an ordinary rational function of t through the
 substitution operator U_alpha, one prime of alpha at a time, each stage
@@ -17,16 +18,17 @@ integer rational function as it is built, so the pieces are added as they
 come, over their tight denominators.  reduce cancels the sum as if it sat
 over the gcd rule's wider denominator, without building that numerator.
 The assembled series is checked against the functional equation, which
-covers the whole numerator, and against the brute force monomial counts up
+covers the whole numerator; trivial summands then raise the exponent of
+1 - t, and the result is checked against the brute force monomial counts up
 to CHECK_DEPTH before being returned.
 """
 
-from collections import Counter
+from collections import Counter, namedtuple
 from math import comb, gcd
 from operator import add
 
-from .exactalg import (Polynomial, FactoredDenominator, RationalFunction, _mul_trunc,
-                       _primes, _times_factors, _times_over, taylor_coeffs)
+from .exactalg import (Polynomial, RationalFunction, _mul_trunc, _primes, _times_factors,
+                       _times_over, taylor_coeffs)
 from .repmodel import FIRST_COEFF_EXCEPTIONS, weight_system
 from . import oracle
 
@@ -45,26 +47,9 @@ class SeriesConsistencyError(RuntimeError):
         self.want = want
 
 
-class ZRationalFunction:
-    """Power series in z: a numerator dict exponent -> coefficient, no
-    exponent negative, over a product of (1 - z^b)^e factors, b >= 1.
-    The record ua_transform takes; it does no arithmetic.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num=None, den=None):
-        self.num = {e: c for e, c in (num or {}).items() if c}
-        if any(e < 0 for e in self.num):
-            raise ValueError("negative exponent in a power series numerator")
-        self.den = den if isinstance(den, FactoredDenominator) else FactoredDenominator(den)
-
-    @property
-    def is_zero(self):
-        return not self.num
-
-    def __repr__(self):
-        return "ZRationalFunction(%r, %r)" % (self.num, self.den)
+# A power series in z for ua_transform: num {exponent >= 0: coefficient}
+# over prod (1 - z^b)^e, den {b >= 1: e}.
+ZRationalFunction = namedtuple("ZRationalFunction", "num den")
 
 
 def _coeffs_for_index(weights, mults, i):
@@ -117,35 +102,38 @@ def ua_transform(f, a):
     """Extract every a-th z-coefficient of the power series f into t.
 
     U_a sends sum c_n z^n to sum c_{an} t^n.  With f = g(z^s), s the gcd of
-    the numerator exponents and the factors b, and h = gcd(a, s), U_a f is
-    (U_(a/h) g)(t^(s/h)), and U_(a/h) runs as U_p for each prime p of a/h
-    in ascending order.  In each stage, ascending in b, a factor
+    the exponents of the nonzero terms and the factors b, and h = gcd(a, s),
+    U_a f is (U_(a/h) g)(t^(s/h)), and U_(a/h) runs as U_p for each prime p
+    of a/h in ascending order.  In each stage, ascending in b, a factor
     (1 - z^b)^e with p not dividing b is completed to a series in z^p by
     the conjugates ((1 - z^(pb)) / (1 - z^b))^e (G. Xin, Electron. J.
     Combin. 11 (2004)): one multiply pass and one divide pass, whose last
     b e terms must be zero.  The stage keeps every p-th coefficient and
     turns b into b/p where p divides b.  The result sits over the tight
-    prod (1 - t^(b/gcd(a,b)))^e.  U_0 keeps [z^0]f over 1/(1 - t).
+    prod (1 - t^(b/gcd(a,b)))^e, whose b/gcd(a,b) is the last stage's b
+    times s/h, as gcd(a/h, s/h) = 1.  U_0 keeps [z^0]f over 1/(1 - t).
+    A negative exponent in f is a ValueError.
     """
-    if a < 0:
-        raise ValueError("a must be nonnegative")
-    if f.is_zero:
+    if a < 0 or any(e < 0 for e in f.num):
+        raise ValueError("a and the numerator exponents must be nonnegative")
+    nonzero = [e for e, v in f.num.items() if v]
+    if not nonzero:
         return RationalFunction(0)
     if a == 0:
         # every denominator factor starts with 1, so [z^0]f is the numerator's
-        return RationalFunction(Polynomial([f.num.get(0, 0)]), FactoredDenominator({1: 1}))
-    den_t = Counter()
-    for b, e in sorted(f.den.factors.items()):
-        den_t[b // gcd(a, b)] += e
-    s = gcd(*f.num, *f.den.factors) or 1
+        return RationalFunction(Polynomial([f.num.get(0, 0)]), {1: 1})
+    s = gcd(*nonzero, *f.den) or 1
     h = gcd(a, s)
-    c = [f.num.get(e, 0) for e in range(0, max(f.num) + 1, s)]
-    den = [(b // s, e) for b, e in f.den.factors.items()]
+    c = [f.num.get(e, 0) for e in range(0, max(nonzero) + 1, s)]
+    den = [(b // s, e) for b, e in f.den.items()]
     for p in _primes(a // h):
         for b, e in sorted(den):
             if b % p and (c := _times_over(c, {p * b: e}, {b: e})) is None:
                 raise RuntimeError("conjugate product not divisible in U_%d" % a)
         c, den = c[::p], [(b // p if b % p == 0 else b, e) for b, e in den]
+    den_t = Counter()
+    for b, e in den:
+        den_t[b * (s // h)] += e
     out = [0] * ((len(c) - 1) * (s // h) + 1)
     out[::s // h] = c
     return RationalFunction(Polynomial(out), den_t)
@@ -186,7 +174,7 @@ def hilbert_series(rep):
     if memo_key not in _MEMO:
         _MEMO[memo_key] = _compute(rep)
     f = _MEMO[memo_key]
-    return RationalFunction(Polynomial(f.num.c), FactoredDenominator(f.den.factors))
+    return RationalFunction(Polynomial(f.num.c), f.den.factors)
 
 
 def _compute(rep):
@@ -205,15 +193,15 @@ def _compute(rep):
             g = ZRationalFunction(dict(enumerate(_times_factors(zc, {2: 1}, len(zc) + 1))), zden)
             piece = dn_apply(ua_transform(g, alpha), mult - j - 1)
             rule = Counter(piece.den.factors)       # tight, raised to the gcd rule
-            for b, e in g.den.factors.items() if alpha and rule else ():
+            for b, e in zden.items() if alpha and rule else ():
                 rule[b // gcd(alpha, b)] += (gcd(alpha, b) - 1) * e
             wide |= rule
             total = total + piece
     total = total.reduce(over=wide)
     if rep.degrees not in FIRST_COEFF_EXCEPTIONS:
         _check_functional_equation(rep, total)
-    if rep.trivial_count:
-        total = total * RationalFunction(1, {1: rep.trivial_count})
+    if rep.trivial_count:       # each trivial summand is one more 1/(1 - t)
+        total.den.factors[1] = total.den.factors.get(1, 0) + rep.trivial_count
     if total.num.is_zero or total.degree() > 0:
         raise SeriesConsistencyError(rep, 0, repr(total), "a power series of degree <= 0")
     depth = min(CHECK_DEPTH, total.den.degree)

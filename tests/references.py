@@ -112,11 +112,11 @@ def ua_transform_single_stage(f, a):
     (1 - z^b)^e, q = b/gcd(a, b), is completed by the conjugates
     ((1 - z^(aq)) / (1 - z^b))^e, then every a-th coefficient is kept over
     prod (1 - t^q)^e."""
-    if f.is_zero:
+    if not any(f.num.values()):
         return RationalFunction(0)
     top = max(f.num)
     c, den_t = [f.num.get(e, 0) for e in range(top + 1)], {}
-    for b, e in sorted(f.den.factors.items()):
+    for b, e in sorted(f.den.items()):
         q = b // gcd(a, b)
         den_t[q] = den_t.get(q, 0) + e
         if a * q != b:
@@ -130,7 +130,10 @@ def ua_transform_single_stage(f, a):
 
 def to_rf(f):
     """The ZRationalFunction f as a RationalFunction."""
-    return RationalFunction(Polynomial.from_dict(f.num), f.den)
+    coeffs = [0] * (max(f.num, default=-1) + 1)
+    for e, v in f.num.items():
+        coeffs[e] = v
+    return RationalFunction(Polynomial(coeffs), f.den)
 
 
 def reduce_multiplied_up(f, over):

@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import sl2hilb.cli as cli
 import sl2hilb.oracle as oracle
@@ -14,7 +16,7 @@ from sl2hilb.cli import (FIXTURES, FixtureRow, HilbertResult, _int_out,
 from sl2hilb.exactalg import (LaurentExpansion, Polynomial, RationalFunction,
                               laurent_at_one, rf_equal, taylor_coeffs)
 from sl2hilb.laurent import gammas
-from sl2hilb.repmodel import parse_rep
+from sl2hilb.repmodel import RepParseError, parse_rep
 from sl2hilb.series import SeriesConsistencyError, hilbert_series
 
 
@@ -32,7 +34,8 @@ def run(capsys, *argv):
 
 # whole stdout of `series` in text and LaTeX: V0+V2 holds the (1 - t) factor,
 # which the text writes as (1-t) and LaTeX as (1-t^{1}); V2+2V3 has
-# coefficients other than +-1 of both signs
+# coefficients other than +-1 of both signs; 2V0+V3+V4 raises the exponent of
+# (1 - t) of a nontrivial series, 3V0 has no nontrivial summand
 SERIES_TEXT = {
     "V1": "1\n",
     "V5": "(1 - t^6 + t^12)/(1-t^4)(1-t^6)(1-t^8)\n",
@@ -40,6 +43,9 @@ SERIES_TEXT = {
     "V2+2V3": "(1 + t^3 + 3*t^4 + 4*t^5 + 5*t^6 + 8*t^7 + 7*t^8 + 3*t^9 + 2*t^10"
               " - 2*t^11 - 3*t^12 - 7*t^13 - 8*t^14 - 5*t^15 - 4*t^16 - 3*t^17 - t^18"
               " - t^21)/(1-t^2)^2(1-t^3)^2(1-t^4)^3(1-t^5)^2\n",
+    "2V0+V3+V4": "(1 + t^2 - 2*t^3 + t^4 - t^5 + 4*t^6 + t^7 + 5*t^8 + t^9 + 4*t^10 - t^11"
+                 " + t^12 - 2*t^13 + t^14 + t^16)/(1-t)^2(1-t^3)^3(1-t^4)(1-t^5)(1-t^7)\n",
+    "3V0": "(1)/(1-t)^3\n",
 }
 SERIES_LATEX = {
     "V1": "H(t) = 1\n",
@@ -49,6 +55,10 @@ SERIES_LATEX = {
               " + 3 t^{9} + 2 t^{10} - 2 t^{11} - 3 t^{12} - 7 t^{13} - 8 t^{14}"
               " - 5 t^{15} - 4 t^{16} - 3 t^{17} - t^{18} - t^{21}}"
               "{(1-t^{2})^{2}(1-t^{3})^{2}(1-t^{4})^{3}(1-t^{5})^{2}}\n",
+    "2V0+V3+V4": "H(t) = \\frac{1 + t^{2} - 2 t^{3} + t^{4} - t^{5} + 4 t^{6} + t^{7}"
+                 " + 5 t^{8} + t^{9} + 4 t^{10} - t^{11} + t^{12} - 2 t^{13} + t^{14}"
+                 " + t^{16}}{(1-t^{1})^{2}(1-t^{3})^{3}(1-t^{4})(1-t^{5})(1-t^{7})}\n",
+    "3V0": "H(t) = \\frac{1}{(1-t^{1})^{3}}\n",
 }
 
 
@@ -468,3 +478,62 @@ def test_verify_max_degree_over_memory_limit(capsys, monkeypatch):
     for spec, depth in (("V16", 155), ("4V7", 181), ("7V2", 36), ("5V3", 52),
                         ("4V4", 44), ("3V8", 126), ("V30", 297), ("V27", 369)):
         assert oracle.packed_bits(parse_rep(spec), depth) < cli.MAX_ORACLE_BYTES
+
+
+@pytest.mark.parametrize("argv", [("gamma", "V7", "--format", "latex"),
+                                  ("series", "V6", "--format", "json")])
+def test_closed_pipe_exits_quietly(argv):
+    # the reader closes its end before the child writes (the child waits for
+    # stdin to close first): exit 0, no traceback, nothing on stderr
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = "import sys; from sl2hilb.cli import main; sys.stdin.read(); sys.exit(main())"
+    proc = subprocess.Popen([sys.executable, "-c", probe, *argv], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=src))
+    proc.stdout.close()
+    proc.stdin.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (0, b"")
+
+
+# a subcommand, a spec (well formed, or any word of the spec alphabet) and up
+# to three flags of any subcommand, each maybe with a value; now and then the
+# words are shuffled
+SPECS = st.one_of(
+    st.lists(st.tuples(st.integers(1, 3), st.integers(0, 6)), min_size=1, max_size=3)
+    .map(lambda terms: "+".join("%dV%d" % term for term in terms)),
+    st.text("Vv0123456789+,* ", max_size=7))
+
+
+@st.composite
+def cli_argv(draw):
+    argv = [draw(st.sampled_from(["series", "expand", "gamma", "verify", "table"])), draw(SPECS)]
+    for _ in range(draw(st.integers(0, 3))):
+        argv.append(draw(st.sampled_from(["--format", "--no-cache", "--terms", "--max-degree",
+                                          "--draws", "--seed", "-h"])))
+        if draw(st.booleans()):
+            argv.append(draw(st.sampled_from(["text", "json", "latex", "-1", "0", "3", "17"])))
+    return draw(st.permutations(argv)) if draw(st.integers(0, 4)) == 0 else argv
+
+
+def _small(word):
+    """False for a word that parses as a rep of dimension above 14: the
+    series cost has no bound yet, and V999 would run for months."""
+    try:
+        rep = parse_rep(word)
+    except RepParseError:
+        return True
+    return rep.dim + rep.trivial_count <= 14
+
+
+@given(cli_argv())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_main_never_lets_an_exception_escape(capsys, argv):
+    # the cache directory is shared by the examples, so some of them hit it
+    assume(all(map(_small, argv)))
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err

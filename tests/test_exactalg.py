@@ -229,7 +229,7 @@ def test_reduce_over_must_be_a_multiple():
 def test_rational_function_numerator_types():
     with pytest.raises(TypeError):
         RationalFunction([1, 2], {2: 1})
-    assert RationalFunction(0).is_zero
+    assert RationalFunction(0).num.is_zero
     assert RationalFunction(Fraction(1, 2)).num.c == [Fraction(1, 2)]
 
 
