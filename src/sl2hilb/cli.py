@@ -6,6 +6,8 @@ the shipped fixture table), expand (series coefficients only).  Only
 series, expand and gamma take --format and --no-cache.  Results of series,
 expand and gamma --format json cache as one JSON file per canonical
 representation key; gamma in text or latex prints from gammas() alone.
+A HilbertResult holds the one checked RationalFunction, from hilbert_series
+or from a cache entry whose record re-encodes to the same JSON text.
 Series numerators print through exactalg.format_terms in text and LaTeX.
 """
 
@@ -17,8 +19,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import __version__
-from .exactalg import (Polynomial, RationalFunction, format_terms, laurent_at_one,
-                       rf_equal, taylor_coeffs)
+from .exactalg import RationalFunction, format_terms, laurent_at_one, rf_equal, taylor_coeffs
 from .laurent import first_coeff_sum, gammas, random_params, sigma_sum_raw, \
     sigma_sum_schur
 from .oracle import packed_bits, truncated_series
@@ -39,10 +40,10 @@ MAX_ORACLE_BYTES = 1 << 30
 MAX_TERMS = 10 ** 6
 
 
-class HilbertResult(namedtuple("HilbertResult", "rep_degrees numerator denominator gamma "
-                                                "a_invariant pole_order methods version")):
-    """One series result as cached and printed: denominator lists (m, e)
-    sorted by m; gamma holds four Fractions, or None with trivial summands."""
+class HilbertResult(namedtuple("HilbertResult", "rep_degrees series gamma a_invariant "
+                                                "pole_order methods version")):
+    """One series result as cached and printed: the checked series, and
+    gamma as four Fractions, or None with trivial summands."""
 
     __slots__ = ()
 
@@ -58,17 +59,13 @@ class HilbertResult(namedtuple("HilbertResult", "rep_degrees numerator denominat
             a_inv = series.degree()
             pole = laurent_at_one(series, 1).pole_order
         degrees = (0,) * rep.trivial_count + rep.degrees
-        return cls(degrees, list(series.num.c), series.den.items_sorted(),
-                   gamma, a_inv, pole, methods, __version__)
-
-    def series(self):
-        return RationalFunction(Polynomial(self.numerator), dict(self.denominator))
+        return cls(degrees, series, gamma, a_inv, pole, methods, __version__)
 
     def to_json_dict(self):
         return {
             "rep": list(self.rep_degrees),
-            "numerator": [_int_out(v) for v in self.numerator],
-            "denominator": [[m, e] for m, e in self.denominator],
+            "numerator": [_int_out(v) for v in self.series.num.c],
+            "denominator": [[m, e] for m, e in self.series.den.items_sorted()],
             "gamma": None if self.gamma is None
                      else ["%d/%d" % (g.numerator, g.denominator) for g in self.gamma],
             "a_invariant": self.a_invariant,
@@ -79,14 +76,16 @@ class HilbertResult(namedtuple("HilbertResult", "rep_degrees numerator denominat
 
     @classmethod
     def from_json_dict(cls, data):
+        """The record for a JSON dict; every number is read as an int or a
+        Fraction, so load_cached sees a float as a change of text."""
         gamma = data["gamma"]
         return cls(
-            rep_degrees=tuple(data["rep"]),
-            numerator=[int(v) for v in data["numerator"]],
-            denominator=[(m, e) for m, e in data["denominator"]],
+            rep_degrees=tuple(map(int, data["rep"])),
+            series=RationalFunction([int(v) for v in data["numerator"]],
+                                    {int(m): int(e) for m, e in data["denominator"]}),
             gamma=None if gamma is None else tuple(Fraction(g) for g in gamma),
-            a_invariant=data["a_invariant"],
-            pole_order=data["pole_order"],
+            a_invariant=int(data["a_invariant"]),
+            pole_order=int(data["pole_order"]),
             methods=None if data["methods"] is None else tuple(data["methods"]),
             version=data["version"],
         )
@@ -101,9 +100,7 @@ FixtureRow = namedtuple("FixtureRow", "key series gamma a_invariant")
 
 
 def _rf(num, den):
-    if isinstance(num, dict):
-        num = [num.get(e, 0) for e in range(max(num) + 1)]
-    return RationalFunction(Polynomial(num), den)
+    return RationalFunction([num.get(e, 0) for e in range(max(num) + 1)], den)
 
 
 def _g(*vals):
@@ -111,10 +108,10 @@ def _g(*vals):
 
 
 FIXTURES = [
-    FixtureRow("V1", _rf([1], {}), _g(1, 0, 0, 0), 0),
-    FixtureRow("V2", _rf([1], {2: 1}), _g("1/2", "1/4", "1/8", "1/16"), -2),
-    FixtureRow("V3", _rf([1], {4: 1}), _g("1/4", "3/8", "5/16", "5/32"), -4),
-    FixtureRow("V4", _rf([1], {2: 1, 3: 1}),
+    FixtureRow("V1", _rf({0: 1}, {}), _g(1, 0, 0, 0), 0),
+    FixtureRow("V2", _rf({0: 1}, {2: 1}), _g("1/2", "1/4", "1/8", "1/16"), -2),
+    FixtureRow("V3", _rf({0: 1}, {4: 1}), _g("1/4", "3/8", "5/16", "5/32"), -4),
+    FixtureRow("V4", _rf({0: 1}, {2: 1, 3: 1}),
                _g("1/6", "1/4", "17/72", "25/144"), -5),
     FixtureRow("V5", _rf({0: 1, 18: 1}, {4: 1, 8: 1, 12: 1}),
                _g("1/192", "1/128", "199/1152", "965/2304"), -6),
@@ -124,13 +121,13 @@ FIXTURES = [
                _rf({0: 1, 8: 1, 9: 1, 10: 1, 18: 1},
                    {2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1}),
                _g("1/1008", "1/672", "191/15120", "11/378"), -9),
-    FixtureRow("2V1", _rf([1], {2: 1}), _g("1/2", "1/4", "1/8", "1/16"), -2),
-    FixtureRow("2V2", _rf([1], {2: 3}), _g("1/8", "3/16", "3/16", "5/32"), -6),
+    FixtureRow("2V1", _rf({0: 1}, {2: 1}), _g("1/2", "1/4", "1/8", "1/16"), -2),
+    FixtureRow("2V2", _rf({0: 1}, {2: 3}), _g("1/8", "3/16", "3/16", "5/32"), -6),
     FixtureRow("2V3", _rf({0: 1, 4: 1, 6: 1, 10: 1}, {2: 1, 4: 4}),
                _g("1/128", "3/256", "23/512", "95/1024"), -8),
     FixtureRow("2V4", _rf({0: 1, 4: 1, 8: 1}, {2: 3, 3: 4}),
                _g("1/216", "1/144", "11/432", "5/96"), -10),
-    FixtureRow("V1+V2", _rf([1], {2: 1, 3: 1}),
+    FixtureRow("V1+V2", _rf({0: 1}, {2: 1, 3: 1}),
                _g("1/6", "1/4", "17/72", "25/144"), -5),
     FixtureRow("V1+V3", _rf({0: 1, 6: 1}, {4: 3}),
                _g("1/32", "3/64", "9/64", "35/128"), -6),
@@ -152,17 +149,17 @@ def _cache_path(rep):
 
 def load_cached(rep):
     """The cached result for rep; None unless the entry parses, is for this
-    version and rep, and is exactly what store_cached writes for it."""
+    version and rep, and is, as JSON text, what store_cached writes for it."""
     try:
         with open(_cache_path(rep)) as fh:
             data = json.load(fh)
         result = HilbertResult.from_json_dict(data)
-        result.series()
+        text = json.dumps(data, sort_keys=True)
     except (OSError, ValueError, KeyError, TypeError, ArithmeticError, RecursionError):
         return None
     if (result.version != __version__
             or result.rep_degrees != (0,) * rep.trivial_count + rep.degrees
-            or result.to_json_dict() != data):
+            or json.dumps(result.to_json_dict(), sort_keys=True) != text):
         return None
     return result
 
@@ -214,7 +211,7 @@ def _series_latex(rf):
 def cmd_series(args):
     rep = parse_rep(args.spec)
     result = _get_result(rep, use_cache=not args.no_cache)
-    series = result.series()
+    series = result.series
     if args.format == "json":
         payload = result.to_json_dict()
         if args.terms:
@@ -233,7 +230,7 @@ def cmd_series(args):
 def cmd_expand(args):
     rep = parse_rep(args.spec)
     result = _get_result(rep, use_cache=not args.no_cache)
-    coeffs = taylor_coeffs(result.series(), args.terms)
+    coeffs = taylor_coeffs(result.series, args.terms)
     if args.format == "json":
         print(json.dumps({"rep": list(result.rep_degrees), "coefficients": coeffs},
                          sort_keys=True))
@@ -246,7 +243,7 @@ def cmd_gamma(args):
     """Laurent data; only --format json reads the cached series result."""
     rep = parse_rep(args.spec)
     if not rep.degrees or rep.trivial_count:
-        raise RepParseError("trivial summand not allowed for gamma", 0)
+        raise RepParseError("trivial summand not allowed for gamma")
     if args.format == "json":
         result = _get_result(rep, use_cache=not args.no_cache)
         print(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
@@ -428,22 +425,22 @@ def main(argv=None):
     if _parser is None:
         _parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
-    try:
-        code = args.func(args)
+        try:
+            args = _parser.parse_args(argv)
+            code = args.func(args)
+        except SystemExit as exc:   # argparse printed help (0) or a usage error (2)
+            code = EXIT_USAGE if exc.code else EXIT_OK
+        except RepParseError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            code = EXIT_USAGE
+        except SeriesConsistencyError as exc:
+            print("internal error: %s" % exc, file=sys.stderr)
+            code = EXIT_INTERNAL
         sys.stdout.flush()
-        return code
     except BrokenPipeError:     # the reader left early; devnull keeps the exit flush quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_OK
-    except RepParseError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except SeriesConsistencyError as exc:
-        print("internal error: %s" % exc, file=sys.stderr)
-        return EXIT_INTERNAL
+        code = EXIT_OK
+    return code
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ along each residue class mod m.  Rational functions add and reduce; there is
 no product.  Laurent expansion at t = 1 substitutes t = 1 - s and divides
 series, in integers up to one Fraction per returned coefficient.
 RationalFunction.derivative is the tests' reference for series.dn_apply,
-and perfbench traces it.
+and perfbench traces it.  Callers pass RationalFunction plain lists and dicts.
 """
 
 from collections import Counter, namedtuple
@@ -126,22 +126,21 @@ LaurentExpansion.__doc__ = "Leading Laurent data at t = 1: f = sum c_j (1-t)^(j 
 
 
 class RationalFunction:
-    """num / den with a factored denominator; no automatic cancellation."""
+    """num / den with a factored denominator; no automatic cancellation.
+
+    num is a Polynomial or a list or tuple of coefficients, anything else a
+    TypeError; den is a FactoredDenominator, a dict {m: e} or None (one)."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
-        if not isinstance(num, Polynomial):
-            if not isinstance(num, (int, Fraction)):
-                raise TypeError("numerator must be a Polynomial, int or Fraction, not %s"
-                                % type(num).__name__)
-            num = Polynomial([num])
-        if den is None:
-            den = FactoredDenominator()
-        elif not isinstance(den, FactoredDenominator):
-            den = FactoredDenominator(den)
+    def __init__(self, num=(), den=None):
+        if isinstance(num, (list, tuple)):
+            num = Polynomial(num)
+        elif not isinstance(num, Polynomial):
+            raise TypeError("numerator must be a Polynomial, list or tuple, not %s"
+                            % type(num).__name__)
         self.num = num
-        self.den = den
+        self.den = den if isinstance(den, FactoredDenominator) else FactoredDenominator(den)
 
     def degree(self):
         """Degree as a rational function: deg num - deg den."""
@@ -153,13 +152,13 @@ class RationalFunction:
         fs, fo = self.den.factors, other.den.factors
         common = {m: max(fs.get(m, 0), fo.get(m, 0)) for m in set(fs) | set(fo)}
         num = _times_rest(self.num, common, fs) + _times_rest(other.num, common, fo)
-        return RationalFunction(num, FactoredDenominator(common))
+        return RationalFunction(num, common)
 
     def derivative(self):
         """d/dt, with every denominator exponent raised by one."""
         f = self.den.factors
         if not f:
-            return RationalFunction(self.num.derivative(), self.den)
+            return RationalFunction(self.num.derivative())
         # (P / prod q_m^e_m)' = (P' prod q_m + P sum e_m q_m' prod_{m'!=m} q_m')
         #                       / prod q_m^(e_m+1)
         once = dict.fromkeys(f, 1)
@@ -167,7 +166,7 @@ class RationalFunction:
         for m, e in f.items():
             # from d/dt (1 - t^m)^-e = e m t^(m-1) (1 - t^m)^-(e+1)
             top = top + _times_rest(self.num, once, {m: 1}).shifted(m - 1) * (e * m)
-        return RationalFunction(top, FactoredDenominator({m: e + 1 for m, e in f.items()}))
+        return RationalFunction(top, {m: e + 1 for m, e in f.items()})
 
     def reduce(self, over=None):
         """Cancel factors (1 - t^m) dividing the numerator; best effort: in
@@ -187,7 +186,7 @@ class RationalFunction:
         if any(over.get(m, 0) < e for m, e in factors.items()):
             raise ValueError("over must be a multiple of the denominator")
         if not c:
-            return RationalFunction(Polynomial(), over)
+            return RationalFunction([], over)
         for m in sorted(factors):
             while factors[m] and (q := _times_over(c, {}, {m: 1})) is not None:
                 c = q
@@ -212,7 +211,7 @@ class RationalFunction:
                         {j: cut[j] - x for j, x in extra.items() if cut[j] > x})
         if c is None:
             raise RuntimeError("reduce: the cancelled factors do not divide the numerator")
-        return RationalFunction(Polynomial(list(map(_normalize, c))),
+        return RationalFunction(list(map(_normalize, c)),
                                 {m: e - cut[m] for m, e in over.items()})
 
     def at_reciprocal(self):

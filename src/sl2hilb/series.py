@@ -19,16 +19,17 @@ come, over their tight denominators.  reduce cancels the sum as if it sat
 over the gcd rule's wider denominator, without building that numerator.
 The assembled series is checked against the functional equation, which
 covers the whole numerator; trivial summands then raise the exponent of
-1 - t, and the result is checked against the brute force monomial counts up
-to CHECK_DEPTH before being returned.
+1 - t in a new RationalFunction, and the result is checked against the brute
+force monomial counts up to CHECK_DEPTH before being returned.  Every
+RationalFunction here is built from a coefficient list and a dict {m: e}.
 """
 
 from collections import Counter, namedtuple
 from math import comb, gcd
 from operator import add
 
-from .exactalg import (Polynomial, RationalFunction, _mul_trunc, _primes, _times_factors,
-                       _times_over, taylor_coeffs)
+from .exactalg import (RationalFunction, _mul_trunc, _primes, _times_factors, _times_over,
+                       taylor_coeffs)
 from .repmodel import FIRST_COEFF_EXCEPTIONS, weight_system
 from . import oracle
 
@@ -59,13 +60,13 @@ def _coeffs_for_index(weights, mults, i):
     With F(t) the product of all other factors (1 - t z^w)^-m, the
     coefficient of (1 - t z^{w_i})^(j - m_i) is
     G_{i,j} = F^(j) (1/x_i) / (j! (-x_i)^j), x_i = z^{w_i}, so
-    G_{i,j} = (-1)^j p_j / (B E^j) with B = prod (1 - z^|w - w_i|)^m over
+    G_{i,j} = p_j / (B E^j) with B = prod (1 - z^|w - w_i|)^m over
     the other weights and E = prod (1 - z^c) over their distinct distances
     c = |w - w_i|.  p_0 = F(1/x_i) B = (-1)^s z^K, s and K the multiplicity
     and the distance sum of the weights below w_i.  F' = F S, S the
     logarithmic derivative, gives j p_j = sum_(m<j) p_m q_(j-1-m), divided
-    by j exactly, where q_k / E^(k+1) = S^(k) (1/x_i) / (k! x_i^(k+1)) is
-    the power series (-1)^(k+1) sum m (1 - x_i/z^w)^-(k+1); a weight
+    by j exactly, where q_k / E^(k+1) = S^(k) (1/x_i) / (k! (-x_i)^(k+1)) is
+    the power series sum m (1 - x_i/z^w)^-(k+1); a weight
     w_i + c enters it through 1 - z^-c = -z^-c (1 - z^c).
     """
     wi, mi = weights[i], mults[i]
@@ -85,7 +86,7 @@ def _coeffs_for_index(weights, mults, i):
         for c in den:
             top = [below[c]] + [0] * (c * e - 1) + [(-1) ** e * above[c]]
             q = list(map(add, q, _times_factors(top, {b: e for b in den if b != c}, e * span)))
-        logs.append([(-1) ** e * v for v in q])
+        logs.append(q)
     for j in range(1, mi):
         cutoff = low + j * span
         acc = [0] * (cutoff + 1)
@@ -94,8 +95,7 @@ def _coeffs_for_index(weights, mults, i):
         if any(v % j for v in acc):
             raise RuntimeError("partial fraction numerator not divisible by %d" % j)
         nums.append([v // j for v in acc])
-    return [([(-1) ** j * v for v in p], {c: den[c] + j for c in den})
-            for j, p in enumerate(nums)]
+    return [(p, {c: den[c] + j for c in den}) for j, p in enumerate(nums)]
 
 
 def ua_transform(f, a):
@@ -118,10 +118,10 @@ def ua_transform(f, a):
         raise ValueError("a and the numerator exponents must be nonnegative")
     nonzero = [e for e, v in f.num.items() if v]
     if not nonzero:
-        return RationalFunction(0)
+        return RationalFunction()
     if a == 0:
         # every denominator factor starts with 1, so [z^0]f is the numerator's
-        return RationalFunction(Polynomial([f.num.get(0, 0)]), {1: 1})
+        return RationalFunction([f.num.get(0, 0)], {1: 1})
     s = gcd(*nonzero, *f.den) or 1
     h = gcd(a, s)
     c = [f.num.get(e, 0) for e in range(0, max(nonzero) + 1, s)]
@@ -136,7 +136,7 @@ def ua_transform(f, a):
         den_t[b * (s // h)] += e
     out = [0] * ((len(c) - 1) * (s // h) + 1)
     out[::s // h] = c
-    return RationalFunction(Polynomial(out), den_t)
+    return RationalFunction(out, den_t)
 
 
 def dn_apply(f, n):
@@ -150,7 +150,7 @@ def dn_apply(f, n):
     top = f.num.degree + n * sum(f.den.factors)
     c = [comb(k + n, n) * v for k, v in enumerate(taylor_coeffs(f, top + 1))]
     den = {m: e + n for m, e in f.den.factors.items()}
-    return RationalFunction(Polynomial(_times_factors(c, den, top)), den)
+    return RationalFunction(_times_factors(c, den, top), den)
 
 
 # Terms of the series compared with the brute force counts, at most.
@@ -174,16 +174,16 @@ def hilbert_series(rep):
     if memo_key not in _MEMO:
         _MEMO[memo_key] = _compute(rep)
     f = _MEMO[memo_key]
-    return RationalFunction(Polynomial(f.num.c), f.den.factors)
+    return RationalFunction(f.num.c, f.den.factors)
 
 
 def _compute(rep):
     if not rep.degrees:
-        return RationalFunction(1, {1: rep.trivial_count})
+        return RationalFunction([1], {1: rep.trivial_count})
     mult_of = Counter(weight_system(rep).weights)
     weights, mults = list(mult_of), list(mult_of.values())
     # reduce cancels best effort, so it runs over the gcd rule's (1 - t^(b/g))^(g e): wide
-    total, wide = RationalFunction(0), Counter()
+    total, wide = RationalFunction(), Counter()
     for alpha, mult in zip(weights, mults):
         if alpha < 0:
             continue
@@ -201,7 +201,8 @@ def _compute(rep):
     if rep.degrees not in FIRST_COEFF_EXCEPTIONS:
         _check_functional_equation(rep, total)
     if rep.trivial_count:       # each trivial summand is one more 1/(1 - t)
-        total.den.factors[1] = total.den.factors.get(1, 0) + rep.trivial_count
+        den = total.den.factors
+        total = RationalFunction(total.num, den | {1: den.get(1, 0) + rep.trivial_count})
     if total.num.is_zero or total.degree() > 0:
         raise SeriesConsistencyError(rep, 0, repr(total), "a power series of degree <= 0")
     depth = min(CHECK_DEPTH, total.den.degree)

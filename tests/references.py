@@ -113,7 +113,7 @@ def ua_transform_single_stage(f, a):
     ((1 - z^(aq)) / (1 - z^b))^e, then every a-th coefficient is kept over
     prod (1 - t^q)^e."""
     if not any(f.num.values()):
-        return RationalFunction(0)
+        return RationalFunction()
     top = max(f.num)
     c, den_t = [f.num.get(e, 0) for e in range(top + 1)], {}
     for b, e in sorted(f.den.items()):

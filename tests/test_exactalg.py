@@ -227,10 +227,13 @@ def test_reduce_over_must_be_a_multiple():
 
 
 def test_rational_function_numerator_types():
-    with pytest.raises(TypeError):
-        RationalFunction([1, 2], {2: 1})
-    assert RationalFunction(0).num.is_zero
-    assert RationalFunction(Fraction(1, 2)).num.c == [Fraction(1, 2)]
+    # a dict is never read by its keys, nor a scalar taken for a constant
+    for num in (1, Fraction(1, 2), {0: 1, 2: 1}):
+        with pytest.raises(TypeError, match=type(num).__name__):
+            RationalFunction(num, {2: 1})
+    assert RationalFunction().num.is_zero
+    assert RationalFunction([Fraction(1, 2)]).num.c == [Fraction(1, 2)]
+    assert RationalFunction((1, 0, 2, 0), {2: 1}).num.c == [1, 0, 2]
 
 
 def test_laurent_at_one_simple_pole():
