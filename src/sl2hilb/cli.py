@@ -7,7 +7,8 @@ series, expand and gamma take --format and --no-cache.  Results of series,
 expand and gamma --format json cache as one JSON file per canonical
 representation key; gamma in text or latex prints from gammas() alone.
 A HilbertResult holds the one checked RationalFunction, from hilbert_series
-or from a cache entry whose record re-encodes to the same JSON text.
+or from a cache entry whose record re-encodes to the same JSON text and
+whose series passes the functional equation check hilbert_series runs.
 Series numerators print through exactalg.format_terms in text and LaTeX.
 """
 
@@ -20,11 +21,10 @@ from fractions import Fraction
 
 from . import __version__
 from .exactalg import RationalFunction, format_terms, laurent_at_one, rf_equal, taylor_coeffs
-from .laurent import first_coeff_sum, gammas, random_params, sigma_sum_raw, \
-    sigma_sum_schur
+from .laurent import gammas, random_params, sigma_sum_raw, sigma_sum_schur
 from .oracle import packed_bits, truncated_series
 from .repmodel import FIRST_COEFF_EXCEPTIONS, RepParseError, parse_rep
-from .series import SeriesConsistencyError, hilbert_series
+from .series import SeriesConsistencyError, _check_functional_equation, hilbert_series
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -41,7 +41,7 @@ MAX_TERMS = 10 ** 6
 
 
 class HilbertResult(namedtuple("HilbertResult", "rep_degrees series gamma a_invariant "
-                                                "pole_order methods version")):
+                                                "pole_order methods")):
     """One series result as cached and printed: the checked series, and
     gamma as four Fractions, or None with trivial summands."""
 
@@ -59,7 +59,7 @@ class HilbertResult(namedtuple("HilbertResult", "rep_degrees series gamma a_inva
             a_inv = series.degree()
             pole = laurent_at_one(series, 1).pole_order
         degrees = (0,) * rep.trivial_count + rep.degrees
-        return cls(degrees, series, gamma, a_inv, pole, methods, __version__)
+        return cls(degrees, series, gamma, a_inv, pole, methods)
 
     def to_json_dict(self):
         return {
@@ -71,7 +71,7 @@ class HilbertResult(namedtuple("HilbertResult", "rep_degrees series gamma a_inva
             "a_invariant": self.a_invariant,
             "pole_order": self.pole_order,
             "methods": None if self.methods is None else list(self.methods),
-            "version": self.version,
+            "version": __version__,
         }
 
     @classmethod
@@ -87,7 +87,6 @@ class HilbertResult(namedtuple("HilbertResult", "rep_degrees series gamma a_inva
             a_invariant=int(data["a_invariant"]),
             pole_order=int(data["pole_order"]),
             methods=None if data["methods"] is None else tuple(data["methods"]),
-            version=data["version"],
         )
 
 
@@ -149,7 +148,8 @@ def _cache_path(rep):
 
 def load_cached(rep):
     """The cached result for rep; None unless the entry parses, is for this
-    version and rep, and is, as JSON text, what store_cached writes for it."""
+    rep, is, as JSON text, what store_cached writes for it (so for this
+    version), and its series satisfies the functional equation."""
     try:
         with open(_cache_path(rep)) as fh:
             data = json.load(fh)
@@ -157,9 +157,12 @@ def load_cached(rep):
         text = json.dumps(data, sort_keys=True)
     except (OSError, ValueError, KeyError, TypeError, ArithmeticError, RecursionError):
         return None
-    if (result.version != __version__
-            or result.rep_degrees != (0,) * rep.trivial_count + rep.degrees
+    if (result.rep_degrees != (0,) * rep.trivial_count + rep.degrees
             or json.dumps(result.to_json_dict(), sort_keys=True) != text):
+        return None
+    try:
+        _check_functional_equation(rep, result.series)
+    except SeriesConsistencyError:
         return None
     return result
 
@@ -302,11 +305,6 @@ def cmd_verify(args):
         if rep.degrees not in FIRST_COEFF_EXCEPTIONS:
             check("pole order %d" % (dim - 3), exp.pole_order == dim - 3,
                   "got %d" % exp.pole_order)
-
-        fcs = first_coeff_sum(rep)
-        expected_fcs = FIRST_COEFF_EXCEPTIONS.get(rep.degrees, Fraction(0))
-        check("leading coefficient sum", fcs == expected_fcs,
-              "got %s want %s" % (fcs, expected_fcs))
 
         check("gamma methods agree with series", tuple(res.gamma) == exp.coeffs,
               "closed %s series %s" % (res.gamma, exp.coeffs))

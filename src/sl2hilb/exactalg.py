@@ -1,25 +1,27 @@
 """Exact univariate rational function arithmetic over the rationals.
 
-Numerators are dense coefficient lists of ints or Fractions.  Denominators
+Numerators are dense coefficient lists of ints or Fractions in a Polynomial
+that does no arithmetic; RationalFunction works on the lists.  Denominators
 stay factored as products of (1 - t^m)^e, and a product or quotient by a
 factor 1 - t^m is one slice operation per factor: out[i] -= out[i-m] is a
 single map over two slices, out[i] += out[i-m] a running sum (accumulate)
-along each residue class mod m.  Rational functions add and reduce; there is
-no product.  Laurent expansion at t = 1 substitutes t = 1 - s and divides
-series, in integers up to one Fraction per returned coefficient.
-RationalFunction.derivative is the tests' reference for series.dn_apply,
-and perfbench traces it.  Callers pass RationalFunction plain lists and dicts.
+along each residue class mod m.  Laurent expansion at t = 1 substitutes
+t = 1 - s and divides series, in integers up to one Fraction per returned
+coefficient.  RationalFunction.derivative is the tests' reference for
+series.dn_apply, and perfbench traces it; callers pass lists and dicts.
 """
 
 from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
-from operator import sub
+from operator import add, sub
 
 
 class Polynomial:
-    """Dense polynomial in t; trailing zeros stripped, zero has degree -1."""
+    """Dense coefficient list c of a polynomial in t, trailing zeros stripped;
+    zero has degree -1.  RationalFunction does its arithmetic on the lists;
+    shifted and the product by a scalar are kept for perfbench/make_reference.py."""
 
     __slots__ = ("c",)
 
@@ -33,43 +35,13 @@ class Polynomial:
     def degree(self):
         return len(self.c) - 1
 
-    @property
-    def is_zero(self):
-        return not self.c
-
-    def __eq__(self, other):
-        if isinstance(other, Polynomial):
-            return self.c == other.c
-        return NotImplemented
-
-    def __add__(self, other):
-        a, b = self.c, other.c
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return Polynomial(out)
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            return Polynomial(_mul_trunc(self.c, other.c, len(self.c) + len(other.c) - 2))
-        return Polynomial([v * other for v in self.c])
-
-    __rmul__ = __mul__
-
-    def derivative(self):
-        return Polynomial([i * v for i, v in enumerate(self.c)][1:])
+    def __mul__(self, k):
+        """The product by the scalar k."""
+        return Polynomial([v * k for v in self.c])
 
     def shifted(self, n):
         """Multiply by t^n."""
-        if self.is_zero:
-            return Polynomial()
         return Polynomial([0] * n + self.c)
-
-    def reversed_(self):
-        """t^degree * p(1/t)."""
-        return Polynomial(list(reversed(self.c)))
 
     def __repr__(self):
         return format_terms(self.c, "t^%d", "%s*%s")
@@ -144,28 +116,29 @@ class RationalFunction:
 
     def degree(self):
         """Degree as a rational function: deg num - deg den."""
-        if self.num.is_zero:
+        if not self.num.c:
             raise ValueError("zero function has no degree")
         return self.num.degree - self.den.degree
 
     def __add__(self, other):
         fs, fo = self.den.factors, other.den.factors
         common = {m: max(fs.get(m, 0), fo.get(m, 0)) for m in set(fs) | set(fo)}
-        num = _times_rest(self.num, common, fs) + _times_rest(other.num, common, fo)
-        return RationalFunction(num, common)
+        a, b = _times_rest(self.num.c, common, fs), _times_rest(other.num.c, common, fo)
+        if len(a) < len(b):
+            a, b = b, a
+        return RationalFunction(list(map(add, a, b + [0] * (len(a) - len(b)))), common)
 
     def derivative(self):
         """d/dt, with every denominator exponent raised by one."""
-        f = self.den.factors
-        if not f:
-            return RationalFunction(self.num.derivative())
+        c, f = self.num.c, self.den.factors
         # (P / prod q_m^e_m)' = (P' prod q_m + P sum e_m q_m' prod_{m'!=m} q_m')
-        #                       / prod q_m^(e_m+1)
+        #                       / prod q_m^(e_m+1); no term is longer than the first
         once = dict.fromkeys(f, 1)
-        top = _times_rest(self.num.derivative(), once, {})
+        top = _times_rest([i * v for i, v in enumerate(c)][1:], once, {})
         for m, e in f.items():
             # from d/dt (1 - t^m)^-e = e m t^(m-1) (1 - t^m)^-(e+1)
-            top = top + _times_rest(self.num, once, {m: 1}).shifted(m - 1) * (e * m)
+            for i, v in enumerate(_times_rest(c, once, {m: 1}), m - 1):
+                top[i] += v * (e * m)
         return RationalFunction(top, {m: e + 1 for m, e in f.items()})
 
     def reduce(self, over=None):
@@ -216,14 +189,12 @@ class RationalFunction:
 
     def at_reciprocal(self):
         """The rational function f(1/t); requires degree <= 0."""
-        p, q = self.num, self.den
-        if p.is_zero:
-            return RationalFunction(p, q)
-        shift = q.degree - p.degree
+        c, q = self.num.c, self.den
+        shift = q.degree - self.num.degree
         if shift < 0:
             raise ValueError("degree must be <= 0")
         sign = (-1) ** sum(q.factors.values())
-        return RationalFunction(p.reversed_().shifted(shift) * sign, q)
+        return RationalFunction([0] * shift + [v * sign for v in reversed(c)], q)
 
     def __repr__(self):
         if not self.den.factors:
@@ -236,13 +207,15 @@ def rf_equal(f, g):
     fs, gs = f.den.factors, g.den.factors
     # cancel shared factored part first; keeps the cross products small
     shared = {m: min(fs.get(m, 0), gs.get(m, 0)) for m in set(fs) & set(gs)}
-    return _times_rest(f.num, gs, shared) == _times_rest(g.num, fs, shared)
+    return (Polynomial(_times_rest(f.num.c, gs, shared)).c
+            == Polynomial(_times_rest(g.num.c, fs, shared)).c)
 
 
-def _times_rest(p, factors, part):
-    """p * prod (1 - t^m)^(factors[m] - part[m]); part divides factors."""
+def _times_rest(c, factors, part):
+    """c * prod (1 - t^m)^(factors[m] - part[m]) to the degree of c plus that
+    product's, all zeros when c is empty; part divides factors."""
     rest = {m: e - part.get(m, 0) for m, e in factors.items()}
-    return Polynomial(_times_factors(p.c, rest, p.degree + sum(m * e for m, e in rest.items())))
+    return _times_factors(c, rest, len(c) - 1 + sum(m * e for m, e in rest.items()))
 
 
 def taylor_coeffs(f, count):
@@ -258,7 +231,7 @@ def laurent_at_one(f, count):
     Returns LaurentExpansion(p, (c_0, ..., c_{count-1})) meaning
     f = sum_j c_j (1-t)^(j-p), with c_0 != 0 whenever p > 0.
     """
-    if f.num.is_zero:
+    if not f.num.c:
         raise ValueError("zero function has no Laurent expansion")
     zeros = sum(f.den.factors.values())
     cutoff = zeros + count  # all work truncated at this s-degree

@@ -17,11 +17,11 @@ All arithmetic is exact and runs on integers: every piece is an exact
 integer rational function as it is built, so the pieces are added as they
 come, over their tight denominators.  reduce cancels the sum as if it sat
 over the gcd rule's wider denominator, without building that numerator.
-The assembled series is checked against the functional equation, which
-covers the whole numerator; trivial summands then raise the exponent of
-1 - t in a new RationalFunction, and the result is checked against the brute
-force monomial counts up to CHECK_DEPTH before being returned.  Every
-RationalFunction here is built from a coefficient list and a dict {m: e}.
+Trivial summands raise the exponent of 1 - t of the assembled series, and
+the result is checked against the functional equation, which covers the
+whole numerator, and against the brute force monomial counts up to
+CHECK_DEPTH before being returned.  Every RationalFunction here is built
+from a coefficient list and a dict {m: e}.
 """
 
 from collections import Counter, namedtuple
@@ -163,12 +163,11 @@ def hilbert_series(rep):
     """Hilbert series of the invariant ring of rep, as num / factored den.
 
     Each piece is exact in integers, and the pieces are added as they
-    come.  The sum is reduced, checked against the functional equation
-    H(1/t) = (-1)^(dim-3) t^dim H(t) outside FIRST_COEFF_EXCEPTIONS, and
-    verified against brute force monomial counts up to
-    min(CHECK_DEPTH, denominator degree); a mismatch raises
-    SeriesConsistencyError.  Trivial summands contribute 1/(1-t) each.
-    Every call returns a fresh object; the memo keeps its own.
+    come.  The sum is reduced, each trivial summand adds 1/(1-t), and the
+    result is checked against _check_functional_equation and against brute
+    force monomial counts up to min(CHECK_DEPTH, denominator degree); a
+    mismatch raises SeriesConsistencyError.  Every call returns a fresh
+    object; the memo keeps its own.
     """
     memo_key = (rep.degrees, rep.trivial_count)
     if memo_key not in _MEMO:
@@ -198,12 +197,11 @@ def _compute(rep):
             wide |= rule
             total = total + piece
     total = total.reduce(over=wide)
-    if rep.degrees not in FIRST_COEFF_EXCEPTIONS:
-        _check_functional_equation(rep, total)
     if rep.trivial_count:       # each trivial summand is one more 1/(1 - t)
         den = total.den.factors
         total = RationalFunction(total.num, den | {1: den.get(1, 0) + rep.trivial_count})
-    if total.num.is_zero or total.degree() > 0:
+    _check_functional_equation(rep, total)
+    if not total.num.c or total.degree() > 0:
         raise SeriesConsistencyError(rep, 0, repr(total), "a power series of degree <= 0")
     depth = min(CHECK_DEPTH, total.den.degree)
     got = taylor_coeffs(total, depth + 1)
@@ -215,12 +213,16 @@ def _compute(rep):
 
 
 def _check_functional_equation(rep, f):
-    """H(1/t) = (-1)^(dim-3) t^dim H(t) for the nontrivial part f = N / Q, in
-    coefficients N_j = s N_(deg Q - dim - j), s = (-1)^(dim-3) times the sign
-    of Q(1/t); unlike the oracle prefix it reaches every coefficient of N."""
+    """H(1/t) = (-1)^(D-3) t^D H(t), D = dim + trivial_count, for the series
+    f = N / Q of rep, in coefficients N_j = s N_(deg Q - D - j), s = (-1)^(D-3)
+    times the sign of Q(1/t); unlike the oracle prefix it reaches all of N.
+    Skipped where it fails: no nontrivial summand, or FIRST_COEFF_EXCEPTIONS."""
+    if not rep.degrees or rep.degrees in FIRST_COEFF_EXCEPTIONS:
+        return
     c = f.num.c
-    top = f.den.degree - rep.dim
-    sign = (-1) ** (sum(f.den.factors.values()) + rep.dim - 3)
+    d = rep.dim + rep.trivial_count
+    top = f.den.degree - d
+    sign = (-1) ** (sum(f.den.factors.values()) + d - 3)
     for j in range(max(len(c), top + 1)):
         got = c[j] if j < len(c) else 0
         mirror = sign * c[top - j] if 0 <= top - j < len(c) else 0

@@ -16,6 +16,10 @@ both must accept the same specs and report the same errors.
 laurent_at_one_fractions and power_sum_fractions are the Laurent layer as
 it ran in Fractions, one per coefficient step and per point; the package
 runs both on integers and builds one Fraction per returned value.
+poly_add, poly_mul, poly_derivative and poly_reversed are the arithmetic
+Polynomial had, and rf_add_poly, rf_derivative_poly, rf_at_reciprocal_poly
+and rf_equal_poly the RationalFunction methods as they ran on it; the
+package does that arithmetic on coefficient lists.
 """
 
 from collections import Counter
@@ -38,6 +42,70 @@ def eval_at(p, x):
     for v in reversed(p.c):
         acc = acc * x + v
     return acc
+
+
+def poly_add(p, q):
+    a, b = p.c, q.c
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, v in enumerate(b):
+        out[i] += v
+    return Polynomial(out)
+
+
+def poly_mul(p, q):
+    return Polynomial(_mul_trunc(p.c, q.c, len(p.c) + len(q.c) - 2))
+
+
+def poly_derivative(p):
+    return Polynomial([i * v for i, v in enumerate(p.c)][1:])
+
+
+def poly_reversed(p):
+    """t^degree * p(1/t)."""
+    return Polynomial(list(reversed(p.c)))
+
+
+def _times_rest_poly(p, factors, part):
+    # p * prod (1 - t^m)^(factors[m] - part[m]); part divides factors
+    rest = {m: e - part.get(m, 0) for m, e in factors.items()}
+    return Polynomial(times_factors_loop(p.c, rest, p.degree + sum(m * e for m, e in rest.items())))
+
+
+def rf_add_poly(f, g):
+    fs, fo = f.den.factors, g.den.factors
+    common = {m: max(fs.get(m, 0), fo.get(m, 0)) for m in set(fs) | set(fo)}
+    return RationalFunction(poly_add(_times_rest_poly(f.num, common, fs),
+                                     _times_rest_poly(g.num, common, fo)), common)
+
+
+def rf_derivative_poly(f):
+    factors = f.den.factors
+    if not factors:
+        return RationalFunction(poly_derivative(f.num))
+    once = dict.fromkeys(factors, 1)
+    top = _times_rest_poly(poly_derivative(f.num), once, {})
+    for m, e in factors.items():
+        top = poly_add(top, _times_rest_poly(f.num, once, {m: 1}).shifted(m - 1) * (e * m))
+    return RationalFunction(top, {m: e + 1 for m, e in factors.items()})
+
+
+def rf_at_reciprocal_poly(f):
+    p, q = f.num, f.den
+    if not p.c:
+        return RationalFunction(p, q)
+    shift = q.degree - p.degree
+    if shift < 0:
+        raise ValueError("degree must be <= 0")
+    sign = (-1) ** sum(q.factors.values())
+    return RationalFunction(poly_reversed(p).shifted(shift) * sign, q)
+
+
+def rf_equal_poly(f, g):
+    fs, gs = f.den.factors, g.den.factors
+    shared = {m: min(fs.get(m, 0), gs.get(m, 0)) for m in set(fs) & set(gs)}
+    return _times_rest_poly(f.num, gs, shared).c == _times_rest_poly(g.num, fs, shared).c
 
 
 def weight_counts_walk(ws, max_degree):
@@ -139,9 +207,7 @@ def to_rf(f):
 def reduce_multiplied_up(f, over):
     """f rewritten over `over`, a multiple {m: e} of its denominator, then
     in ascending m as many 1 - t^m cancelled as divide what is left."""
-    rest = {m: e - f.den.factors.get(m, 0) for m, e in over.items()}
-    c = Polynomial(times_factors_loop(f.num.c, rest,
-                                      f.num.degree + sum(m * e for m, e in rest.items()))).c
+    c = _times_rest_poly(f.num, over, f.den.factors).c
     c = [int(v) if isinstance(v, Fraction) and v.denominator == 1 else v for v in c]
     factors = dict(over)
     for m in sorted(factors):
@@ -158,7 +224,7 @@ def reduce_multiplied_up(f, over):
 def laurent_at_one_fractions(f, count):
     """exactalg.laurent_at_one with the series division run in Fractions:
     c_n = (cur[val+n] - sum_j unit[j] c_(n-j)) / unit[0]."""
-    if f.num.is_zero:
+    if not f.num.c:
         raise ValueError("zero function has no Laurent expansion")
     zeros = sum(f.den.factors.values())
     cutoff = zeros + count

@@ -263,6 +263,23 @@ def test_cache_version_mismatch_recomputes(isolated_cache, capsys):
     assert json.loads(path.read_text())["version"] != "0.0.0"
 
 
+def test_cache_entry_off_the_functional_equation_recomputes(isolated_cache, capsys):
+    # canonical JSON for a record, but the series breaks the functional
+    # equation: the first coefficient of V5 set from 1 to 2, and the t^2
+    # coefficient of 2V0+V3+V4 changed without its mirror t^14
+    for spec, index in (("V5", 0), ("2V0+V3+V4", 2)):
+        run(capsys, "series", spec)
+        path = isolated_cache / (spec + ".json")
+        good = json.loads(path.read_text())
+        data = json.loads(path.read_text())
+        data["numerator"][index] += 1
+        path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        assert load_cached(parse_rep(spec)) is None
+        code, out, err = run(capsys, "series", spec)
+        assert (code, out, err) == (0, SERIES_TEXT[spec], ""), spec
+        assert json.loads(path.read_text()) == good, spec
+
+
 def test_malformed_cache_entry_is_a_miss(isolated_cache, capsys):
     # gamma --format json is the gamma output that reads the cache
     code, want, _ = run(capsys, "gamma", "V5", "--format", "json", "--no-cache")

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import sl2hilb.exactalg as exactalg
 import sl2hilb.series as series_mod
-from references import to_rf, ua_transform_single_stage
+from references import poly_add, to_rf, ua_transform_single_stage
 from sl2hilb.exactalg import (FactoredDenominator, Polynomial,
                               RationalFunction, rf_equal, taylor_coeffs)
 from sl2hilb.oracle import truncated_series
@@ -206,7 +206,7 @@ def test_perturbed_piece_fails_the_functional_equation(monkeypatch):
         out = dn_apply_exact(f, n)
         if not perturbed:
             perturbed.append(n)
-            out = RationalFunction(out.num + Polynomial([1]), out.den)
+            out = RationalFunction(poly_add(out.num, Polynomial([1])), out.den)
         return out
 
     def oracle_unreached(rep, n):
