@@ -3,13 +3,14 @@
 Subcommands: series (rational function, optionally leading coefficients),
 gamma (Laurent data), verify (oracle and identity checks), table (recompute
 the shipped fixture table), expand (series coefficients only).  Only
-series, expand and gamma take --format and --no-cache.  Results of series,
-expand and gamma --format json cache as one JSON file per canonical
-representation key; gamma in text or latex prints from gammas() alone.
-A HilbertResult holds the one checked RationalFunction, from hilbert_series
-or from a cache entry whose record re-encodes to the same JSON text and
-whose series passes the functional equation check hilbert_series runs.
-Series numerators print through exactalg.format_terms in text and LaTeX.
+series, expand and gamma take --format and --no-cache.  series, expand and
+gamma --format json cache only the checked series, one JSON file per
+canonical representation key, served if the file is, as JSON text, what
+store_cached writes for the series in it and that series passes the
+functional equation check hilbert_series runs.  The JSON record's gamma,
+a-invariant, pole order and methods come from gammas() or the series on
+every call; gamma in text or latex prints from gammas() alone.  Series
+numerators print through exactalg.format_terms in text and LaTeX.
 """
 
 import argparse
@@ -40,54 +41,45 @@ MAX_ORACLE_BYTES = 1 << 30
 MAX_TERMS = 10 ** 6
 
 
-class HilbertResult(namedtuple("HilbertResult", "rep_degrees series gamma a_invariant "
+class HilbertResult(namedtuple("HilbertResult", "rep series gamma a_invariant "
                                                 "pole_order methods")):
-    """One series result as cached and printed: the checked series, and
-    gamma as four Fractions, or None with trivial summands."""
+    """The JSON record of a checked series: gamma as four Fractions, or None
+    with trivial summands, and the rest from gammas() or the series."""
 
     __slots__ = ()
 
     @classmethod
-    def compute(cls, rep):
-        series = hilbert_series(rep)
-        if rep.degrees and not rep.trivial_count:
-            res = gammas(rep)
-            gamma, methods = res.gamma, res.methods
-            a_inv, pole = res.a_invariant, res.pole_order
-        else:
-            gamma, methods = None, None
-            a_inv = series.degree()
+    def compute(cls, rep, series):
+        if not rep.degrees or rep.trivial_count:
             pole = laurent_at_one(series, 1).pole_order
-        degrees = (0,) * rep.trivial_count + rep.degrees
-        return cls(degrees, series, gamma, a_inv, pole, methods)
+            return cls(rep, series, None, series.degree(), pole, None)
+        res = gammas(rep)
+        return cls(rep, series, res.gamma, res.a_invariant, res.pole_order, res.methods)
 
     def to_json_dict(self):
-        return {
-            "rep": list(self.rep_degrees),
-            "numerator": [_int_out(v) for v in self.series.num.c],
-            "denominator": [[m, e] for m, e in self.series.den.items_sorted()],
-            "gamma": None if self.gamma is None
-                     else ["%d/%d" % (g.numerator, g.denominator) for g in self.gamma],
-            "a_invariant": self.a_invariant,
-            "pole_order": self.pole_order,
-            "methods": None if self.methods is None else list(self.methods),
-            "version": __version__,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data):
-        """The record for a JSON dict; every number is read as an int or a
-        Fraction, so load_cached sees a float as a change of text."""
-        gamma = data["gamma"]
-        return cls(
-            rep_degrees=tuple(map(int, data["rep"])),
-            series=RationalFunction([int(v) for v in data["numerator"]],
-                                    {int(m): int(e) for m, e in data["denominator"]}),
-            gamma=None if gamma is None else tuple(Fraction(g) for g in gamma),
-            a_invariant=int(data["a_invariant"]),
-            pole_order=int(data["pole_order"]),
-            methods=None if data["methods"] is None else tuple(data["methods"]),
+        return dict(
+            _entry(self.rep, self.series),
+            gamma=None if self.gamma is None
+                  else ["%d/%d" % (g.numerator, g.denominator) for g in self.gamma],
+            a_invariant=self.a_invariant,
+            pole_order=self.pole_order,
+            methods=None if self.methods is None else list(self.methods),
         )
+
+
+def _rep_degrees(rep):
+    return [0] * rep.trivial_count + list(rep.degrees)
+
+
+def _entry(rep, series):
+    """The cache entry of rep's series: what store_cached writes, and what
+    load_cached must read back as JSON text to serve it."""
+    return {
+        "rep": _rep_degrees(rep),
+        "numerator": [_int_out(v) for v in series.num.c],
+        "denominator": [[m, e] for m, e in series.den.items_sorted()],
+        "version": __version__,
+    }
 
 
 def _int_out(v):
@@ -147,27 +139,27 @@ def _cache_path(rep):
 
 
 def load_cached(rep):
-    """The cached result for rep; None unless the entry parses, is for this
-    rep, is, as JSON text, what store_cached writes for it (so for this
-    version), and its series satisfies the functional equation."""
+    """The checked series cached for rep; None unless the entry parses, is,
+    as JSON text, the _entry of the series it holds (so for this rep and
+    version), and that series satisfies the functional equation."""
     try:
         with open(_cache_path(rep)) as fh:
             data = json.load(fh)
-        result = HilbertResult.from_json_dict(data)
+        series = RationalFunction([int(v) for v in data["numerator"]],
+                                  {int(m): int(e) for m, e in data["denominator"]})
         text = json.dumps(data, sort_keys=True)
     except (OSError, ValueError, KeyError, TypeError, ArithmeticError, RecursionError):
         return None
-    if (result.rep_degrees != (0,) * rep.trivial_count + rep.degrees
-            or json.dumps(result.to_json_dict(), sort_keys=True) != text):
+    if json.dumps(_entry(rep, series), sort_keys=True) != text:
         return None
     try:
-        _check_functional_equation(rep, result.series)
+        _check_functional_equation(rep, series)
     except SeriesConsistencyError:
         return None
-    return result
+    return series
 
 
-def store_cached(rep, result):
+def store_cached(rep, series):
     path = _cache_path(rep)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     # what tempfile.mkstemp guarantees (a new file, mode 0600) without
@@ -176,7 +168,7 @@ def store_cached(rep, result):
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(result.to_json_dict(), fh, indent=2, sort_keys=True)
+            json.dump(_entry(rep, series), fh, indent=2, sort_keys=True)
             fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
@@ -187,19 +179,19 @@ def store_cached(rep, result):
         raise
 
 
-def _get_result(rep, use_cache=True):
+def _get_series(rep, use_cache):
     if use_cache:
         cached = load_cached(rep)
         if cached is not None:
             return cached
-    result = HilbertResult.compute(rep)
+    series = hilbert_series(rep)
     if use_cache:
         try:
-            store_cached(rep, result)
+            store_cached(rep, series)
         except OSError as exc:
-            # the result stands without the cache; say why it was not kept
+            # the series stands without the cache; say why it was not kept
             print("warning: result not cached: %s" % exc, file=sys.stderr)
-    return result
+    return series
 
 
 def _series_latex(rf):
@@ -213,10 +205,9 @@ def _series_latex(rf):
 
 def cmd_series(args):
     rep = parse_rep(args.spec)
-    result = _get_result(rep, use_cache=not args.no_cache)
-    series = result.series
+    series = _get_series(rep, not args.no_cache)
     if args.format == "json":
-        payload = result.to_json_dict()
+        payload = HilbertResult.compute(rep, series).to_json_dict()
         if args.terms:
             payload["coefficients"] = taylor_coeffs(series, args.terms)
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -232,23 +223,21 @@ def cmd_series(args):
 
 def cmd_expand(args):
     rep = parse_rep(args.spec)
-    result = _get_result(rep, use_cache=not args.no_cache)
-    coeffs = taylor_coeffs(result.series, args.terms)
+    coeffs = taylor_coeffs(_get_series(rep, not args.no_cache), args.terms)
     if args.format == "json":
-        print(json.dumps({"rep": list(result.rep_degrees), "coefficients": coeffs},
-                         sort_keys=True))
+        print(json.dumps({"rep": _rep_degrees(rep), "coefficients": coeffs}, sort_keys=True))
     else:
         print(", ".join(str(c) for c in coeffs))
     return EXIT_OK
 
 
 def cmd_gamma(args):
-    """Laurent data; only --format json reads the cached series result."""
+    """Laurent data; only --format json reads the cached series."""
     rep = parse_rep(args.spec)
     if not rep.degrees or rep.trivial_count:
         raise RepParseError("trivial summand not allowed for gamma")
     if args.format == "json":
-        result = _get_result(rep, use_cache=not args.no_cache)
+        result = HilbertResult.compute(rep, _get_series(rep, not args.no_cache))
         print(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
         return EXIT_OK
     res = gammas(rep)

@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
 from fractions import Fraction
@@ -103,11 +104,19 @@ def test_series_json_golden(capsys):
     assert json.loads(out) == GOLDEN_V2_2V3
 
 
-def test_json_round_trip():
-    result = HilbertResult.from_json_dict(GOLDEN_V2_2V3)
-    assert result.to_json_dict() == GOLDEN_V2_2V3
+# the keys of a cache entry: the series and the package version, nothing
+# derived from them
+ENTRY_KEYS = ["denominator", "numerator", "rep", "version"]
+
+
+def test_json_round_trip(isolated_cache):
     rep = parse_rep("V2+2V3")
-    assert rf_equal(result.series, hilbert_series(rep))
+    store_cached(rep, hilbert_series(rep))
+    entry = json.loads((isolated_cache / "V2+2V3.json").read_text())
+    assert entry == {k: GOLDEN_V2_2V3[k] for k in ENTRY_KEYS}
+    series = load_cached(rep)
+    assert HilbertResult.compute(rep, series).to_json_dict() == GOLDEN_V2_2V3
+    assert rf_equal(series, hilbert_series(rep))
 
 
 def test_expand(capsys):
@@ -246,9 +255,9 @@ def test_cache_round_trip(isolated_cache, capsys):
     assert out1 == out2
     rep = parse_rep("V2+V3")
     cached = load_cached(rep)
-    assert rf_equal(cached.series, hilbert_series(rep))
-    assert cached.gamma == (Fraction(1, 60), Fraction(1, 40),
-                            Fraction(71, 720), Fraction(59, 288))
+    assert rf_equal(cached, hilbert_series(rep))
+    assert HilbertResult.compute(rep, cached).gamma == (Fraction(1, 60), Fraction(1, 40),
+                                                        Fraction(71, 720), Fraction(59, 288))
 
 
 def test_cache_version_mismatch_recomputes(isolated_cache, capsys):
@@ -280,6 +289,78 @@ def test_cache_entry_off_the_functional_equation_recomputes(isolated_cache, caps
         assert json.loads(path.read_text()) == good, spec
 
 
+def test_cache_entry_with_edited_derived_fields_recomputes(isolated_cache, capsys):
+    # an entry in the old format, the whole --format json record, with its
+    # gamma, a-invariant, pole order or methods edited: none of them is
+    # read from disk, so the output is the uncached one and the entry is
+    # rewritten with the series alone
+    edits = {
+        "V5": {"gamma": ["1/191", "1/128", "199/1152", "965/2304"], "a_invariant": -7,
+               "pole_order": 4, "methods": ["MadeUp"] + ["ClosedForm"] * 3},
+        "2V0+V3+V4": {"a_invariant": -10, "pole_order": 9},
+    }
+    for spec, edit in edits.items():
+        path = isolated_cache / (spec + ".json")
+        commands = [("series", spec, "--format", "json")]
+        if spec == "V5":
+            commands.append(("gamma", spec, "--format", "json"))
+        for argv in commands:
+            code, want, _ = run(capsys, *argv, "--no-cache")
+            assert code == 0
+            old = json.loads(want)
+            assert all(old[k] != v for k, v in edit.items()), spec
+            isolated_cache.mkdir(exist_ok=True)
+            path.write_text(json.dumps(dict(old, **edit), indent=2, sort_keys=True) + "\n")
+            assert run(capsys, *argv) == (0, want, ""), argv
+            assert json.loads(path.read_text()) == {k: old[k] for k in ENTRY_KEYS}, argv
+
+
+# every kind of request the benchmark's cli workload sends
+CLI_KINDS = runpy.run_path(os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                                        "perfbench", "workloads.py"))["CLI_KINDS"]
+
+
+@pytest.mark.parametrize("spec", ["V1", "V2", "2V1", "V5", "V6", "V8", "2V4", "V9",
+                                  "V2+2V3", "2V0+V3+V4", "3V0"])
+def test_cache_hit_prints_what_a_miss_prints(isolated_cache, capsys, monkeypatch, spec):
+    rep = parse_rep(spec)
+    series = hilbert_series(rep)
+    path = isolated_cache / (rep.key + ".json")
+
+    def unreached(*args):
+        raise AssertionError("a cache hit built the series, or a record was "
+                             "built for text, LaTeX or expand")
+
+    for kind in CLI_KINDS:
+        argv = (kind[0], spec) + kind[1:]
+        want = run(capsys, *argv, "--no-cache")
+        if path.exists():
+            path.unlink()
+        with monkeypatch.context() as m:
+            if kind[0] != "gamma" and "json" not in kind:
+                m.setattr(cli, "gammas", unreached)
+            assert run(capsys, *argv) == want, argv     # computes and stores
+        with monkeypatch.context() as m:
+            # gamma in text or latex, and gamma on a trivial summand, never
+            # reach the cache
+            if kind[0] != "gamma" or ("json" in kind and want[0] == 0):
+                assert load_cached(rep) is not None, argv
+                m.setattr(cli, "hilbert_series", unreached)
+            assert run(capsys, *argv) == want, argv     # served from the cache
+        if kind[1:] == ("--format", "json") and want[0] == 0:
+            record = json.loads(want[1])
+            if rep.degrees and not rep.trivial_count:
+                res = gammas(rep)
+                assert record["gamma"] == ["%d/%d" % (g.numerator, g.denominator)
+                                           for g in res.gamma]
+                assert (record["methods"], record["a_invariant"], record["pole_order"]) == (
+                    list(res.methods), res.a_invariant, res.pole_order)
+            else:
+                assert (record["gamma"], record["methods"]) == (None, None)
+                assert (record["a_invariant"], record["pole_order"]) == (
+                    series.degree(), laurent_at_one(series, 1).pole_order)
+
+
 def test_malformed_cache_entry_is_a_miss(isolated_cache, capsys):
     # gamma --format json is the gamma output that reads the cache
     code, want, _ = run(capsys, "gamma", "V5", "--format", "json", "--no-cache")
@@ -288,25 +369,30 @@ def test_malformed_cache_entry_is_a_miss(isolated_cache, capsys):
     run(capsys, "gamma", "V6", "--format", "json")
     path = isolated_cache / "V5.json"
     good = json.loads(path.read_text())
+    assert sorted(good) == ENTRY_KEYS
+    record = json.loads(want)       # the whole record, as entries once held it
 
     def edited(key, value):
         return json.dumps(dict(good, **{key: value}))
 
     payloads = [
         "[]",                                           # not an object
-        edited("gamma", ["1/0"] + good["gamma"][1:]),   # no such Fraction
+        json.dumps({k: good[k] for k in ENTRY_KEYS if k != "version"}),    # a key too few
+        json.dumps(record),                             # derived keys too many
+        edited("gamma", ["1/0"] + record["gamma"][1:]),
         (isolated_cache / "V6.json").read_text(),       # another rep's entry
         edited("numerator", [1.5] + good["numerator"][1:]),
         edited("numerator", [float("inf")]),
         edited("denominator", [[0, 1]]),
         # equal as Python values, but not the text store_cached writes
         edited("denominator", good["denominator"][::-1]),
-        edited("a_invariant", float(good["a_invariant"])),
-        edited("pole_order", float(good["pole_order"])),
+        edited("a_invariant", float(record["a_invariant"])),
+        edited("pole_order", float(record["pole_order"])),
         edited("denominator", [[float(m), e] for m, e in good["denominator"]]),
         edited("numerator", good["numerator"] + [0]),
         edited("denominator", good["denominator"] + good["denominator"][-1:]),
         edited("rep", [float(d) for d in good["rep"]]),
+        edited("version", "0.0.0"),
     ]
     for payload in payloads:
         path.write_text(payload)
@@ -323,25 +409,25 @@ def test_no_cache_flag(isolated_cache, capsys):
 
 def test_store_cached_atomic(isolated_cache):
     rep = parse_rep("V2")
-    result = HilbertResult.compute(rep)
-    store_cached(rep, result)
+    store_cached(rep, hilbert_series(rep))
     names = os.listdir(isolated_cache)
     assert names == ["V2.json"]      # no stray temp files
 
 
 def test_store_cached_writes_mode_0600(isolated_cache):
     rep = parse_rep("V2+V3")
-    result = HilbertResult.compute(rep)
-    store_cached(rep, result)
+    series = hilbert_series(rep)
+    store_cached(rep, series)
     path = isolated_cache / "V2+V3.json"
     assert path.stat().st_mode & 0o777 == 0o600
-    assert path.read_text() == json.dumps(result.to_json_dict(), indent=2,
+    record = HilbertResult.compute(rep, series).to_json_dict()
+    assert path.read_text() == json.dumps({k: record[k] for k in ENTRY_KEYS}, indent=2,
                                           sort_keys=True) + "\n"
 
 
 def test_failed_cache_write_leaves_no_temp_file(isolated_cache, monkeypatch):
     rep = parse_rep("V2")
-    result = HilbertResult.compute(rep)
+    series = hilbert_series(rep)
 
     def dump_half(obj, fh, **kwargs):
         fh.write("{")
@@ -349,19 +435,25 @@ def test_failed_cache_write_leaves_no_temp_file(isolated_cache, monkeypatch):
 
     monkeypatch.setattr(cli.json, "dump", dump_half)
     with pytest.raises(RuntimeError, match="disk gave out"):
-        store_cached(rep, result)
+        store_cached(rep, series)
     assert os.listdir(isolated_cache) == []
 
 
-def test_big_int_serialization():
+def test_big_int_serialization(isolated_cache):
     big = 2 ** 70 + 3
     assert _int_out(big) == str(big)
     assert _int_out(-(2 ** 70)) == str(-(2 ** 70))
     assert _int_out(12) == 12
-    data = dict(GOLDEN_V2_2V3, numerator=[str(big), -5])
-    result = HilbertResult.from_json_dict(data)
-    assert result.series.num.c == [big, -5]
-    assert result.to_json_dict() == data
+    # big times the V2+2V3 series keeps its functional equation, so the
+    # entry is served, coefficients past 64 bits and all
+    rep = parse_rep("V2+2V3")
+    num = [big * c for c in GOLDEN_V2_2V3["numerator"]]
+    store_cached(rep, RationalFunction(num, hilbert_series(rep).den))
+    entry = json.loads((isolated_cache / "V2+2V3.json").read_text())
+    assert entry["numerator"][:2] == [str(big), 0]
+    assert entry == dict({k: GOLDEN_V2_2V3[k] for k in ENTRY_KEYS},
+                         numerator=[_int_out(v) for v in num])
+    assert load_cached(rep).num.c == num
 
 
 def test_series_json_with_terms(capsys):
@@ -370,7 +462,7 @@ def test_series_json_with_terms(capsys):
     rep = parse_rep("V2+V3")
     payload = json.loads(out)
     assert payload.pop("coefficients") == taylor_coeffs(hilbert_series(rep), 9)
-    assert payload == HilbertResult.compute(rep).to_json_dict()
+    assert payload == HilbertResult.compute(rep, hilbert_series(rep)).to_json_dict()
 
 
 def test_expand_json(capsys):
@@ -390,7 +482,7 @@ def test_gamma_json(capsys):
     assert GOLDEN_V2_2V3["methods"] == list(res.methods)
 
 
-def _no_compute(rep):
+def _no_compute(*args):
     raise AssertionError("gamma text/latex must not build the series result")
 
 
