@@ -310,6 +310,17 @@ def _times_over(c, up, down):
     return out[:deg + 1] if deg >= 0 and not any(out[deg + 1:]) else None
 
 
+def _times_geometric(c, p, b, e):
+    """c * (1 + t^b + ... + t^((p-1)b))^e, the list c times the conjugates
+    ((1 - t^(pb)) / (1 - t^b))^e: p - 1 shifted adds per power, no division."""
+    for _ in range(e):
+        n, out = len(c), c + [0] * ((p - 1) * b)
+        for k in range(b, p * b, b):
+            out[k:k + n] = map(add, out[k:k + n], c)
+        c = out
+    return c
+
+
 def _div_cyclotomic(c, d):
     """c / Phi_d, or None: Phi_d = +-prod (1 - t^(d/k))^mu(k), k | d squarefree."""
     up, down = {}, {}

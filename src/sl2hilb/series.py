@@ -14,8 +14,9 @@ D_n.  Factors of strictly positive weight contribute nothing: their
 coefficient functions have strictly positive valuation in z.
 
 All arithmetic is exact and runs on integers: every piece is an exact
-integer rational function as it is built, so the pieces are added as they
-come, over their tight denominators.  reduce cancels the sum as if it sat
+integer rational function as it is built, so the pieces are added over
+their tight denominators, pairwise in a balanced tree, where each operand is
+lifted only by the other half's factors.  reduce cancels the sum as if it sat
 over the gcd rule's wider denominator, without building that numerator.
 Trivial summands raise the exponent of 1 - t of the assembled series, and
 the result is checked against the functional equation, which covers the
@@ -28,8 +29,8 @@ from collections import Counter, namedtuple
 from math import comb, gcd
 from operator import add
 
-from .exactalg import (RationalFunction, _mul_trunc, _primes, _times_factors, _times_over,
-                       taylor_coeffs)
+from .exactalg import (RationalFunction, _div_factors, _mul_trunc, _primes, _times_factors,
+                       _times_geometric, _times_over, taylor_coeffs)
 from .repmodel import FIRST_COEFF_EXCEPTIONS, weight_system
 from . import oracle
 
@@ -67,7 +68,8 @@ def _coeffs_for_index(weights, mults, i):
     logarithmic derivative, gives j p_j = sum_(m<j) p_m q_(j-1-m), divided
     by j exactly, where q_k / E^(k+1) = S^(k) (1/x_i) / (k! (-x_i)^(k+1)) is
     the power series sum m (1 - x_i/z^w)^-(k+1); a weight
-    w_i + c enters it through 1 - z^-c = -z^-c (1 - z^c).
+    w_i + c enters it through 1 - z^-c = -z^-c (1 - z^c).  q_k is one pass by
+    E^(k+1) over the sum of the distances' series to degree (k+1) deg E.
     """
     wi, mi = weights[i], mults[i]
     below, above = Counter(), Counter()     # distance c -> multiplicity of w_i -/+ c
@@ -82,11 +84,11 @@ def _coeffs_for_index(weights, mults, i):
     nums = [[0] * low + [(-1) ** sum(below.values())]]
     logs = []                               # q_(e-1), over E^e
     for e in range(1, mi):
-        q = [0] * (e * span + 1)
+        q = [0] * (e * span + 1)            # q_(e-1) / E^e as a series, to degree e span
         for c in den:
             top = [below[c]] + [0] * (c * e - 1) + [(-1) ** e * above[c]]
-            q = list(map(add, q, _times_factors(top, {b: e for b in den if b != c}, e * span)))
-        logs.append(q)
+            q = list(map(add, q, _div_factors(top, {c: e}, e * span + 1)))
+        logs.append(_times_factors(q, dict.fromkeys(den, e), e * span))
     for j in range(1, mi):
         cutoff = low + j * span
         acc = [0] * (cutoff + 1)
@@ -107,8 +109,10 @@ def ua_transform(f, a):
     of a/h in ascending order.  In each stage, ascending in b, a factor
     (1 - z^b)^e with p not dividing b is completed to a series in z^p by
     the conjugates ((1 - z^(pb)) / (1 - z^b))^e (G. Xin, Electron. J.
-    Combin. 11 (2004)): one multiply pass and one divide pass, whose last
-    b e terms must be zero.  The stage keeps every p-th coefficient and
+    Combin. 11 (2004)): for p <= 3 the product by (1 + z^b + ... +
+    z^((p-1)b))^e, p - 1 shifted adds per power; for p >= 5 one multiply
+    pass and one divide pass, whose last b e terms must be zero, as p - 1
+    adds cost more there.  The stage keeps every p-th coefficient and
     turns b into b/p where p divides b.  The result sits over the tight
     prod (1 - t^(b/gcd(a,b)))^e, whose b/gcd(a,b) is the last stage's b
     times s/h, as gcd(a/h, s/h) = 1.  U_0 keeps [z^0]f over 1/(1 - t).
@@ -128,7 +132,9 @@ def ua_transform(f, a):
     den = [(b // s, e) for b, e in f.den.items()]
     for p in _primes(a // h):
         for b, e in sorted(den):
-            if b % p and (c := _times_over(c, {p * b: e}, {b: e})) is None:
+            if b % p and p <= 3:
+                c = _times_geometric(c, p, b, e)
+            elif b % p and (c := _times_over(c, {p * b: e}, {b: e})) is None:
                 raise RuntimeError("conjugate product not divisible in U_%d" % a)
         c, den = c[::p], [(b // p if b % p == 0 else b, e) for b, e in den]
     den_t = Counter()
@@ -162,12 +168,12 @@ _MEMO = {}
 def hilbert_series(rep):
     """Hilbert series of the invariant ring of rep, as num / factored den.
 
-    Each piece is exact in integers, and the pieces are added as they
-    come.  The sum is reduced, each trivial summand adds 1/(1-t), and the
-    result is checked against _check_functional_equation and against brute
-    force monomial counts up to min(CHECK_DEPTH, denominator degree); a
-    mismatch raises SeriesConsistencyError.  Every call returns a fresh
-    object; the memo keeps its own.
+    Each piece is exact in integers, and the pieces are added pairwise in
+    a balanced tree.  The sum is reduced, each trivial summand adds
+    1/(1-t), and the result is checked against _check_functional_equation
+    and against brute force monomial counts up to min(CHECK_DEPTH,
+    denominator degree); a mismatch raises SeriesConsistencyError.  Every
+    call returns a fresh object; the memo keeps its own.
     """
     memo_key = (rep.degrees, rep.trivial_count)
     if memo_key not in _MEMO:
@@ -182,7 +188,7 @@ def _compute(rep):
     mult_of = Counter(weight_system(rep).weights)
     weights, mults = list(mult_of), list(mult_of.values())
     # reduce cancels best effort, so it runs over the gcd rule's (1 - t^(b/g))^(g e): wide
-    total, wide = RationalFunction(), Counter()
+    pieces, wide = [], Counter()
     for alpha, mult in zip(weights, mults):
         if alpha < 0:
             continue
@@ -195,8 +201,10 @@ def _compute(rep):
             for b, e in zden.items() if alpha and rule else ():
                 rule[b // gcd(alpha, b)] += (gcd(alpha, b) - 1) * e
             wide |= rule
-            total = total + piece
-    total = total.reduce(over=wide)
+            pieces.append(piece)
+    while len(pieces) > 1:      # pairwise, so no operand is lifted by more than half the rest
+        pieces = [f + g for f, g in zip(pieces[::2], pieces[1::2])] + pieces[len(pieces) // 2 * 2:]
+    total = pieces[0].reduce(over=wide)
     if rep.trivial_count:       # each trivial summand is one more 1/(1 - t)
         den = total.den.factors
         total = RationalFunction(total.num, den | {1: den.get(1, 0) + rep.trivial_count})

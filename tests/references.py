@@ -10,9 +10,13 @@ ua_transform_single_stage is U_alpha with every z-factor completed to a
 series in z^alpha at once, and reduce_multiplied_up the cancel over a
 wider denominator with the widened numerator built: the series pipeline
 takes U_alpha one prime at a time and reduces without that numerator.
-to_rf reads a z-side record as a RationalFunction.  parse_rep_scanner is
-the character scanner that parse_rep's one regular expression replaced;
-both must accept the same specs and report the same errors.
+to_rf reads a z-side record as a RationalFunction.
+coeffs_for_index_quadratic is the partial fraction step with one pass per
+weight distance over all the other factors for each log-derivative term,
+where the package sums the distances' series and makes one pass.
+parse_rep_scanner is the character scanner that parse_rep's one regular
+expression replaced; both must accept the same specs and report the same
+errors.
 laurent_at_one_fractions and power_sum_fractions are the Laurent layer as
 it ran in Fractions, one per coefficient step and per point; the package
 runs both on integers and builds one Fraction per returned value.
@@ -194,6 +198,40 @@ def ua_transform_single_stage(f, a):
                 raise RuntimeError("conjugate product not divisible in U_%d" % a)
             c = c[:n]
     return RationalFunction(Polynomial(c[::a]), den_t)
+
+
+def coeffs_for_index_quadratic(weights, mults, i):
+    """series._coeffs_for_index with each log-derivative numerator q_(e-1)
+    summed as top_c prod_(b != c) (1 - z^b)^e over the distances c: one
+    pass per distance over all the other factors, quadratic in their number."""
+    wi, mi = weights[i], mults[i]
+    below, above = Counter(), Counter()
+    for w, m in zip(weights, mults):
+        if w < wi:
+            below[wi - w] += m
+        elif w > wi:
+            above[w - wi] += m
+    den = below + above
+    span = sum(den)
+    low = sum(c * m for c, m in below.items())
+    nums = [[0] * low + [(-1) ** sum(below.values())]]
+    logs = []
+    for e in range(1, mi):
+        q = [0] * (e * span + 1)
+        for c in den:
+            top = [below[c]] + [0] * (c * e - 1) + [(-1) ** e * above[c]]
+            rest = times_factors_loop(top, {b: e for b in den if b != c}, e * span)
+            q = [u + v for u, v in zip(q, rest)]
+        logs.append(q)
+    for j in range(1, mi):
+        cutoff = low + j * span
+        acc = [0] * (cutoff + 1)
+        for m in range(j):
+            acc = [u + v for u, v in zip(acc, _mul_trunc(nums[m], logs[j - 1 - m], cutoff))]
+        if any(v % j for v in acc):
+            raise RuntimeError("partial fraction numerator not divisible by %d" % j)
+        nums.append([v // j for v in acc])
+    return [(p, {c: den[c] + j for c in den}) for j, p in enumerate(nums)]
 
 
 def to_rf(f):

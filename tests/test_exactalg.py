@@ -10,7 +10,8 @@ from references import (div_factors_loop, eval_at, laurent_at_one_fractions, pol
                         times_factors_loop)
 from sl2hilb.exactalg import (FactoredDenominator, Polynomial,
                               RationalFunction, _div_factors, _times_factors,
-                              format_terms, laurent_at_one, rf_equal, taylor_coeffs)
+                              _times_geometric, _times_over, format_terms, laurent_at_one,
+                              rf_equal, taylor_coeffs)
 
 
 def rf(num, den):
@@ -111,6 +112,15 @@ def test_strided_kernels_match_dense_product(c, factors, cutoff):
     # and the quotient series times the dense product gives c back
     back = _convolve(_div_factors(c, factors, cutoff + 1), _dense(factors))
     assert back[:cutoff + 1] == (c + [0] * (cutoff + 1))[:cutoff + 1]
+
+
+@given(st.lists(st.integers(-9, 9), max_size=8), st.integers(2, 13), st.integers(1, 12),
+       st.integers(1, 6))
+@settings(max_examples=100, deadline=None)
+def test_geometric_conjugates_match_the_divided_product(c, p, b, e):
+    # (1 + t^b + ... + t^((p-1)b))^e by shifted adds is the multiply-then-
+    # divide conjugate product of ua_transform, to the same length
+    assert _times_geometric(c, p, b, e) == _times_over(c, {p * b: e}, {b: e})
 
 
 def test_taylor_coeffs_quadratic_cubic():

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from hashlib import sha256
 from math import factorial, gcd
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import sl2hilb.exactalg as exactalg
 import sl2hilb.series as series_mod
-from references import poly_add, to_rf, ua_transform_single_stage
+from references import coeffs_for_index_quadratic, poly_add, to_rf, ua_transform_single_stage
 from sl2hilb.exactalg import (FactoredDenominator, Polynomial,
                               RationalFunction, rf_equal, taylor_coeffs)
 from sl2hilb.oracle import truncated_series
@@ -50,7 +51,8 @@ def test_ua_denominator_gcd_rule():
 
 def test_ua_conjugate_division_is_checked(monkeypatch):
     # a divide pass one factor short leaves a remainder in its top b e
-    # terms, which U_a reports instead of returning a wrong series
+    # terms, which U_a reports instead of returning a wrong series; U_10's
+    # p = 5 stage divides (its p = 2 stage is shifted adds and divides not)
     div_exact = exactalg._div_factors
 
     def div_one_pass_short(c, factors, count):
@@ -60,7 +62,7 @@ def test_ua_conjugate_division_is_checked(monkeypatch):
 
     monkeypatch.setattr(exactalg, "_div_factors", div_one_pass_short)
     with pytest.raises(RuntimeError, match="not divisible"):
-        ua_transform(ZRationalFunction({0: 1, 3: 2}, {4: 2, 3: 1}), 6)
+        ua_transform(ZRationalFunction({0: 1, 3: 2}, {4: 2, 3: 1}), 10)
 
 
 def test_ua_zero_extracts_constant_term():
@@ -161,6 +163,19 @@ def test_coefficient_denominators_are_fixed_by_the_weights(mult_of):
         for j, (num, den) in enumerate(_coeffs_for_index(weights, mults, i)):
             assert den == {c: e + j for c, e in b.items()}, (weights, mults, i, j)
             assert all(type(v) is int for v in num)
+
+
+@given(st.dictionaries(st.integers(-8, 8), st.integers(1, 7), min_size=1, max_size=5))
+@example({-2: 7, 0: 7, 2: 7})                     # the weights of 7V2
+@example({4: 3})
+@settings(max_examples=60, deadline=None)
+def test_partial_fractions_match_the_per_distance_reference(mult_of):
+    # each q summed over the distances' series with one pass by E^e is the
+    # per-distance product over all the other factors, so every pair agrees
+    weights, mults = list(mult_of), list(mult_of.values())
+    for i in range(len(weights)):
+        assert (_coeffs_for_index(weights, mults, i)
+                == coeffs_for_index_quadratic(weights, mults, i)), (weights, mults, i)
 
 
 def test_hilbert_series_known_rows():
@@ -411,6 +426,25 @@ def test_series_match_the_benchmark_reference(monkeypatch):
         f = hilbert_series(parse_rep(spec))
         assert f.num.c == want["numerator"], spec
         assert [list(m_e) for m_e in sorted(f.den.factors.items())] == want["denominator"], spec
+
+
+# sha256 of repr(hilbert_series(rep)) as the pipeline gave it with pieces
+# added left to right and every conjugate product multiplied, then divided;
+# these reps lie past the benchmark's dim <= 24: q at e = 7, 5 and 3, many
+# pieces, and U_2 / U_3 stages on long numerators
+SCALE_DIGESTS = {
+    "V30": "2a8617dd646b762e57ee675bba9c8499d8cb69dc1252d4fddb63b75273d70849",
+    "8V8": "ee071663bc30da52284bd2bf7116b633e75d0d8ef6ab3fe70e9ec3843e9581c5",
+    "6V10": "46d0da1dfb5a3757ec056bb00b4f6ea78d835ddc1eb5fc98e09d5f796be984cd",
+    "4V16": "fa2755614fa713814875bfe7e2fa2bcd3fbf32584e33085a9cfc4da572577559",
+}
+
+
+def test_series_at_scale_match_the_recorded_digests(monkeypatch):
+    monkeypatch.setattr(series_mod, "_MEMO", {})
+    for spec, digest in SCALE_DIGESTS.items():
+        text = repr(hilbert_series(parse_rep(spec)))
+        assert sha256(text.encode()).hexdigest() == digest, spec
 
 
 def test_reference_checks_run_on_a_non_tiny_rep():
