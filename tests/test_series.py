@@ -4,7 +4,6 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from hashlib import sha256
 from math import factorial, gcd
 from pathlib import Path
 
@@ -12,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import make_series_digests
 import sl2hilb.exactalg as exactalg
 import sl2hilb.series as series_mod
 from references import coeffs_for_index_quadratic, poly_add, to_rf, ua_transform_single_stage
@@ -428,23 +428,18 @@ def test_series_match_the_benchmark_reference(monkeypatch):
         assert [list(m_e) for m_e in sorted(f.den.factors.items())] == want["denominator"], spec
 
 
-# sha256 of repr(hilbert_series(rep)) as the pipeline gave it with pieces
-# added left to right and every conjugate product multiplied, then divided;
-# these reps lie past the benchmark's dim <= 24: q at e = 7, 5 and 3, many
-# pieces, and U_2 / U_3 stages on long numerators
-SCALE_DIGESTS = {
-    "V30": "2a8617dd646b762e57ee675bba9c8499d8cb69dc1252d4fddb63b75273d70849",
-    "8V8": "ee071663bc30da52284bd2bf7116b633e75d0d8ef6ab3fe70e9ec3843e9581c5",
-    "6V10": "46d0da1dfb5a3757ec056bb00b4f6ea78d835ddc1eb5fc98e09d5f796be984cd",
-    "4V16": "fa2755614fa713814875bfe7e2fa2bcd3fbf32584e33085a9cfc4da572577559",
-}
-
-
-def test_series_at_scale_match_the_recorded_digests(monkeypatch):
+def test_series_match_the_recorded_digests(monkeypatch):
+    # every line of series_digests.txt, which make_series_digests.py writes
+    # only after the oracle and functional-equation checks: every degree
+    # multiset of dim <= 20, trivial summands, and V30, 8V8, 6V10 and 4V16,
+    # past the benchmark's dim <= 24 (q at e = 7, 5 and 3, many pieces, and
+    # U_2 / U_3 stages on long numerators)
+    lines = Path(make_series_digests.DIGESTS).read_text().splitlines()
     monkeypatch.setattr(series_mod, "_MEMO", {})
-    for spec, digest in SCALE_DIGESTS.items():
-        text = repr(hilbert_series(parse_rep(spec)))
-        assert sha256(text.encode()).hexdigest() == digest, spec
+    reps = list(make_series_digests.reps())
+    assert len(lines) == len(reps) == 633
+    for rep, line in zip(reps, lines):
+        assert make_series_digests.digest_line(rep) == line, rep.key
 
 
 def test_reference_checks_run_on_a_non_tiny_rep():
