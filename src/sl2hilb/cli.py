@@ -7,10 +7,10 @@ series, expand and gamma take --format and --no-cache.  series, expand and
 gamma --format json cache only the checked series, one JSON file per
 canonical representation key, served if the file is, as JSON text, what
 store_cached writes for the series in it and that series passes the
-functional equation check hilbert_series runs.  The JSON record's gamma,
-a-invariant, pole order and methods come from gammas() or the series on
-every call; gamma in text or latex prints from gammas() alone.  Series
-numerators print through exactalg.format_terms in text and LaTeX.
+functional equation check hilbert_series runs.  series and gamma print
+the JSON record through one path, its gamma and methods from gammas() and
+pole order and a-invariant from pole_and_a_invariant on every call; gamma
+in text or latex prints from gammas() alone, series through format_series.
 """
 
 import argparse
@@ -21,10 +21,11 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import __version__
-from .exactalg import RationalFunction, format_terms, laurent_at_one, rf_equal, taylor_coeffs
+from .exactalg import (LATEX, RationalFunction, format_series, laurent_at_one, rf_equal,
+                       taylor_coeffs)
 from .laurent import gammas, random_params, sigma_sum_raw, sigma_sum_schur
 from .oracle import packed_bits, truncated_series
-from .repmodel import FIRST_COEFF_EXCEPTIONS, RepParseError, parse_rep
+from .repmodel import RepParseError, parse_rep, pole_and_a_invariant
 from .series import SeriesConsistencyError, _check_functional_equation, hilbert_series
 
 EXIT_OK = 0
@@ -43,18 +44,18 @@ MAX_TERMS = 10 ** 6
 
 class HilbertResult(namedtuple("HilbertResult", "rep series gamma a_invariant "
                                                 "pole_order methods")):
-    """The JSON record of a checked series: gamma as four Fractions, or None
-    with trivial summands, and the rest from gammas() or the series."""
+    """The JSON record of a checked series: gamma (four Fractions) and methods
+    from gammas(), None with trivial summands; pole_and_a_invariant the rest."""
 
     __slots__ = ()
 
     @classmethod
     def compute(cls, rep, series):
+        pole, a = pole_and_a_invariant(rep)
         if not rep.degrees or rep.trivial_count:
-            pole = laurent_at_one(series, 1).pole_order
-            return cls(rep, series, None, series.degree(), pole, None)
+            return cls(rep, series, None, a, pole, None)
         res = gammas(rep)
-        return cls(rep, series, res.gamma, res.a_invariant, res.pole_order, res.methods)
+        return cls(rep, series, res.gamma, a, pole, res.methods)
 
     def to_json_dict(self):
         return dict(
@@ -194,17 +195,11 @@ def _get_series(rep, use_cache):
     return series
 
 
-def _series_latex(rf):
-    num = format_terms(rf.num.c, "t^{%d}", "%s %s")
-    if not rf.den.factors:
-        return num
-    den = "".join("(1-t^{%d})%s" % (m, "^{%d}" % e if e > 1 else "")
-                  for m, e in rf.den.items_sorted())
-    return "\\frac{%s}{%s}" % (num, den)
-
-
 def cmd_series(args):
-    rep = parse_rep(args.spec)
+    return _print_series(parse_rep(args.spec), args)
+
+
+def _print_series(rep, args):
     series = _get_series(rep, not args.no_cache)
     if args.format == "json":
         payload = HilbertResult.compute(rep, series).to_json_dict()
@@ -212,7 +207,7 @@ def cmd_series(args):
             payload["coefficients"] = taylor_coeffs(series, args.terms)
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif args.format == "latex":
-        print("H(t) = %s" % _series_latex(series))
+        print("H(t) = %s" % format_series(series, LATEX))
     else:
         print(repr(series))
         if args.terms:
@@ -236,10 +231,8 @@ def cmd_gamma(args):
     rep = parse_rep(args.spec)
     if not rep.degrees or rep.trivial_count:
         raise RepParseError("trivial summand not allowed for gamma")
-    if args.format == "json":
-        result = HilbertResult.compute(rep, _get_series(rep, not args.no_cache))
-        print(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
-        return EXIT_OK
+    if args.format == "json":       # the record series --format json prints
+        return _print_series(rep, args)
     res = gammas(rep)
     if args.format == "latex":
         for i, g in enumerate(res.gamma):
@@ -281,19 +274,15 @@ def cmd_verify(args):
           "degree %s: series %s oracle %s" % (bad, got[bad] if bad is not None else "",
                                               want[bad] if bad is not None else ""))
 
-    nontrivial = bool(rep.degrees) and not rep.trivial_count
-    if nontrivial:
+    pole, a = pole_and_a_invariant(rep)
+    exp = laurent_at_one(series, 4)
+    check("series degree equals a-invariant", series.degree() == a,
+          "degree %d vs %d" % (series.degree(), a))
+    check("pole order %d" % pole, exp.pole_order == pole, "got %d" % exp.pole_order)
+
+    if rep.degrees and not rep.trivial_count:
         dim = rep.dim
         res = gammas(rep)
-        exp = laurent_at_one(series, 4)
-
-        check("series degree equals a-invariant",
-              series.degree() == res.a_invariant,
-              "degree %d vs %d" % (series.degree(), res.a_invariant))
-
-        if rep.degrees not in FIRST_COEFF_EXCEPTIONS:
-            check("pole order %d" % (dim - 3), exp.pole_order == dim - 3,
-                  "got %d" % exp.pole_order)
 
         check("gamma methods agree with series", tuple(res.gamma) == exp.coeffs,
               "closed %s series %s" % (res.gamma, exp.coeffs))
@@ -389,7 +378,7 @@ def build_parser():
 
     p = sub.add_parser("gamma", help="Laurent coefficients and a-invariant")
     common(p)
-    p.set_defaults(func=cmd_gamma)
+    p.set_defaults(func=cmd_gamma, terms=0)
 
     p = sub.add_parser("verify", help="oracle and identity checks")
     common(p, formats=())

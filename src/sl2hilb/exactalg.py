@@ -7,8 +7,9 @@ factor 1 - t^m is one slice operation per factor: out[i] -= out[i-m] is a
 single map over two slices, out[i] += out[i-m] a running sum (accumulate)
 along each residue class mod m.  Laurent expansion at t = 1 substitutes
 t = 1 - s and divides series, in integers up to one Fraction per returned
-coefficient.  RationalFunction.derivative is the tests' reference for
-series.dn_apply, and perfbench traces it; callers pass lists and dicts.
+coefficient; format_series prints in TEXT (the repr) or LATEX.
+RationalFunction.derivative is the tests' reference for series.dn_apply, and
+perfbench traces it; callers pass lists and dicts.
 """
 
 from collections import Counter, namedtuple
@@ -44,7 +45,23 @@ class Polynomial:
         return Polynomial([0] * n + self.c)
 
     def __repr__(self):
-        return format_terms(self.c, "t^%d", "%s*%s")
+        return format_terms(self.c, *TEXT[:2])
+
+
+# format_series templates: t^e, a term v t^e, 1 - t, 1 - t^m, exponent, fraction.
+TEXT = ("t^%d", "%s*%s", "(1-t)", "(1-t^%d)", "^%d", "(%s)/%s")
+LATEX = ("t^{%d}", "%s %s", "(1-t^{1})", "(1-t^{%d})", "^{%d}", "\\frac{%s}{%s}")
+
+
+def format_series(f, style=TEXT):
+    """f in the templates style, TEXT or LATEX; the numerator alone over 1."""
+    power, scaled, linear, factor, exponent, fraction = style
+    num = format_terms(f.num.c, power, scaled)
+    if not f.den.factors:
+        return num
+    den = "".join((factor % m if m > 1 else linear) + (exponent % e if e > 1 else "")
+                  for m, e in f.den.items_sorted())
+    return fraction % (num, den)
 
 
 def format_terms(coeffs, power, scaled):
@@ -82,15 +99,6 @@ class FactoredDenominator:
 
     def items_sorted(self):
         return sorted(self.factors.items())
-
-    def __repr__(self):
-        if not self.factors:
-            return "1"
-        parts = []
-        for m, e in self.items_sorted():
-            base = "(1-t^%d)" % m if m > 1 else "(1-t)"
-            parts.append(base if e == 1 else base + "^%d" % e)
-        return "".join(parts)
 
 
 LaurentExpansion = namedtuple("LaurentExpansion", "pole_order coeffs")
@@ -197,9 +205,7 @@ class RationalFunction:
         return RationalFunction([0] * shift + [v * sign for v in reversed(c)], q)
 
     def __repr__(self):
-        if not self.den.factors:
-            return repr(self.num)
-        return "(%r)/%r" % (self.num, self.den)
+        return format_series(self)
 
 
 def rf_equal(f, g):

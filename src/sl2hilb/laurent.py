@@ -1,8 +1,8 @@
 """Laurent data of the invariant Hilbert series at t = 1.
 
-For a nontrivial representation the series has a pole at t = 1 of order
-dim - 3 (with a handful of small exceptions), and the first four Laurent
-coefficients gamma0..gamma3 carry the asymptotics of the invariant ring.
+For a nontrivial representation the series has a pole at t = 1 of order d
+(repmodel.pole_and_a_invariant), and the first four Laurent coefficients
+gamma0..gamma3 carry the asymptotics of the invariant ring.
 Closed forms evaluate them as ratios of Schur polynomials at the positive
 weights, each ratio one divided-difference weight sum (`schur.delta_ratio`,
 O(n^2) in the n positive weights, no determinant); reps outside their range
@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .exactalg import laurent_at_one
-from .repmodel import FIRST_COEFF_EXCEPTIONS, classify_case, weight_system
+from .repmodel import FIRST_COEFF_EXCEPTIONS, classify_case, pole_and_a_invariant, weight_system
 from .schur import _scale_to_integers, delta_ratio, power_sum, schur_delta, schur_eval
 from .series import hilbert_series
 
@@ -78,28 +78,23 @@ def a_invariant(rep):
 
 
 def _coefficients(rep, tag):
-    """(gamma0..gamma3, pole order, a-invariant, methods of the gammas).
-
-    The series is built only when some coefficient has no closed form;
-    outside GAMMA0_EXCEPTIONS the pole order is dim - 3 and the a-invariant
-    -dim.
-    """
+    """(gamma0..gamma3, methods); the series is built only for a missing closed form."""
     if tag.in_gamma0_exceptions or tag.in_gamma2_exceptions:
-        series = hilbert_series(rep)
-        exp = laurent_at_one(series, 4)
+        exp = laurent_at_one(hilbert_series(rep), 4)
     if tag.in_gamma0_exceptions:
-        return exp.coeffs, exp.pole_order, series.degree(), ("SeriesFallback",) * 4
+        return exp.coeffs, ("SeriesFallback",) * 4
     if tag.in_gamma2_exceptions:
         g0, g2, m2 = gamma0(rep), exp.coeffs[2], "SeriesFallback"
     else:
         (g0, g2), m2 = _gamma0_gamma2(rep, tag), "ClosedForm"
     gamma = (g0, Fraction(3, 2) * g0, g2, Fraction(5, 2) * (g2 - g0))
-    return gamma, rep.dim - 3, -rep.dim, ("ClosedForm", "ClosedForm", m2, "ClosedForm")
+    return gamma, ("ClosedForm", "ClosedForm", m2, "ClosedForm")
 
 
 def gammas(rep):
-    """All four Laurent coefficients, preferring closed forms."""
-    return GammaResult(rep, *_coefficients(rep, classify_case(rep)))
+    """The four Laurent coefficients, closed forms first, and pole_and_a_invariant(rep)."""
+    gamma, methods = _coefficients(rep, classify_case(rep))
+    return GammaResult(rep, gamma, *pole_and_a_invariant(rep), methods)
 
 
 def first_coeff_sum(rep):

@@ -117,8 +117,19 @@ GAMMA2_ONLY_EXCEPTIONS = frozenset(
 )
 
 # Degree multisets whose weight sum in front of 1/(1-t)^(dim-2) is nonzero,
-# with that sum; the pole order is dim-3 for every other rep.
+# with that sum; these are where pole_and_a_invariant leaves dim - 3.
 FIRST_COEFF_EXCEPTIONS = {(1,): Fraction(1), (2,): Fraction(-1, 4), (1, 1): Fraction(-1)}
+
+
+def pole_and_a_invariant(rep):
+    """(d, a): the pole order at t = 1 of the Hilbert series H and its degree,
+    the a-invariant; H(1/t) = (-1)^d t^(-a) H(t), as the invariant rings are
+    Gorenstein (Stanley, Adv. Math. 28 (1978)).  (dim - 3, -dim) in general,
+    (0, 0) where H = 1 (V1, or no nontrivial summand) and (1, -2) where
+    H = 1/(1 - t^2) (V2, 2V1); each trivial summand adds 1 to d, -1 to a."""
+    small = {(): (0, 0), (1,): (0, 0), (2,): (1, -2), (1, 1): (1, -2)}
+    d, a = small.get(rep.degrees, (rep.dim - 3, -rep.dim))
+    return d + rep.trivial_count, a - rep.trivial_count
 
 CaseTag = namedtuple("CaseTag", "in_gamma0_exceptions in_gamma2_exceptions one_v1_rest_even")
 

@@ -20,9 +20,9 @@ lifted only by the other half's factors.  reduce cancels the sum as if it sat
 over the gcd rule's wider denominator, without building that numerator.
 Trivial summands raise the exponent of 1 - t of the assembled series, and
 the result is checked against the functional equation, which covers the
-whole numerator, and against the brute force monomial counts up to
-CHECK_DEPTH before being returned.  Every RationalFunction here is built
-from a coefficient list and a dict {m: e}.
+whole numerator of every rep, and against the brute force monomial counts
+up to CHECK_DEPTH before being returned.  Every RationalFunction here is
+built from a coefficient list and a dict {m: e}.
 """
 
 from collections import Counter, namedtuple
@@ -31,7 +31,7 @@ from operator import add
 
 from .exactalg import (RationalFunction, _div_factors, _mul_trunc, _primes, _times_factors,
                        _times_geometric, _times_over, taylor_coeffs)
-from .repmodel import FIRST_COEFF_EXCEPTIONS, weight_system
+from .repmodel import pole_and_a_invariant, weight_system
 from . import oracle
 
 
@@ -170,10 +170,11 @@ def hilbert_series(rep):
 
     Each piece is exact in integers, and the pieces are added pairwise in
     a balanced tree.  The sum is reduced, each trivial summand adds
-    1/(1-t), and the result is checked against _check_functional_equation
-    and against brute force monomial counts up to min(CHECK_DEPTH,
-    denominator degree); a mismatch raises SeriesConsistencyError.  Every
-    call returns a fresh object; the memo keeps its own.
+    1/(1-t), and the result, 1/(1-t)^k for kV0 too, is checked against
+    _check_functional_equation and brute force monomial counts up to
+    min(CHECK_DEPTH, denominator degree); a mismatch raises
+    SeriesConsistencyError, the zero rep ValueError.  Every call returns a
+    fresh object; the memo keeps its own.
     """
     memo_key = (rep.degrees, rep.trivial_count)
     if memo_key not in _MEMO:
@@ -183,8 +184,6 @@ def hilbert_series(rep):
 
 
 def _compute(rep):
-    if not rep.degrees:
-        return RationalFunction([1], {1: rep.trivial_count})
     mult_of = Counter(weight_system(rep).weights)
     weights, mults = list(mult_of), list(mult_of.values())
     # reduce cancels best effort, so it runs over the gcd rule's (1 - t^(b/g))^(g e): wide
@@ -204,13 +203,12 @@ def _compute(rep):
             pieces.append(piece)
     while len(pieces) > 1:      # pairwise, so no operand is lifted by more than half the rest
         pieces = [f + g for f, g in zip(pieces[::2], pieces[1::2])] + pieces[len(pieces) // 2 * 2:]
-    total = pieces[0].reduce(over=wide)
+    # no weight: the integrand 1 - z^2 has constant term 1, and no piece
+    total = pieces[0].reduce(over=wide) if pieces else RationalFunction([1])
     if rep.trivial_count:       # each trivial summand is one more 1/(1 - t)
         den = total.den.factors
         total = RationalFunction(total.num, den | {1: den.get(1, 0) + rep.trivial_count})
     _check_functional_equation(rep, total)
-    if not total.num.c or total.degree() > 0:
-        raise SeriesConsistencyError(rep, 0, repr(total), "a power series of degree <= 0")
     depth = min(CHECK_DEPTH, total.den.degree)
     got = taylor_coeffs(total, depth + 1)
     want = oracle.truncated_series(rep, depth)
@@ -221,16 +219,16 @@ def _compute(rep):
 
 
 def _check_functional_equation(rep, f):
-    """H(1/t) = (-1)^(D-3) t^D H(t), D = dim + trivial_count, for the series
-    f = N / Q of rep, in coefficients N_j = s N_(deg Q - D - j), s = (-1)^(D-3)
-    times the sign of Q(1/t); unlike the oracle prefix it reaches all of N.
-    Skipped where it fails: no nontrivial summand, or FIRST_COEFF_EXCEPTIONS."""
-    if not rep.degrees or rep.degrees in FIRST_COEFF_EXCEPTIONS:
-        return
+    """H(1/t) = (-1)^d t^(-a) H(t), (d, a) = pole_and_a_invariant(rep), on
+    every rep: for the series f = N / Q, N != 0 and N_j = s N_(deg Q + a - j),
+    s = (-1)^d times the sign of Q(1/t).  Unlike the oracle prefix it reaches
+    all of N, and it bounds deg N by deg Q + a <= deg Q."""
     c = f.num.c
-    d = rep.dim + rep.trivial_count
-    top = f.den.degree - d
-    sign = (-1) ** (sum(f.den.factors.values()) + d - 3)
+    d, a = pole_and_a_invariant(rep)
+    top = f.den.degree + a
+    sign = (-1) ** (sum(f.den.factors.values()) + d)
+    if not c:
+        raise SeriesConsistencyError(rep, 0, 0, 1, "H(0) = 1")
     for j in range(max(len(c), top + 1)):
         got = c[j] if j < len(c) else 0
         mirror = sign * c[top - j] if 0 <= top - j < len(c) else 0

@@ -27,25 +27,25 @@ sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 from sl2hilb import cli, gammas, hilbert_series, parse_rep  # noqa: E402
 from sl2hilb.exactalg import taylor_coeffs  # noqa: E402
 from sl2hilb.oracle import truncated_series  # noqa: E402
-from sl2hilb.repmodel import Representation  # noqa: E402
+from sl2hilb.repmodel import Representation, pole_and_a_invariant  # noqa: E402
 
 DIGESTS = os.path.join(HERE, "series_digests.txt")
 MAX_DIM = 20
 EXTRA_REPS = ("2V0+V2", "2V0+V3+V4", "3V0", "V30", "8V8", "6V10", "4V16")
 
 
-def _multisets(dim, smallest=1):
+def degree_multisets(dim, smallest=1):
     """Every nondecreasing degree tuple, degrees >= smallest, of dimension exactly dim."""
     if dim == 0:
         yield ()
     for d in range(smallest, dim):
-        for rest in _multisets(dim - d - 1, d):
+        for rest in degree_multisets(dim - d - 1, d):
             yield (d,) + rest
 
 
 def reps():
     for dim in range(2, MAX_DIM + 1):
-        yield from (Representation(degs) for degs in _multisets(dim))
+        yield from (Representation(degs) for degs in degree_multisets(dim))
     yield from map(parse_rep, EXTRA_REPS)
 
 
@@ -66,12 +66,6 @@ def digest_line(rep):
     return " ".join(fields)
 
 
-def _pole_and_a(rep):
-    special = {(): (0, 0), (1,): (0, 0), (2,): (1, -2), (1, 1): (1, -2)}
-    d, a = special.get(rep.degrees, (rep.dim - 3, -rep.dim))
-    return d + rep.trivial_count, a - rep.trivial_count
-
-
 def certify(rep):
     """Check rep's series against the oracle and the functional equation."""
     f = hilbert_series(rep)
@@ -80,7 +74,7 @@ def certify(rep):
     if taylor_coeffs(f, depth + 1) != truncated_series(rep, depth):
         raise SystemExit("%s: oracle to degree %d" % (rep.key, depth))
     # N_j = s N_(deg Q + a - j), s = (-1)^d times the sign of Q(1/t)
-    d, a = _pole_and_a(rep)
+    d, a = pole_and_a_invariant(rep)
     sign = (-1) ** (d + sum(f.den.factors.values()))
     if n != f.den.degree + a or any(c[j] != sign * c[n - j] for j in range(n + 1)):
         raise SystemExit("%s: functional equation" % rep.key)

@@ -4,6 +4,7 @@ import runpy
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -25,6 +26,9 @@ from sl2hilb.series import SeriesConsistencyError, hilbert_series
 def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("SL2HILB_CACHE_DIR", str(tmp_path / "cache"))
     return tmp_path / "cache"
+
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
 def run(capsys, *argv):
@@ -218,6 +222,18 @@ def test_verify_pole_order_reads_the_series(capsys, monkeypatch):
     assert fails == ["FAIL pole order 3: got 4"]
 
 
+def test_verify_checks_the_pole_and_a_invariant_of_every_rep(capsys):
+    # V1 (H = 1), V2 and reps with trivial summands get the two lines too
+    head = "PASS oracle to degree 5\nPASS series degree equals a-invariant\n"
+    closed = "PASS gamma methods agree with series\nPASS fixture table row\n"
+    want = {"V1": head + "PASS pole order 0\n" + closed,
+            "V2": head + "PASS pole order 1\n" + closed,
+            "3V0": head + "PASS pole order 3\n",
+            "2V0+V3+V4": head + "PASS pole order 8\n"}
+    for spec, out in want.items():
+        assert run(capsys, "verify", spec, "--max-degree", "5", "--draws", "0") == (0, out, ""), spec
+
+
 def test_verify_seed_deterministic(capsys):
     _, out1, _ = run(capsys, "verify", "V2+V3", "--draws", "3", "--seed", "9")
     _, out2, _ = run(capsys, "verify", "V2+V3", "--draws", "3", "--seed", "9")
@@ -287,6 +303,33 @@ def test_cache_entry_off_the_functional_equation_recomputes(isolated_cache, caps
         code, out, err = run(capsys, "series", spec)
         assert (code, out, err) == (0, SERIES_TEXT[spec], ""), spec
         assert json.loads(path.read_text()) == good, spec
+
+
+def test_edited_entries_of_the_small_series_recompute(isolated_cache, capsys):
+    # entries written as store_cached writes them, for a series that is not
+    # the rep's: V2's numerator edited to 1 + 7 t^5, 2V0's to 1 + t.  The
+    # functional equation covers these reps, so each is a miss, and every
+    # format prints what --no-cache prints
+    for spec, numerator in (("V2", [1, 0, 0, 0, 0, 7]), ("2V0", [1, 1])):
+        rep = parse_rep(spec)
+        edited = RationalFunction(numerator, hilbert_series(rep).den.factors)
+        for fmt in ("text", "json", "latex"):
+            store_cached(rep, edited)
+            assert load_cached(rep) is None, spec
+            got = run(capsys, "series", spec, "--format", fmt)
+            assert got == run(capsys, "series", spec, "--format", fmt, "--no-cache"), (spec, fmt)
+
+
+def test_gamma_json_prints_the_series_record(capsys):
+    # gamma --format json goes through the series --format json path; the
+    # reps are the benchmark's CLI reps
+    ops = json.loads(REFERENCE.read_text())["ops"]
+    specs = sorted({json.loads(key)[1][1] for key in ops if json.loads(key)[0] == "cli"})
+    assert len(specs) == 30
+    for spec in specs:
+        series = run(capsys, "series", spec, "--format", "json")
+        assert series[0] == 0 and series[2] == "", spec
+        assert run(capsys, "gamma", spec, "--format", "json") == series, spec
 
 
 def test_cache_entry_with_edited_derived_fields_recomputes(isolated_cache, capsys):

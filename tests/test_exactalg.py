@@ -10,8 +10,8 @@ from references import (div_factors_loop, eval_at, laurent_at_one_fractions, pol
                         times_factors_loop)
 from sl2hilb.exactalg import (FactoredDenominator, Polynomial,
                               RationalFunction, _div_factors, _times_factors,
-                              _times_geometric, _times_over, format_terms, laurent_at_one,
-                              rf_equal, taylor_coeffs)
+                              LATEX, TEXT, _times_geometric, _times_over, format_series,
+                              format_terms, laurent_at_one, rf_equal, taylor_coeffs)
 
 
 def rf(num, den):
@@ -60,6 +60,27 @@ def test_term_formatting_golden():
         assert format_terms(coeffs, "t^{%d}", "%s %s") == latex, coeffs
     assert repr(rf([1, 0, -1], {1: 1, 3: 2})) == "(1 - t^2)/(1-t)(1-t^3)^2"
     assert repr(rf([Fraction(-1, 2)], {})) == "-1/2"
+
+
+SERIES_GOLDEN = [
+    # numerator, denominator, text, LaTeX
+    ([1, 0, -2], {}, "1 - 2*t^2", "1 - 2 t^{2}"),                          # no factors
+    ([1], {1: 1}, "(1)/(1-t)", "\\frac{1}{(1-t^{1})}"),                       # m = 1
+    ([1, 1], {1: 3, 2: 1}, "(1 + t)/(1-t)^3(1-t^2)",                        # m = 1, e = 3
+     "\\frac{1 + t}{(1-t^{1})^{3}(1-t^{2})}"),
+    ([1, 0, 0, 3], {4: 2, 6: 1}, "(1 + 3*t^3)/(1-t^4)^2(1-t^6)",            # e > 1
+     "\\frac{1 + 3 t^{3}}{(1-t^{4})^{2}(1-t^{6})}"),
+    ([], {2: 1}, "(0)/(1-t^2)", "\\frac{0}{(1-t^{2})}"),                      # zero
+    ([Fraction(1, 2), Fraction(-3, 4)], {3: 1}, "(1/2 - 3/4*t)/(1-t^3)",    # Fractions
+     "\\frac{1/2 - 3/4 t}{(1-t^{3})}"),
+]
+
+
+def test_series_formatting_golden():
+    for num, den, text, latex in SERIES_GOLDEN:
+        f = rf(num, den)
+        assert format_series(f, TEXT) == repr(f) == text, (num, den)
+        assert format_series(f, LATEX) == latex, (num, den)
 
 
 def test_polynomial_arithmetic():

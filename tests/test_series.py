@@ -16,11 +16,12 @@ import sl2hilb.exactalg as exactalg
 import sl2hilb.series as series_mod
 from references import coeffs_for_index_quadratic, poly_add, to_rf, ua_transform_single_stage
 from sl2hilb.exactalg import (FactoredDenominator, Polynomial,
-                              RationalFunction, rf_equal, taylor_coeffs)
+                              RationalFunction, laurent_at_one, rf_equal, taylor_coeffs)
 from sl2hilb.oracle import truncated_series
-from sl2hilb.repmodel import parse_rep, weight_system
+from sl2hilb.repmodel import Representation, parse_rep, pole_and_a_invariant, weight_system
 from sl2hilb.series import (CHECK_DEPTH, SeriesConsistencyError, ZRationalFunction,
-                            _coeffs_for_index, dn_apply, hilbert_series, ua_transform)
+                            _check_functional_equation, _coeffs_for_index, dn_apply,
+                            hilbert_series, ua_transform)
 
 
 def rf(num, den):
@@ -281,6 +282,38 @@ def test_functional_equation_sees_past_the_oracle_depth(monkeypatch):
     monkeypatch.setattr(series_mod, "_MEMO", {})
     with pytest.raises(SeriesConsistencyError, match="functional equation gives"):
         hilbert_series(parse_rep("V10"))
+
+
+@pytest.mark.parametrize("spec", ["V1", "V2", "2V1", "3V0", "V0+V2"])
+def test_functional_equation_covers_the_small_series(spec):
+    # series 1, 1/(1 - t^2) and 1/(1 - t)^k times them: the equation holds
+    # as computed, and a t coefficient added to the numerator breaks it
+    rep = parse_rep(spec)
+    f = hilbert_series(rep)
+    _check_functional_equation(rep, f)
+    assert f.num.c == [1]
+    with pytest.raises(SeriesConsistencyError, match="functional equation gives"):
+        _check_functional_equation(rep, RationalFunction([1, 1], f.den.factors))
+
+
+def test_functional_equation_rejects_a_zero_numerator():
+    # zero satisfies every mirror relation; H(0) = 1 rules it out
+    for spec in ("V5", "V2", "2V0"):
+        rep = parse_rep(spec)
+        with pytest.raises(SeriesConsistencyError, match="H\\(0\\) = 1"):
+            _check_functional_equation(rep, RationalFunction([], hilbert_series(rep).den.factors))
+
+
+def test_pole_and_a_invariant_match_the_series():
+    # every degree multiset of dim <= 12 with 0, 1 or 2 trivial summands,
+    # and kV0 for k <= 4
+    reps = [Representation(degs, k) for dim in range(2, 13)
+            for degs in make_series_digests.degree_multisets(dim) for k in range(3)]
+    reps += [Representation((), k) for k in range(1, 5)]
+    assert len(reps) == 232
+    for rep in reps:
+        f = hilbert_series(rep)
+        assert pole_and_a_invariant(rep) == (laurent_at_one(f, 1).pole_order, f.degree()), rep
 
 
 def test_zrational_arithmetic():
