@@ -73,8 +73,10 @@ def gamma3(rep):
 
 
 def a_invariant(rep):
-    """Degree of the Hilbert series as a rational function, as gammas finds it."""
-    return gammas(rep).a_invariant
+    """Degree of the Hilbert series as a rational function, from
+    pole_and_a_invariant; like gammas, a ValueError for a trivial summand."""
+    classify_case(rep)
+    return pole_and_a_invariant(rep)[1]
 
 
 def _coefficients(rep, tag):

@@ -5,13 +5,18 @@ over the torus weights w of the rep.  Grouping equal weights first, the
 product is split by partial fractions in t; every coefficient is a power
 series in z, an integer polynomial over a product of (1 - z^b)^e factors
 that the distances between the weights fix in advance, handed on as a
-ZRationalFunction, a named tuple of two dicts.  The term attached to
-the factor of weight -alpha (alpha >= 0) survives constant term
-extraction and turns into an ordinary rational function of t through the
+ZRationalFunction, a named tuple of two dicts.  The terms attached to
+the factor of weight -alpha (alpha >= 0) survive constant term
+extraction and turn into an ordinary rational function of t through the
 substitution operator U_alpha, one prime of alpha at a time, each stage
 completing the z-factors by their conjugates, and the derivative operator
-D_n.  Factors of strictly positive weight contribute nothing: their
-coefficient functions have strictly positive valuation in z.
+D_n.  For alpha > 0, D_n runs first, on the z side: theta_t U_alpha =
+U_alpha theta_z / alpha (theta = x d/dx) sums the terms of one weight by
+Horner in theta into one series, and one U_alpha of it gives the
+weight's piece; U_0 does not commute with theta, so alpha = 0 takes one
+U_0 and one D_n per term.  Factors of strictly positive weight
+contribute nothing: their coefficient functions have strictly positive
+valuation in z.
 
 All arithmetic is exact and runs on integers: every piece is an exact
 integer rational function as it is built, so the pieces are added over
@@ -26,8 +31,9 @@ built from a coefficient list and a dict {m: e}.
 """
 
 from collections import Counter, namedtuple
+from itertools import repeat
 from math import comb, gcd
-from operator import add
+from operator import add, mul
 
 from .exactalg import (RationalFunction, _div_factors, _mul_trunc, _primes, _times_factors,
                        _times_geometric, _times_over, taylor_coeffs)
@@ -148,7 +154,8 @@ def ua_transform(f, a):
 def dn_apply(f, n):
     """D_n / n!, D_n = (d/dt)^n after multiplication by t^n: sum a_k t^k goes
     to sum C(k + n, n) a_k t^k over every denominator exponent raised by n, a
-    numerator of degree at most deg num + n sum m, so one multiply pass."""
+    numerator of degree at most deg num + n sum m, so one multiply pass.
+    Only the alpha = 0 terms take it; _dn_sum applies D_n for alpha > 0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not n:
@@ -157,6 +164,45 @@ def dn_apply(f, n):
     c = [comb(k + n, n) * v for k, v in enumerate(taylor_coeffs(f, top + 1))]
     den = {m: e + n for m, e in f.den.factors.items()}
     return RationalFunction(_times_factors(c, den, top), den)
+
+
+def _theta(c, den, k):
+    """The numerator of (theta + k)(c / Q) over Q E, theta = z d/dz, for Q
+    = prod (1 - z^b)^e over den {b: e} and E = prod (1 - z^b) over its b.
+    As theta E = -E sum b z^b / (1 - z^b), it is (theta + k)(c E) + sum
+    (e + 1) b z^b (c E) / (1 - z^b): one pass by E and one exact division
+    per b."""
+    top = len(c) - 1 + sum(den)
+    ce = _times_factors(c, dict.fromkeys(den, 1), top)
+    out = list(map(mul, range(k, k + top + 1), ce))
+    for b, e in den.items():
+        out[b:] = map(add, out[b:], map(mul, _div_factors(ce, {b: 1}, top + 1 - b), repeat((e + 1) * b)))
+    return out
+
+
+def _dn_sum(terms, alpha):
+    """sum_j D_(m-1-j)/(m-1-j)! U_alpha(g_j) over the terms g_j = (numerator,
+    {b: e}), j = 0..m-1, alpha > 0, as one U_alpha.  theta_t U_alpha =
+    U_alpha theta_z / alpha and D_n/n! = prod_(i=1..n) (theta + i)/i make
+    the sum U_alpha(S) / ((m-1)! alpha^(m-1)), S by Horner in integers: S =
+    g_0, then S <- (theta_z + (n+1) alpha) S + (m-1)!/n! alpha^(m-1-n)
+    g_(m-1-n) for n = m-2, ..., 0.  theta_z of g_j sits over g_(j+1)'s
+    denominator, so every add is over one denominator; the last division
+    must be exact."""
+    s, den = terms[0]
+    m, scale = len(terms), 1
+    for n in range(m - 2, -1, -1):
+        s = _theta(s, den, (n + 1) * alpha)
+        scale *= (n + 1) * alpha                # (m-1)!/n! alpha^(m-1-n)
+        c, den = terms[m - 1 - n]
+        s = list(map(add, s, map(mul, c, repeat(scale))))
+    out = ua_transform(ZRationalFunction(dict(enumerate(s)), den), alpha)
+    if m == 1:
+        return out
+    num = [divmod(v, scale) for v in out.num.c]
+    if any(r for _, r in num):
+        raise RuntimeError("D_n sum not divisible by %d" % scale)
+    return RationalFunction([q for q, _ in num], out.den)
 
 
 # Terms of the series compared with the brute force counts, at most.
@@ -191,11 +237,16 @@ def _compute(rep):
     for alpha, mult in zip(weights, mults):
         if alpha < 0:
             continue
-        omitted = weights.index(-alpha)
-        for j, (zc, zden) in enumerate(_coeffs_for_index(weights, mults, omitted)):
-            # times the factor 1 - z^2 of the integrand
-            g = ZRationalFunction(dict(enumerate(_times_factors(zc, {2: 1}, len(zc) + 1))), zden)
-            piece = dn_apply(ua_transform(g, alpha), mult - j - 1)
+        # times the factor 1 - z^2 of the integrand
+        terms = [(_times_factors(zc, {2: 1}, len(zc) + 1), zden)
+                 for zc, zden in _coeffs_for_index(weights, mults, weights.index(-alpha))]
+        if alpha:       # D_n before U_alpha, by Horner in theta: one piece
+            new = [_dn_sum(terms, alpha)]
+        else:           # U_0 does not commute with theta: D_n after it, per term
+            new = [dn_apply(ua_transform(ZRationalFunction(dict(enumerate(c)), den), 0), mult - j - 1)
+                   for j, (c, den) in enumerate(terms)]
+        zden = terms[-1][1]     # its gcd rule dominates that of every other term
+        for piece in new:
             rule = Counter(piece.den.factors)       # tight, raised to the gcd rule
             for b, e in zden.items() if alpha and rule else ():
                 rule[b // gcd(alpha, b)] += (gcd(alpha, b) - 1) * e

@@ -11,6 +11,9 @@ series in z^alpha at once, and reduce_multiplied_up the cancel over a
 wider denominator with the widened numerator built: the series pipeline
 takes U_alpha one prime at a time and reduces without that numerator.
 to_rf reads a z-side record as a RationalFunction.
+dn_sum_per_term is the D_n step as one U_alpha and one D_n/n! per
+partial-fraction term; the package applies D_n before U_alpha, by Horner
+in theta on the z side, with one U_alpha per weight.
 coeffs_for_index_quadratic is the partial fraction step with one pass per
 weight distance over all the other factors for each log-derivative term,
 where the package sums the distances' series and makes one pass.
@@ -38,6 +41,7 @@ from sl2hilb.oracle import _packed_rows, truncated_series
 from sl2hilb.repmodel import (MAX_DIM, RepParseError, Representation, classify_case,
                               weight_system)
 from sl2hilb.schur import _scale_to_integers, bareiss_det
+from sl2hilb.series import ZRationalFunction, dn_apply, ua_transform
 
 
 def eval_at(p, x):
@@ -232,6 +236,16 @@ def coeffs_for_index_quadratic(weights, mults, i):
             raise RuntimeError("partial fraction numerator not divisible by %d" % j)
         nums.append([v // j for v in acc])
     return [(p, {c: den[c] + j for c in den}) for j, p in enumerate(nums)]
+
+
+def dn_sum_per_term(terms, alpha):
+    """sum_j D_(m-1-j)/(m-1-j)! U_alpha(g_j) over the terms g_j = (numerator
+    list, {b: e}), j = 0..m-1, one ua_transform and one dn_apply per term."""
+    m, total = len(terms), RationalFunction()
+    for j, (c, den) in enumerate(terms):
+        total = total + dn_apply(ua_transform(ZRationalFunction(dict(enumerate(c)), den), alpha),
+                                 m - 1 - j)
+    return total
 
 
 def to_rf(f):

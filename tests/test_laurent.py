@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+import sl2hilb.series as series_mod
 from references import gamma_raw
 from sl2hilb.exactalg import laurent_at_one
 from sl2hilb.laurent import (a_invariant, first_coeff_sum, gamma0, gamma1,
@@ -134,6 +135,22 @@ def test_a_invariant():
     assert a_invariant(parse_rep("2V3+V4")) == -13
     with pytest.raises(ValueError):
         a_invariant(parse_rep("V0+V2"))
+
+
+def test_a_invariant_builds_no_series(monkeypatch):
+    # V8 is a gamma2 exception, whose gammas() builds the series; the
+    # a-invariant is read from pole_and_a_invariant alone
+    calls = []
+    compute = series_mod._compute
+
+    def counted(rep):
+        calls.append(rep)
+        return compute(rep)
+
+    monkeypatch.setattr(series_mod, "_MEMO", {})
+    monkeypatch.setattr(series_mod, "_compute", counted)
+    assert a_invariant(parse_rep("V8")) == -9
+    assert calls == []
 
 
 def test_hilbert1893_values():

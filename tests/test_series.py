@@ -14,14 +14,15 @@ from hypothesis import strategies as st
 import make_series_digests
 import sl2hilb.exactalg as exactalg
 import sl2hilb.series as series_mod
-from references import coeffs_for_index_quadratic, poly_add, to_rf, ua_transform_single_stage
+from references import (coeffs_for_index_quadratic, dn_sum_per_term, poly_add, rf_add_poly,
+                        rf_derivative_poly, to_rf, ua_transform_single_stage)
 from sl2hilb.exactalg import (FactoredDenominator, Polynomial,
                               RationalFunction, laurent_at_one, rf_equal, taylor_coeffs)
 from sl2hilb.oracle import truncated_series
 from sl2hilb.repmodel import Representation, parse_rep, pole_and_a_invariant, weight_system
 from sl2hilb.series import (CHECK_DEPTH, SeriesConsistencyError, ZRationalFunction,
-                            _check_functional_equation, _coeffs_for_index, dn_apply,
-                            hilbert_series, ua_transform)
+                            _check_functional_equation, _coeffs_for_index, _dn_sum, _theta,
+                            dn_apply, hilbert_series, ua_transform)
 
 
 def rf(num, den):
@@ -102,6 +103,60 @@ def test_dn_matches_derivatives(num, den, n):
     assert rf_equal(out, ref)
     assert out.den.factors == {m: e + n for m, e in den.items()}
     assert all(type(v) is int for v in out.num.c)
+
+
+@given(st.lists(st.integers(-5, 5), min_size=1, max_size=6),
+       st.dictionaries(st.integers(1, 4), st.integers(1, 3), max_size=3),
+       st.integers(0, 12))
+@example([1], {1: 1}, 0)
+@example([0, 2, -1], {2: 2, 3: 1}, 6)
+@example([3, 0, -1], {}, 4)
+@settings(max_examples=80, deadline=None)
+def test_theta_matches_the_derivative(num, den, k):
+    # (theta + k) f = t f' + k f over den times one more of each factor;
+    # rf_derivative_poly is the independent reference for f'
+    f = rf(num, den)
+    ref = rf_derivative_poly(f)
+    ref = rf_add_poly(RationalFunction(ref.num.shifted(1), ref.den), RationalFunction(f.num * k, f.den))
+    out = _theta(num, den, k)
+    assert len(out) == len(num) + sum(den)
+    assert rf_equal(rf(out, {b: e + 1 for b, e in den.items()}), ref)
+
+
+def _terms(spec, alpha):
+    # the terms g_j of weight -alpha, times the factor 1 - z^2, as _compute builds them
+    mult_of = Counter(weight_system(parse_rep(spec)).weights)
+    ws, ms = list(mult_of), list(mult_of.values())
+    return [(exactalg._times_factors(zc, {2: 1}, len(zc) + 1), zden)
+            for zc, zden in _coeffs_for_index(ws, ms, ws.index(-alpha))]
+
+
+@pytest.mark.parametrize("spec", ["7V2", "5V3", "4V4", "3V8", "4V1+2V5", "2V11", "3V3+V6", "8V8"])
+def test_horner_piece_matches_the_per_term_sum(spec):
+    # one U_alpha of the theta-Horner sum S against one U_alpha and one
+    # D_n/n! per partial-fraction term, for every alpha > 0
+    alphas = [a for a in set(weight_system(parse_rep(spec)).weights) if a > 0]
+    assert any(len(_terms(spec, a)) > 1 for a in alphas)
+    for alpha in alphas:
+        terms = _terms(spec, alpha)
+        out = _dn_sum(terms, alpha)
+        assert rf_equal(out, dn_sum_per_term(terms, alpha)), (spec, alpha)
+        assert all(type(v) is int for v in out.num.c), (spec, alpha)
+
+
+def test_single_forms_take_no_theta_pass(monkeypatch):
+    # every weight of V16 has multiplicity 1: one U_alpha per weight, no
+    # theta pass and no division
+    def theta_unreached(c, den, k):
+        raise AssertionError("a theta pass at multiplicity 1")
+
+    ua_calls = []
+    ua_exact = series_mod.ua_transform
+    monkeypatch.setattr(series_mod, "_MEMO", {})
+    monkeypatch.setattr(series_mod, "_theta", theta_unreached)
+    monkeypatch.setattr(series_mod, "ua_transform", lambda f, a: ua_calls.append(a) or ua_exact(f, a))
+    hilbert_series(parse_rep("V16"))
+    assert sorted(ua_calls) == list(range(0, 17, 2))
 
 
 def test_partial_fraction_single_weight():
@@ -234,6 +289,53 @@ def test_perturbed_piece_fails_the_functional_equation(monkeypatch):
     with pytest.raises(SeriesConsistencyError, match="functional equation gives"):
         hilbert_series(parse_rep("3V4"))
     assert perturbed
+
+
+def test_perturbed_horner_piece_fails_the_functional_equation(monkeypatch):
+    # adding 1 to the Horner piece of 3V4's first alpha > 0 (multiplicity
+    # 3) changes the assembled numerator; the functional equation sees it
+    # before the oracle is asked
+    dn_sum_exact = series_mod._dn_sum
+    perturbed = []
+
+    def dn_sum_off_by_one(terms, alpha):
+        out = dn_sum_exact(terms, alpha)
+        if not perturbed:
+            perturbed.append((alpha, len(terms)))
+            out = RationalFunction(poly_add(out.num, Polynomial([1])), out.den)
+        return out
+
+    def oracle_unreached(rep, n):
+        raise AssertionError("an inexact numerator reached the oracle check")
+
+    monkeypatch.setattr(series_mod, "_MEMO", {})
+    monkeypatch.setattr(series_mod, "_dn_sum", dn_sum_off_by_one)
+    monkeypatch.setattr(series_mod.oracle, "truncated_series", oracle_unreached)
+    with pytest.raises(SeriesConsistencyError, match="functional equation gives"):
+        hilbert_series(parse_rep("3V4"))
+    assert perturbed[0][0] > 0 and perturbed[0][1] == 3
+
+
+def test_horner_sum_division_must_be_exact(monkeypatch):
+    # 1 more in the constant term of the first theta step of 3V4 (alpha =
+    # 2, multiplicity 3) leaves U_alpha(S) off the multiple of (m - 1)!
+    # alpha^(m - 1) = 2! 2^2 that the exact division needs; it is
+    # reported, not truncated
+    theta_exact = series_mod._theta
+    calls = []
+
+    def theta_off_by_one(c, den, k):
+        out = theta_exact(c, den, k)
+        if not calls:
+            out[0] += 1
+        calls.append(k)
+        return out
+
+    monkeypatch.setattr(series_mod, "_MEMO", {})
+    monkeypatch.setattr(series_mod, "_theta", theta_off_by_one)
+    with pytest.raises(RuntimeError, match="D_n sum not divisible by 8"):
+        hilbert_series(parse_rep("3V4"))
+    assert calls == [4, 2]      # theta + 2 alpha, then theta + alpha
 
 
 def test_partial_fraction_division_must_be_exact(monkeypatch):
