@@ -159,7 +159,10 @@ class RationalFunction:
         more 1 - t^m cancels iff each such Phi_d still divides it: v_d(num)
         plus the exponents over - den at multiples of d, less what is
         cancelled.  v_d(num) is found by division, only as far as asked.
-        Integral Fraction coefficients of the numerator come back as ints.
+        Before that, each 1 - t^m of the numerator's own denominator is
+        tried in one pass: a running sum per residue class mod m, whose last
+        m terms, the remainder, must be zero.  Integral Fraction
+        coefficients of the numerator come back as ints.
         """
         c = self.num.c
         factors = dict(self.den.factors)
@@ -169,7 +172,7 @@ class RationalFunction:
         if not c:
             return RationalFunction([], over)
         for m in sorted(factors):
-            while factors[m] and (q := _times_over(c, {}, {m: 1})) is not None:
+            while factors[m] and (q := _div_one_minus(c, m)) is not None:
                 c = q
                 factors[m] -= 1
         extra = {j: e - factors.get(j, 0) for j, e in over.items()}
@@ -316,6 +319,19 @@ def _times_over(c, up, down):
     return out[:deg + 1] if deg >= 0 and not any(out[deg + 1:]) else None
 
 
+def _div_one_minus(c, m):
+    """c / (1 - t^m) as a polynomial, or None when that is not one: one copy
+    of c, a running sum per residue class mod m, and the last m sums, the
+    remainder, must be zero."""
+    out = c[:]
+    for r in range(min(m, len(c) - m)):
+        out[r::m] = accumulate(out[r::m])
+    if len(c) <= m or any(out[-m:]):
+        return None
+    del out[-m:]
+    return out
+
+
 def _times_geometric(c, p, b, e):
     """c * (1 + t^b + ... + t^((p-1)b))^e, the list c times the conjugates
     ((1 - t^(pb)) / (1 - t^b))^e: p - 1 shifted adds per power, no division."""
@@ -352,6 +368,6 @@ def _primes(n):
 
 
 def _normalize(x):
-    if isinstance(x, Fraction) and x.denominator == 1:
+    if type(x) is not int and isinstance(x, Fraction) and x.denominator == 1:
         return int(x)
     return x

@@ -5,24 +5,28 @@ over the torus weights w of the rep.  Grouping equal weights first, the
 product is split by partial fractions in t; every coefficient is a power
 series in z, an integer polynomial over a product of (1 - z^b)^e factors
 that the distances between the weights fix in advance, handed on as a
-ZRationalFunction, a named tuple of two dicts.  The terms attached to
-the factor of weight -alpha (alpha >= 0) survive constant term
-extraction and turn into an ordinary rational function of t through the
-substitution operator U_alpha, one prime of alpha at a time, each stage
-completing the z-factors by their conjugates, and the derivative operator
-D_n.  For alpha > 0, D_n runs first, on the z side: theta_t U_alpha =
-U_alpha theta_z / alpha (theta = x d/dx) sums the terms of one weight by
-Horner in theta into one series, and one U_alpha of it gives the
-weight's piece; U_0 does not commute with theta, so alpha = 0 takes one
-U_0 and one D_n per term.  Factors of strictly positive weight
-contribute nothing: their coefficient functions have strictly positive
-valuation in z.
+ZRationalFunction, a named tuple of two dicts.  Its numerators come from
+one recursion in integers: the log-derivative series of order e adds one
+binomial row C(n + e - 1, e - 1) per distance at that distance's stride,
+and every exact division by an integer is a floor-division pass checked by
+a multiply pass.  The terms attached to the factor of weight -alpha (alpha
+>= 0) survive constant term extraction and turn into an ordinary rational
+function of t through the substitution operator U_alpha, one prime of
+alpha at a time, each stage completing the z-factors by their conjugates,
+and the derivative operator D_n.  For alpha > 0, D_n runs first, on the z
+side: theta_t U_alpha = U_alpha theta_z / alpha (theta = x d/dx) sums the
+terms of one weight by Horner in theta into one series, and one U_alpha
+of it gives the weight's piece; U_0 does not commute with theta, so alpha
+= 0 takes one U_0 and one D_n per term.  Factors of strictly positive
+weight contribute nothing: their coefficient functions have strictly
+positive valuation in z.
 
 All arithmetic is exact and runs on integers: every piece is an exact
 integer rational function as it is built, so the pieces are added over
 their tight denominators, pairwise in a balanced tree, where each operand is
 lifted only by the other half's factors.  reduce cancels the sum as if it sat
-over the gcd rule's wider denominator, without building that numerator.
+over the gcd rule's wider denominator, without building that numerator,
+and tries each factor 1 - t^m of the sum's own denominator in one pass.
 Trivial summands raise the exponent of 1 - t of the assembled series, and
 the result is checked against the functional equation, which covers the
 whole numerator of every rep, and against the brute force monomial counts
@@ -31,9 +35,9 @@ built from a coefficient list and a dict {m: e}.
 """
 
 from collections import Counter, namedtuple
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import comb, gcd
-from operator import add, mul
+from operator import add, floordiv, mul
 
 from .exactalg import (RationalFunction, _div_factors, _mul_trunc, _primes, _times_factors,
                        _times_geometric, _times_over, taylor_coeffs)
@@ -74,8 +78,13 @@ def _coeffs_for_index(weights, mults, i):
     logarithmic derivative, gives j p_j = sum_(m<j) p_m q_(j-1-m), divided
     by j exactly, where q_k / E^(k+1) = S^(k) (1/x_i) / (k! (-x_i)^(k+1)) is
     the power series sum m (1 - x_i/z^w)^-(k+1); a weight
-    w_i + c enters it through 1 - z^-c = -z^-c (1 - z^c).  q_k is one pass by
-    E^(k+1) over the sum of the distances' series to degree (k+1) deg E.
+    w_i + c enters it through 1 - z^-c = -z^-c (1 - z^c).  q_(e-1) is one
+    pass by E^e over the sum of the distances' series to degree e deg E: as
+    1/(1 - z^c)^e = sum C(n + e - 1, e - 1) z^(cn), each distance c adds that
+    binomial row at stride c from z^0 and from z^(ce); the row of order e
+    serves every distance and is one running sum of the row of order e - 1.
+    The division by j is one floor-division pass, checked by one multiply
+    pass.
     """
     wi, mi = weights[i], mults[i]
     below, above = Counter(), Counter()     # distance c -> multiplicity of w_i -/+ c
@@ -89,20 +98,25 @@ def _coeffs_for_index(weights, mults, i):
     low = sum(c * m for c, m in below.items())
     nums = [[0] * low + [(-1) ** sum(below.values())]]
     logs = []                               # q_(e-1), over E^e
+    row = [1] * ((mi - 1) * span + 1)       # C(n + e - 1, e - 1) in n, from e = 1
     for e in range(1, mi):
+        if e > 1:
+            row = list(accumulate(row))
         q = [0] * (e * span + 1)            # q_(e-1) / E^e as a series, to degree e span
         for c in den:
-            top = [below[c]] + [0] * (c * e - 1) + [(-1) ** e * above[c]]
-            q = list(map(add, q, _div_factors(top, {c: e}, e * span + 1)))
+            # (below_c + (-1)^e above_c z^(ce)) / (1 - z^c)^e: the row at stride c, twice
+            for start, k in ((0, below[c]), (c * e, (-1) ** e * above[c])):
+                if k:
+                    q[start::c] = map(add, q[start::c], map(mul, row, repeat(k)))
         logs.append(_times_factors(q, dict.fromkeys(den, e), e * span))
     for j in range(1, mi):
         cutoff = low + j * span
         acc = [0] * (cutoff + 1)
         for m in range(j):
             acc = list(map(add, acc, _mul_trunc(nums[m], logs[j - 1 - m], cutoff)))
-        if any(v % j for v in acc):
+        if (p := _div_exact(acc, j)) is None:
             raise RuntimeError("partial fraction numerator not divisible by %d" % j)
-        nums.append([v // j for v in acc])
+        nums.append(p)
     return [(p, {c: den[c] + j for c in den}) for j, p in enumerate(nums)]
 
 
@@ -188,7 +202,7 @@ def _dn_sum(terms, alpha):
     g_0, then S <- (theta_z + (n+1) alpha) S + (m-1)!/n! alpha^(m-1-n)
     g_(m-1-n) for n = m-2, ..., 0.  theta_z of g_j sits over g_(j+1)'s
     denominator, so every add is over one denominator; the last division
-    must be exact."""
+    must be exact, one floor-division pass checked by one multiply pass."""
     s, den = terms[0]
     m, scale = len(terms), 1
     for n in range(m - 2, -1, -1):
@@ -199,10 +213,16 @@ def _dn_sum(terms, alpha):
     out = ua_transform(ZRationalFunction(dict(enumerate(s)), den), alpha)
     if m == 1:
         return out
-    num = [divmod(v, scale) for v in out.num.c]
-    if any(r for _, r in num):
+    if (num := _div_exact(out.num.c, scale)) is None:
         raise RuntimeError("D_n sum not divisible by %d" % scale)
-    return RationalFunction([q for q, _ in num], out.den)
+    return RationalFunction(num, out.den)
+
+
+def _div_exact(c, k):
+    """c / k coefficientwise, or None when k does not divide every
+    coefficient: one floor-division pass and one multiply pass to check it."""
+    q = list(map(floordiv, c, repeat(k)))
+    return q if list(map(mul, q, repeat(k))) == c else None
 
 
 # Terms of the series compared with the brute force counts, at most.

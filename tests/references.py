@@ -17,6 +17,11 @@ in theta on the z side, with one U_alpha per weight.
 coeffs_for_index_quadratic is the partial fraction step with one pass per
 weight distance over all the other factors for each log-derivative term,
 where the package sums the distances' series and makes one pass.
+coeffs_for_index_div_factors builds each distance's series by e running
+sums per residue class (_div_factors) and divides by j with a % and a //
+per coefficient, where the package adds one binomial row per order at each
+distance's stride and divides by a floor-division pass checked by a
+multiply pass.
 parse_rep_scanner is the character scanner that parse_rep's one regular
 expression replaced; both must accept the same specs and report the same
 errors.
@@ -32,10 +37,11 @@ package does that arithmetic on coefficient lists.
 from collections import Counter
 from fractions import Fraction
 from math import comb, gcd, prod
-from operator import sub
+from operator import add, sub
 
 from sl2hilb.exactalg import (FactoredDenominator, LaurentExpansion, Polynomial,
-                              RationalFunction, _mul_trunc, _normalize)
+                              RationalFunction, _div_factors, _mul_trunc, _normalize,
+                              _times_factors)
 from sl2hilb.laurent import _outer
 from sl2hilb.oracle import _packed_rows, truncated_series
 from sl2hilb.repmodel import (MAX_DIM, RepParseError, Representation, classify_case,
@@ -232,6 +238,38 @@ def coeffs_for_index_quadratic(weights, mults, i):
         acc = [0] * (cutoff + 1)
         for m in range(j):
             acc = [u + v for u, v in zip(acc, _mul_trunc(nums[m], logs[j - 1 - m], cutoff))]
+        if any(v % j for v in acc):
+            raise RuntimeError("partial fraction numerator not divisible by %d" % j)
+        nums.append([v // j for v in acc])
+    return [(p, {c: den[c] + j for c in den}) for j, p in enumerate(nums)]
+
+
+def coeffs_for_index_div_factors(weights, mults, i):
+    """series._coeffs_for_index with each distance's series top_c / (1 -
+    z^c)^e divided out by _div_factors, e passes of running sums."""
+    wi, mi = weights[i], mults[i]
+    below, above = Counter(), Counter()     # distance c -> multiplicity of w_i -/+ c
+    for w, m in zip(weights, mults):
+        if w < wi:
+            below[wi - w] += m
+        elif w > wi:
+            above[w - wi] += m
+    den = below + above                     # B, distance -> exponent
+    span = sum(den)                         # degree of E, the distances summed
+    low = sum(c * m for c, m in below.items())
+    nums = [[0] * low + [(-1) ** sum(below.values())]]
+    logs = []                               # q_(e-1), over E^e
+    for e in range(1, mi):
+        q = [0] * (e * span + 1)            # q_(e-1) / E^e as a series, to degree e span
+        for c in den:
+            top = [below[c]] + [0] * (c * e - 1) + [(-1) ** e * above[c]]
+            q = list(map(add, q, _div_factors(top, {c: e}, e * span + 1)))
+        logs.append(_times_factors(q, dict.fromkeys(den, e), e * span))
+    for j in range(1, mi):
+        cutoff = low + j * span
+        acc = [0] * (cutoff + 1)
+        for m in range(j):
+            acc = list(map(add, acc, _mul_trunc(nums[m], logs[j - 1 - m], cutoff)))
         if any(v % j for v in acc):
             raise RuntimeError("partial fraction numerator not divisible by %d" % j)
         nums.append([v // j for v in acc])

@@ -9,7 +9,7 @@ from references import (div_factors_loop, eval_at, laurent_at_one_fractions, pol
                         rf_add_poly, rf_at_reciprocal_poly, rf_derivative_poly, rf_equal_poly,
                         times_factors_loop)
 from sl2hilb.exactalg import (FactoredDenominator, Polynomial,
-                              RationalFunction, _div_factors, _times_factors,
+                              RationalFunction, _div_factors, _div_one_minus, _times_factors,
                               LATEX, TEXT, _times_geometric, _times_over, format_series,
                               format_terms, laurent_at_one, rf_equal, taylor_coeffs)
 
@@ -142,6 +142,27 @@ def test_geometric_conjugates_match_the_divided_product(c, p, b, e):
     # (1 + t^b + ... + t^((p-1)b))^e by shifted adds is the multiply-then-
     # divide conjugate product of ua_transform, to the same length
     assert _times_geometric(c, p, b, e) == _times_over(c, {p * b: e}, {b: e})
+
+
+@given(st.lists(coefficients, max_size=14), st.integers(1, 12), st.integers(0, 3),
+       st.lists(st.integers(-2, 2), max_size=3))
+@example([], 3, 0, [])
+@example([1], 12, 0, [])                    # c shorter than m
+@example([1, 0, 0], 3, 0, [])               # len(c) == m
+@example([2, -1], 1, 2, [])                 # two factors 1 - t to cancel
+@example([1, 1], 2, 1, [0, 1])              # divisible except a tail term
+@example([0, 0, 0, 0], 2, 0, [])            # the zero list: zeros back
+@settings(max_examples=150, deadline=None)
+def test_one_pass_division_matches_the_divided_product(base, m, k, off):
+    # c / (1 - t^m) by one running sum per residue class equals the multiply-
+    # then-divide _times_over: the same quotient, and None on the same inputs
+    c = _convolve(base, _dense({m: k})) if base else []
+    for i, v in enumerate(off[:len(c)]):
+        c[-1 - i] += v
+    got = _div_one_minus(c, m)
+    assert got == _times_over(c, {}, {m: 1})
+    if got is not None:
+        assert _convolve(got, _dense({m: 1})) == c
 
 
 def test_taylor_coeffs_quadratic_cubic():

@@ -302,6 +302,13 @@ def test_closed_forms_match_jacobi_trudi():
         assert gamma3(rep) == g3 and type(gamma3(rep)) is type(g3), rep
 
 
+@pytest.mark.parametrize("d", [151, 333, 500, 777, 999])
+def test_gamma0_matches_hilbert1893_past_150(d):
+    # the closed gamma0 against Hilbert's 1893 form, which shares no code
+    # with it, up to the largest V_d parse_rep admits
+    assert gamma0(Representation((d,))) == hilbert1893_gamma0(d)
+
+
 def test_closed_forms_reach_max_dim():
     # gamma0(V_d) against Hilbert's 1893 form up to d = 150, and gammas at
     # dim MAX_DIM, all well inside 10 s.

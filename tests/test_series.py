@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 import make_series_digests
 import sl2hilb.exactalg as exactalg
 import sl2hilb.series as series_mod
-from references import (coeffs_for_index_quadratic, dn_sum_per_term, poly_add, rf_add_poly,
-                        rf_derivative_poly, to_rf, ua_transform_single_stage)
+from references import (coeffs_for_index_div_factors, coeffs_for_index_quadratic,
+                        dn_sum_per_term, poly_add, rf_add_poly, rf_derivative_poly, to_rf,
+                        ua_transform_single_stage)
 from sl2hilb.exactalg import (FactoredDenominator, Polynomial,
                               RationalFunction, laurent_at_one, rf_equal, taylor_coeffs)
 from sl2hilb.oracle import truncated_series
@@ -232,6 +233,22 @@ def test_partial_fractions_match_the_per_distance_reference(mult_of):
     for i in range(len(weights)):
         assert (_coeffs_for_index(weights, mults, i)
                 == coeffs_for_index_quadratic(weights, mults, i)), (weights, mults, i)
+
+
+@given(st.dictionaries(st.integers(-9, 9), st.integers(1, 8), min_size=1, max_size=5))
+@example({-2: 8, 0: 8, 2: 8})                     # the weights of 8V2
+@example({-3: 8, 5: 1})                           # orders up to 7 at one distance
+@example({4: 8})
+@settings(max_examples=60, deadline=None)
+def test_binomial_rows_match_the_per_distance_division(mult_of):
+    # one binomial row per order, added at each distance's stride, is each
+    # distance's series divided out by running sums, and the map-pass
+    # division by j is the % and // per coefficient: every pair agrees.
+    # The quadratic reference above is too slow at multiplicity 8.
+    weights, mults = list(mult_of), list(mult_of.values())
+    for i in range(len(weights)):
+        assert (_coeffs_for_index(weights, mults, i)
+                == coeffs_for_index_div_factors(weights, mults, i)), (weights, mults, i)
 
 
 def test_hilbert_series_known_rows():
