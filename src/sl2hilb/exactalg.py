@@ -8,8 +8,8 @@ single map over two slices, out[i] += out[i-m] a running sum (accumulate)
 along each residue class mod m.  Laurent expansion at t = 1 substitutes
 t = 1 - s and divides series, in integers up to one Fraction per returned
 coefficient; format_series prints in TEXT (the repr) or LATEX.
-RationalFunction.derivative is the tests' reference for series.dn_apply, and
-perfbench traces it; callers pass lists and dicts.
+RationalFunction.derivative, the tests' reference for the D_n reference
+series.dn_apply, is traced by perfbench; callers pass lists and dicts.
 """
 
 from collections import Counter, namedtuple

@@ -12,12 +12,15 @@ in the pipeline's weight list cannot also hide from this check.
 
 The counts are packed by Kronecker substitution (D. Harvey, "Faster
 polynomial multiplication via multipoint Kronecker substitution",
-J. Symbolic Comput. 44 (2009)): row n, the degree n monomials, is one
-Python int whose bit slot w + n*M holds the count of weight w, M the
-largest |weight|.  Admitting a variable of weight a adds row n-1 shifted
-by a + M slots into row n, one big-int operation per row.  A slot is
-B = bitlen(C(D+N-1, N-1)) + 1 bits wide for N variables and depth D; no
-count exceeds the number of degree D monomials C(D+N-1, N-1), so no slot
+J. Symbolic Comput. 44 (2009)) in the lattice of the weights w = s u + r:
+s = 2 if all of them (0 for a trivial summand) have the parity r, else
+s = 1 and r = 0.  Row n, the degree n monomials, is one Python int whose
+bit slot u + n*M, M the largest |u|, holds the count of weight s u + n r:
+weight 0 sits at u = -nr/s, none if nr is odd, and weight 2 at 2/s slots
+on.  Admitting a variable of lattice weight a adds row n-1 shifted by
+a + M slots into row n, one big-int operation per row.  A slot is B =
+bitlen(C(D+N-1, N-1)) + 1 bits wide for N variables and depth D; no count
+exceeds the number of degree D monomials C(D+N-1, N-1), so no slot
 carries into the next.
 """
 
@@ -36,10 +39,18 @@ def _slots(ws, max_degree):
     return m, comb(max_degree + len(ws) - 1, len(ws) - 1).bit_length() + 1
 
 
+def _lattice(ws):
+    """(us, r, s), the weights w as u = (w - r)/s, r and s as above."""
+    r = ws[0] % 2 if ws else 0
+    if any((w - r) % 2 for w in ws):
+        return ws, 0, 1
+    return [(w - r) // 2 for w in ws], r, 2
+
+
 def packed_bits(rep, max_degree):
     """About how many bits truncated_series(rep, max_degree) holds in its
     rows: row n spans 2nM + 1 slots of B bits, D^2 M B over all D rows."""
-    m, width = _slots(_variable_weights(rep), max_degree)
+    m, width = _slots(_lattice(_variable_weights(rep))[0], max_degree)
     return max_degree ** 2 * m * width
 
 
@@ -63,7 +74,8 @@ def truncated_series(rep, max_degree):
     ws = _variable_weights(rep)
     if not ws:
         raise ValueError("the zero rep has no monomials to count")
-    rows, m, width = _packed_rows(ws, max_degree)
+    us, r, s = _lattice(ws)
+    rows, m, width = _packed_rows(us, max_degree)
     mask = (1 << width) - 1
-    return [((row >> n * m * width) & mask) - ((row >> (n * m + 2) * width) & mask)
-            for n, row in enumerate(rows)]
+    return [0 if n * r % s else ((row >> (k := n * m - n * r // s) * width) & mask)
+            - ((row >> (k + 2 // s) * width) & mask) for n, row in enumerate(rows)]

@@ -10,16 +10,15 @@ one recursion in integers: the log-derivative series of order e adds one
 binomial row C(n + e - 1, e - 1) per distance at that distance's stride,
 and every exact division by an integer is a floor-division pass checked by
 a multiply pass.  The terms attached to the factor of weight -alpha (alpha
->= 0) survive constant term extraction and turn into an ordinary rational
+> 0) survive constant term extraction and turn into an ordinary rational
 function of t through the substitution operator U_alpha, one prime of
 alpha at a time, each stage completing the z-factors by their conjugates,
-and the derivative operator D_n.  For alpha > 0, D_n runs first, on the z
-side: theta_t U_alpha = U_alpha theta_z / alpha (theta = x d/dx) sums the
-terms of one weight by Horner in theta into one series, and one U_alpha
-of it gives the weight's piece; U_0 does not commute with theta, so alpha
-= 0 takes one U_0 and one D_n per term.  Factors of strictly positive
-weight contribute nothing: their coefficient functions have strictly
-positive valuation in z.
+and the derivative operator D_n, which runs first, on the z side:
+theta_t U_alpha = U_alpha theta_z / alpha (theta = x d/dx) sums the terms
+of one weight by Horner in theta into one series, and one U_alpha of it
+gives the weight's piece.  Factors of weight >= 0 contribute nothing:
+their coefficient functions have strictly positive valuation in z, at
+weight 0 since the even V_d it comes from has weight -2 as well.
 
 All arithmetic is exact and runs on integers: every piece is an exact
 integer rational function as it is built, so the pieces are added over
@@ -169,7 +168,7 @@ def dn_apply(f, n):
     """D_n / n!, D_n = (d/dt)^n after multiplication by t^n: sum a_k t^k goes
     to sum C(k + n, n) a_k t^k over every denominator exponent raised by n, a
     numerator of degree at most deg num + n sum m, so one multiply pass.
-    Only the alpha = 0 terms take it; _dn_sum applies D_n for alpha > 0."""
+    The series runs D_n in _dn_sum; this is the D_n reference perfbench traces."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not n:
@@ -255,23 +254,22 @@ def _compute(rep):
     # reduce cancels best effort, so it runs over the gcd rule's (1 - t^(b/g))^(g e): wide
     pieces, wide = [], Counter()
     for alpha, mult in zip(weights, mults):
-        if alpha < 0:
+        # weight 0 comes from an even V_d, d >= 2, with weight -2 too: each alpha = 0 term has
+        # valuation > 0 in z, so U_0 of it is 0, and only its (1 - t)^mult is left, in wide
+        if alpha == 0:
+            wide[1] = max(wide[1], mult)
+        if alpha <= 0:
             continue
         # times the factor 1 - z^2 of the integrand
         terms = [(_times_factors(zc, {2: 1}, len(zc) + 1), zden)
                  for zc, zden in _coeffs_for_index(weights, mults, weights.index(-alpha))]
-        if alpha:       # D_n before U_alpha, by Horner in theta: one piece
-            new = [_dn_sum(terms, alpha)]
-        else:           # U_0 does not commute with theta: D_n after it, per term
-            new = [dn_apply(ua_transform(ZRationalFunction(dict(enumerate(c)), den), 0), mult - j - 1)
-                   for j, (c, den) in enumerate(terms)]
+        piece = _dn_sum(terms, alpha)       # D_n before U_alpha, by Horner in theta
+        rule = Counter(piece.den.factors)   # tight, raised to the gcd rule
         zden = terms[-1][1]     # its gcd rule dominates that of every other term
-        for piece in new:
-            rule = Counter(piece.den.factors)       # tight, raised to the gcd rule
-            for b, e in zden.items() if alpha and rule else ():
-                rule[b // gcd(alpha, b)] += (gcd(alpha, b) - 1) * e
-            wide |= rule
-            pieces.append(piece)
+        for b, e in zden.items() if rule else ():
+            rule[b // gcd(alpha, b)] += (gcd(alpha, b) - 1) * e
+        wide |= rule
+        pieces.append(piece)
     while len(pieces) > 1:      # pairwise, so no operand is lifted by more than half the rest
         pieces = [f + g for f, g in zip(pieces[::2], pieces[1::2])] + pieces[len(pieces) // 2 * 2:]
     # no weight: the integrand 1 - z^2 has constant term 1, and no piece

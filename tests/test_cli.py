@@ -627,7 +627,7 @@ def test_verify_functional_equation_failure_exit_code(capsys, monkeypatch):
 
 
 def test_verify_max_degree_over_memory_limit(capsys, monkeypatch):
-    # V16 to degree 10000 would need about 32 GiB of oracle rows; the
+    # V16 to degree 10000 would need about 16 GiB of oracle rows; the
     # estimate refuses it before the series or the oracle is built
     def unreached(*args):
         raise AssertionError("verify built something past the memory check")

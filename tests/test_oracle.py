@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from references import (dim_invariants, multigraded_dim, multigraded_dim_walk,
                         truncated_series_walk)
 from sl2hilb.exactalg import taylor_coeffs
-from sl2hilb.oracle import _packed_rows, _variable_weights, truncated_series
+from sl2hilb.oracle import _packed_rows, _slots, _variable_weights, packed_bits, truncated_series
 from sl2hilb.repmodel import Representation, parse_rep
 
 
@@ -88,6 +88,9 @@ def _reps(draw):
 @example(Representation((), 3), 40)
 @example(Representation((13,), 0), 40)        # largest weight at the largest depth
 @example(Representation((1, 1, 2), 2), 40)
+@example(Representation((1, 3, 5), 0), 40)    # all odd: halved lattice, odd rows 0
+@example(Representation((2, 4), 2), 40)       # all even with trivial summands
+@example(Representation((3,), 1), 40)         # odd with a trivial summand: mixed parity
 @settings(max_examples=100, deadline=None)
 def test_packed_counts_equal_the_walk(rep, depth):
     assert truncated_series(rep, depth) == truncated_series_walk(rep, depth)
@@ -107,6 +110,16 @@ def test_counts_near_the_slot_width(rep):
         assert top.bit_length() == width - 1
         assert truncated_series(rep, 40) == [comb(n + 29, 29) for n in range(41)]
     assert truncated_series(rep, 40) == truncated_series_walk(rep, 40)
+
+
+def test_packed_bits_reads_the_lattice_truncated_series_builds():
+    # V16's weights are all even, so truncated_series counts in the halved
+    # lattice, M = 8 in place of 16; V3+V4 mixes parities and keeps M = 4
+    for spec, halved in (("V16", True), ("V3+V4", False)):
+        rep = parse_rep(spec)
+        m, width = _slots(_variable_weights(rep), 100)
+        full = 100 ** 2 * m * width
+        assert packed_bits(rep, 100) == (full // 2 if halved else full)
 
 
 def test_multigraded_dim_equals_the_walk():

@@ -146,8 +146,8 @@ def test_horner_piece_matches_the_per_term_sum(spec):
 
 
 def test_single_forms_take_no_theta_pass(monkeypatch):
-    # every weight of V16 has multiplicity 1: one U_alpha per weight, no
-    # theta pass and no division
+    # every weight of V16 has multiplicity 1: one U_alpha per weight alpha >
+    # 0, no theta pass and no division; alpha = 0 adds no piece
     def theta_unreached(c, den, k):
         raise AssertionError("a theta pass at multiplicity 1")
 
@@ -157,7 +157,24 @@ def test_single_forms_take_no_theta_pass(monkeypatch):
     monkeypatch.setattr(series_mod, "_theta", theta_unreached)
     monkeypatch.setattr(series_mod, "ua_transform", lambda f, a: ua_calls.append(a) or ua_exact(f, a))
     hilbert_series(parse_rep("V16"))
-    assert sorted(ua_calls) == list(range(0, 17, 2))
+    assert sorted(ua_calls) == list(range(2, 17, 2))
+
+
+def test_weight_zero_terms_have_no_constant_term():
+    # _compute builds no piece for alpha = 0: weight 0 comes from an even V_d,
+    # d >= 2, with weight -2 too, so U_0 of each term times 1 - z^2 is 0
+    checked = 0
+    for dim in range(2, 15):
+        for degrees in make_series_digests.degree_multisets(dim):
+            mult_of = Counter(weight_system(Representation(degrees)).weights)
+            if 0 not in mult_of:
+                continue
+            ws, ms = list(mult_of), list(mult_of.values())
+            for zc, zden in _coeffs_for_index(ws, ms, ws.index(0)):
+                zc = exactalg._times_factors(zc, {2: 1}, len(zc) + 1)
+                assert not ua_transform(ZRationalFunction(dict(enumerate(zc)), zden), 0).num.c
+                checked += 1
+    assert checked == 149       # multiplicities 1 to 4 over 90 reps
 
 
 def test_partial_fraction_single_weight():
@@ -285,15 +302,16 @@ def test_consistency_check_trips_on_bad_oracle(monkeypatch):
 
 
 def test_perturbed_piece_fails_the_functional_equation(monkeypatch):
-    # adding 1 to the first piece of 3V4 changes the assembled numerator;
-    # the functional equation sees it before the oracle is asked
-    dn_apply_exact = series_mod.dn_apply
+    # adding 1 to the first piece of V4+V5, from a weight of multiplicity 1,
+    # changes the assembled numerator; the functional equation sees it
+    # before the oracle is asked
+    dn_sum_exact = series_mod._dn_sum
     perturbed = []
 
-    def dn_apply_off_by_one(f, n):
-        out = dn_apply_exact(f, n)
+    def dn_sum_off_by_one(terms, alpha):
+        out = dn_sum_exact(terms, alpha)
         if not perturbed:
-            perturbed.append(n)
+            perturbed.append((alpha, len(terms)))
             out = RationalFunction(poly_add(out.num, Polynomial([1])), out.den)
         return out
 
@@ -301,11 +319,11 @@ def test_perturbed_piece_fails_the_functional_equation(monkeypatch):
         raise AssertionError("an inexact numerator reached the oracle check")
 
     monkeypatch.setattr(series_mod, "_MEMO", {})
-    monkeypatch.setattr(series_mod, "dn_apply", dn_apply_off_by_one)
+    monkeypatch.setattr(series_mod, "_dn_sum", dn_sum_off_by_one)
     monkeypatch.setattr(series_mod.oracle, "truncated_series", oracle_unreached)
     with pytest.raises(SeriesConsistencyError, match="functional equation gives"):
-        hilbert_series(parse_rep("3V4"))
-    assert perturbed
+        hilbert_series(parse_rep("V4+V5"))
+    assert perturbed == [(2, 1)]
 
 
 def test_perturbed_horner_piece_fails_the_functional_equation(monkeypatch):
