@@ -8,9 +8,10 @@ gamma --format json cache only the checked series, one JSON file per
 canonical representation key, served if the file is, as JSON text, what
 store_cached writes for the series in it and that series passes the
 functional equation check hilbert_series runs.  series and gamma print
-the JSON record through one path, its gamma and methods from gammas() and
-pole order and a-invariant from pole_and_a_invariant on every call; gamma
-in text or latex prints from gammas() alone, series through format_series.
+the JSON record through one path, its gamma and methods from gammas()
+(memoized per rep) and pole order and a-invariant from pole_and_a_invariant
+on every call; gamma in text or latex prints from gammas() alone, series
+through format_series.
 """
 
 import argparse

@@ -93,10 +93,22 @@ def _coefficients(rep, tag):
     return gamma, ("ClosedForm", "ClosedForm", m2, "ClosedForm")
 
 
+_MEMO = {}
+
+
 def gammas(rep):
-    """The four Laurent coefficients, closed forms first, and pole_and_a_invariant(rep)."""
-    gamma, methods = _coefficients(rep, classify_case(rep))
-    return GammaResult(rep, gamma, *pole_and_a_invariant(rep), methods)
+    """The four Laurent coefficients, closed forms first, and pole_and_a_invariant(rep).
+
+    Memoized per rep for the life of the process, with no bound, as
+    hilbert_series is: a GammaResult holds only immutable values, so every
+    call returns the same object.  A call that raises (trivial summands,
+    the zero rep) leaves nothing behind."""
+    memo_key = (rep.degrees, rep.trivial_count)
+    res = _MEMO.get(memo_key)
+    if res is None:
+        gamma, methods = _coefficients(rep, classify_case(rep))
+        res = _MEMO[memo_key] = GammaResult(rep, gamma, *pole_and_a_invariant(rep), methods)
+    return res
 
 
 def first_coeff_sum(rep):

@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+import sl2hilb.laurent as laurent_mod
 import sl2hilb.series as series_mod
 from references import gamma_raw
 from sl2hilb.exactalg import laurent_at_one
@@ -244,6 +245,39 @@ def test_gamma_raw_at_true_weights():
         assert gamma_raw(0, params) == gamma0(rep), text
         assert gamma_raw(1, params) == gamma1(rep), text
         assert gamma_raw(2, params) == gamma2(rep), text
+
+
+def test_gammas_computes_once_per_rep(monkeypatch):
+    calls = []
+    coefficients = laurent_mod._coefficients
+
+    def counted(rep, tag):
+        calls.append(rep.key)
+        return coefficients(rep, tag)
+
+    monkeypatch.setattr(laurent_mod, "_MEMO", {})
+    monkeypatch.setattr(laurent_mod, "_coefficients", counted)
+    first = gammas(parse_rep("V9"))
+    assert gammas(parse_rep("V9")) is first
+    assert calls == ["V9"]
+
+
+@pytest.mark.parametrize("spec", ["V4", "V8", "2V4", "V9", "V2+2V3", "V1+2V4"])
+def test_memoized_gammas_equal_a_fresh_computation(monkeypatch, spec):
+    # V4 and 2V4 fall back to the series for every coefficient, V8 for
+    # gamma2; V1+2V4 is OneV1RestEven
+    memoized = gammas(parse_rep(spec))
+    monkeypatch.setattr(laurent_mod, "_MEMO", {})
+    monkeypatch.setattr(series_mod, "_MEMO", {})
+    assert gammas(parse_rep(spec)) == memoized
+
+
+def test_gammas_refusal_is_not_memoized(monkeypatch):
+    monkeypatch.setattr(laurent_mod, "_MEMO", {})
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            gammas(parse_rep("2V0+V3"))
+    assert laurent_mod._MEMO == {}
 
 
 def test_trivial_rejected():
