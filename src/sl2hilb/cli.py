@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import __version__
 from .exactalg import (LATEX, RationalFunction, format_series, laurent_at_one, rf_equal,
                        taylor_coeffs)
-from .laurent import gammas, random_params, sigma_sum_raw, sigma_sum_schur
+from .laurent import gammas, hilbert1893_gamma0, random_params, sigma_sum_raw, sigma_sum_schur
 from .oracle import packed_bits, truncated_series
 from .repmodel import RepParseError, parse_rep, pole_and_a_invariant
 from .series import SeriesConsistencyError, _check_functional_equation, hilbert_series
@@ -287,6 +287,9 @@ def cmd_verify(args):
 
         check("gamma methods agree with series", tuple(res.gamma) == exp.coeffs,
               "closed %s series %s" % (res.gamma, exp.coeffs))
+        if len(rep.degrees) == 1 and rep.degrees[0] >= 5:
+            g0 = hilbert1893_gamma0(rep.degrees[0])
+            check("gamma0 equals Hilbert's 1893 form", res.gamma[0] == g0, "it gives %s" % g0)
 
         row = next((r for r in FIXTURES if r.key == rep.key), None)
         if row is not None:

@@ -243,18 +243,18 @@ def laurent_at_one(f, count):
     if not f.num.c:
         raise ValueError("zero function has no Laurent expansion")
     zeros = sum(f.den.factors.values())
-    cutoff = zeros + count  # all work truncated at this s-degree
+    cutoff = zeros + count  # the numerator in s truncated at this s-degree
     # numerator in s via Horner: P(1 - s), high coefficients dropped
     cur = [0] * (cutoff + 1)
     for v in reversed(f.num.c):
         cur[1:] = map(sub, cur[1:], cur[:cutoff])
         cur[0] += v
-    # each factor 1 - t^m = s * u_m(s) with u_m(0) = m
-    unit = [1] + [0] * cutoff
+    # each factor 1 - t^m = s * u_m(s) with u_m(0) = m; the expansion reads unit[j < count]
+    unit = [1] + [0] * count
     for m, e in f.den.factors.items():
-        um = [-comb(m, j + 1) * (-1) ** (j + 1) for j in range(min(m, cutoff + 1))]
+        um = [-comb(m, j + 1) * (-1) ** (j + 1) for j in range(min(m, count + 1))]
         for _ in range(e):
-            unit = _mul_trunc(unit, um, cutoff)
+            unit = _mul_trunc(unit, um, count)
     val = 0
     while val <= cutoff and cur[val] == 0:
         val += 1

@@ -6,7 +6,7 @@ gamma0..gamma3 carry the asymptotics of the invariant ring.
 Closed forms evaluate them as ratios of Schur polynomials at the positive
 weights, each ratio one divided-difference weight sum (`schur.delta_ratio`,
 O(n^2) in the n positive weights, no determinant); reps outside their range
-fall back to expanding the series.  Jacobi-Trudi determinants
+fall back to expanding the series, built from a few oracle counts.  Jacobi-Trudi determinants
 (`schur.schur_eval`) remain only in `sigma_sum_schur`, the Schur-side test
 oracle for the raw weight sums.
 """
@@ -15,10 +15,12 @@ from collections import defaultdict, namedtuple
 from fractions import Fraction
 from math import comb, factorial
 
-from .exactalg import laurent_at_one
-from .repmodel import FIRST_COEFF_EXCEPTIONS, classify_case, pole_and_a_invariant, weight_system
+from .exactalg import RationalFunction, _times_factors, laurent_at_one
+from .oracle import SeriesConsistencyError, truncated_series
+from .repmodel import (FIRST_COEFF_EXCEPTIONS, capped_denominator, classify_case,
+                       pole_and_a_invariant, weight_system)
 from .schur import _scale_to_integers, delta_ratio, power_sum, schur_delta, schur_eval
-from .series import hilbert_series
+from .series import hilbert_series  # unused: perfbench traces this binding by name
 
 
 GammaResult = namedtuple("GammaResult", "rep gamma pole_order a_invariant methods")
@@ -79,10 +81,25 @@ def a_invariant(rep):
     return pole_and_a_invariant(rep)[1]
 
 
+def _series_from_counts(rep):
+    """H = N / D, D = capped_denominator(rep), from the counts to degree
+    top // 2 times D and the functional equation N_j = (-1)^(d + sum e)
+    N_(top - j), top = deg D + a; the count one past the half must match."""
+    (d, a), den = pole_and_a_invariant(rep), capped_denominator(rep)
+    top = sum(m * e for m, e in den.items()) + a
+    half = max(top, -1) // 2    # top < 0: no numerator, so the check below fails
+    low = _times_factors(truncated_series(rep, half + 1), den, half + 1)
+    sign = (-1) ** (d + sum(den.values()))
+    num = low[:half + 1] + [sign * low[top - j] for j in range(half + 1, top + 1)]
+    if low[half + 1] != (mirror := num[half + 1] if half < top else 0):
+        raise SeriesConsistencyError(rep, half + 1, low[half + 1], mirror, "its mirror")
+    return RationalFunction(num, den)
+
+
 def _coefficients(rep, tag):
-    """(gamma0..gamma3, methods); the series is built only for a missing closed form."""
+    """(gamma0..gamma3, methods); SeriesFallback expands H, built from the counts."""
     if tag.in_gamma0_exceptions or tag.in_gamma2_exceptions:
-        exp = laurent_at_one(hilbert_series(rep), 4)
+        exp = laurent_at_one(_series_from_counts(rep), 4)
     if tag.in_gamma0_exceptions:
         return exp.coeffs, ("SeriesFallback",) * 4
     if tag.in_gamma2_exceptions:

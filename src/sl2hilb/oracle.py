@@ -27,6 +27,15 @@ carries into the next.
 from math import comb
 
 
+class SeriesConsistencyError(RuntimeError):
+    """The assembled series disagrees with the brute force counts."""
+
+    def __init__(self, rep, degree, got, want, source="direct count"):
+        super().__init__("series check failed for %s at degree %d: series gives %s, "
+                         "%s gives %s" % (rep, degree, got, source, want))
+        self.rep, self.degree, self.got, self.want = rep, degree, got, want
+
+
 def _variable_weights(rep):
     ws = [2 * i - d for d in rep.degrees for i in range(d + 1)]
     ws.extend([0] * rep.trivial_count)

@@ -11,9 +11,10 @@ and are excluded from the weight combinatorics.
 """
 
 import re
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import groupby
+from math import gcd
 
 
 class RepParseError(ValueError):
@@ -130,6 +131,36 @@ def pole_and_a_invariant(rep):
     small = {(): (0, 0), (1,): (0, 0), (2,): (1, -2), (1, 1): (1, -2)}
     d, a = small.get(rep.degrees, (rep.dim - 3, -rep.dim))
     return d + rep.trivial_count, a - rep.trivial_count
+
+
+def wide_denominator(rep):
+    """{m: e}, a multiple of every piece denominator of series._compute from
+    the weights alone (trivial summands left out): by the gcd rule, the
+    factor (1 - z^c)^(k + m - 1) of a weight alpha > 0 of multiplicity m, k
+    the multiplicity at distance c from -alpha, adds g (k + m - 1) at c/g, g
+    = gcd(alpha, c), and the maximum over alpha is taken.  Weight 0 needs
+    none: at c = 2, alpha = 2 adds 2 (k + m_0 - 1) >= m_0 at 1."""
+    mult, wide = Counter(weight_system(rep).weights), Counter()
+    for alpha, m in mult.items():
+        share = Counter()
+        for c in {abs(w + alpha) for w in mult if w != -alpha} if alpha > 0 else ():
+            g = gcd(alpha, c)
+            share[c // g] += g * (mult[-alpha - c] + mult[c - alpha] + m - 1)
+        wide |= share
+    return dict(wide)
+
+
+def capped_denominator(rep):
+    """{m: e} whose product D makes D H(t) a polynomial (no trivial summands):
+    the Phi_k valuations of wide_denominator, capped at the pole order d at
+    t = 1, which bounds the pole at every root of unity (H = Q / prod (1 -
+    t^(d_i)) over an hsop, Stanley 1978), covered greedily in descending k."""
+    wide, d, cover = wide_denominator(rep), pole_and_a_invariant(rep)[0], Counter()
+    for k in range(max(wide, default=0), 0, -1):
+        cover[k] = max(min(sum(e for m, e in wide.items() if m % k == 0), d)
+                       - sum(e for m, e in cover.items() if m % k == 0), 0)
+    return dict(+cover)
+
 
 CaseTag = namedtuple("CaseTag", "in_gamma0_exceptions in_gamma2_exceptions one_v1_rest_even")
 

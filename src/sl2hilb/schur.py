@@ -25,7 +25,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import repeat
 from math import lcm, prod
-from operator import sub
+from operator import floordiv, mul, sub
 
 
 StraightenedSchur = namedtuple("StraightenedSchur", "sign partition shift")
@@ -157,31 +157,33 @@ def delta_ratio(es, points):
     if all(zero):
         return (Fraction(0),) * len(es)
     mult = Counter(ints)
-    squares = [x * x for x in ints]
-    # per node: x, the pairs (up_j, down_j) of T_j = e up_j - down_j, and the
-    # e-free denominator (4q)^(m-1) prod_{w != y} (y - w) (filter drops w = y)
-    nodes = []
-    for x, m in mult.items():
-        y = x * x
-        # the other nodes enter the h^(m-1) coefficient only when m > 1
-        others = [(y - z * z, mz) for z, mz in mult.items() if z != x] if m > 1 else []
-        q = lcm(y, *(d for d, _ in others))
-        signs = [(-1) ** (j - 1) * 2 ** (2 * j - 1) for j in range(1, m)]
-        nodes.append((x, [(s * (q // y) ** j, s * 2 * sum(mz * (q // d) ** j for d, mz in others))
-                          for j, s in enumerate(signs, 1)],
-                      (4 * q) ** (m - 1) * prod(filter(None, map(sub, repeat(y), squares)))))
+    xs, squares = list(mult), [x * x for x in ints]
+    # e-free denominators prod_{w != y} (y - w) (filter drops w = y); only a repeated node
+    # runs the confluent terms: (4q)^(m-1) more, and the pairs (up_j, down_j) of T_j below
+    dens = [prod(filter(None, map(sub, repeat(x * x), squares))) for x in xs]
+    confluent = []
+    for i, (x, m) in enumerate(mult.items()):
+        if m > 1:
+            y = x * x
+            others = [(y - z * z, mz) for z, mz in mult.items() if z != x]
+            q = lcm(y, *(d for d, _ in others))
+            dens[i] *= (4 * q) ** (m - 1)
+            signs = [(-1) ** (j - 1) * 2 ** (2 * j - 1) for j in range(1, m)]
+            confluent.append((i, [(s * (q // y) ** j,
+                                   s * 2 * sum(mz * (q // d) ** j for d, mz in others))
+                                  for j, s in enumerate(signs, 1)]))
 
     def ratio(e):
-        nums, dens = [], []
-        for x, parts, den in nodes:
-            steps = [e * up - down for up, down in parts]
+        nums = list(map(pow, xs, repeat(max(e, 0))))
+        ds = dens if e >= 0 else list(map(mul, dens, map(pow, xs, repeat(-e))))
+        for i, parts in confluent:
+            steps = [e * up - down for up, down in parts]      # T_j
             h = [1]
             for t in range(1, len(steps) + 1):
                 h.append(sum(steps[j - 1] * h[t - j] for j in range(1, t + 1)) // t)
-            nums.append(h[-1] * x ** max(e, 0))
-            dens.append(den * x ** max(-e, 0))
-        common = lcm(*dens)
-        total = sum(num * (common // den) for num, den in zip(nums, dens))
+            nums[i] *= h[-1]
+        common = lcm(*ds)
+        total = sum(map(mul, nums, map(floordiv, repeat(common), ds)))
         # R_e is homogeneous of degree k = e - 2(n-1) in the points
         k = e - 2 * n + 2
         if k < 0:

@@ -24,8 +24,8 @@ All arithmetic is exact and runs on integers: every piece is an exact
 integer rational function as it is built, so the pieces are added over
 their tight denominators, pairwise in a balanced tree, where each operand is
 lifted only by the other half's factors.  reduce cancels the sum as if it sat
-over the gcd rule's wider denominator, without building that numerator,
-and tries each factor 1 - t^m of the sum's own denominator in one pass.
+over the gcd rule's wider denominator (repmodel.wide_denominator), without
+building that numerator, and tries each 1 - t^m of its own denominator in one pass.
 Trivial summands raise the exponent of 1 - t of the assembled series, and
 the result is checked against the functional equation, which covers the
 whole numerator of every rep, and against the brute force monomial counts
@@ -40,22 +40,9 @@ from operator import add, floordiv, mul
 
 from .exactalg import (RationalFunction, _div_factors, _mul_trunc, _primes, _times_factors,
                        _times_geometric, _times_over, taylor_coeffs)
-from .repmodel import pole_and_a_invariant, weight_system
+from .repmodel import pole_and_a_invariant, weight_system, wide_denominator
 from . import oracle
-
-
-class SeriesConsistencyError(RuntimeError):
-    """The assembled series disagrees with the brute force counts."""
-
-    def __init__(self, rep, degree, got, want, source="direct count"):
-        super().__init__(
-            "series check failed for %s at degree %d: series gives %s, "
-            "%s gives %s" % (rep, degree, got, source, want)
-        )
-        self.rep = rep
-        self.degree = degree
-        self.got = got
-        self.want = want
+from .oracle import SeriesConsistencyError
 
 
 # A power series in z for ua_transform: num {exponent >= 0: coefficient}
@@ -251,29 +238,19 @@ def hilbert_series(rep):
 def _compute(rep):
     mult_of = Counter(weight_system(rep).weights)
     weights, mults = list(mult_of), list(mult_of.values())
-    # reduce cancels best effort, so it runs over the gcd rule's (1 - t^(b/g))^(g e): wide
-    pieces, wide = [], Counter()
-    for alpha, mult in zip(weights, mults):
-        # weight 0 comes from an even V_d, d >= 2, with weight -2 too: each alpha = 0 term has
-        # valuation > 0 in z, so U_0 of it is 0, and only its (1 - t)^mult is left, in wide
-        if alpha == 0:
-            wide[1] = max(wide[1], mult)
-        if alpha <= 0:
-            continue
+    pieces = []
+    # weight 0 comes from an even V_d, d >= 2, with weight -2 too: each alpha = 0 term has
+    # valuation > 0 in z, so U_0 of it is 0, and it builds no piece
+    for alpha in (w for w in weights if w > 0):
         # times the factor 1 - z^2 of the integrand
         terms = [(_times_factors(zc, {2: 1}, len(zc) + 1), zden)
                  for zc, zden in _coeffs_for_index(weights, mults, weights.index(-alpha))]
-        piece = _dn_sum(terms, alpha)       # D_n before U_alpha, by Horner in theta
-        rule = Counter(piece.den.factors)   # tight, raised to the gcd rule
-        zden = terms[-1][1]     # its gcd rule dominates that of every other term
-        for b, e in zden.items() if rule else ():
-            rule[b // gcd(alpha, b)] += (gcd(alpha, b) - 1) * e
-        wide |= rule
-        pieces.append(piece)
+        pieces.append(_dn_sum(terms, alpha))    # D_n before U_alpha, by Horner in theta
     while len(pieces) > 1:      # pairwise, so no operand is lifted by more than half the rest
         pieces = [f + g for f, g in zip(pieces[::2], pieces[1::2])] + pieces[len(pieces) // 2 * 2:]
-    # no weight: the integrand 1 - z^2 has constant term 1, and no piece
-    total = pieces[0].reduce(over=wide) if pieces else RationalFunction([1])
+    # reduce cancels best effort, over the gcd rule's wide denominator; no weight: the
+    # integrand 1 - z^2 has constant term 1, and no piece
+    total = pieces[0].reduce(over=wide_denominator(rep)) if pieces else RationalFunction([1])
     if rep.trivial_count:       # each trivial summand is one more 1/(1 - t)
         den = total.den.factors
         total = RationalFunction(total.num, den | {1: den.get(1, 0) + rep.trivial_count})

@@ -11,6 +11,9 @@ series in z^alpha at once, and reduce_multiplied_up the cancel over a
 wider denominator with the widened numerator built: the series pipeline
 takes U_alpha one prime at a time and reduces without that numerator.
 to_rf reads a z-side record as a RationalFunction.
+wide_per_piece is the denominator series._compute reduced over when it
+built it piece by piece, with the pieces; the package reads it off the
+weights (repmodel.wide_denominator) before any piece exists.
 dn_sum_per_term is the D_n step as one U_alpha and one D_n/n! per
 partial-fraction term; the package applies D_n before U_alpha, by Horner
 in theta on the z side, with one U_alpha per weight.
@@ -47,7 +50,7 @@ from sl2hilb.oracle import _packed_rows, truncated_series
 from sl2hilb.repmodel import (MAX_DIM, RepParseError, Representation, classify_case,
                               weight_system)
 from sl2hilb.schur import _scale_to_integers, bareiss_det
-from sl2hilb.series import ZRationalFunction, dn_apply, ua_transform
+from sl2hilb.series import ZRationalFunction, _coeffs_for_index, _dn_sum, dn_apply, ua_transform
 
 
 def eval_at(p, x):
@@ -284,6 +287,30 @@ def dn_sum_per_term(terms, alpha):
         total = total + dn_apply(ua_transform(ZRationalFunction(dict(enumerate(c)), den), alpha),
                                  m - 1 - j)
     return total
+
+
+def wide_per_piece(rep):
+    """(wide, pieces): the pieces of series._compute, and the maximum over
+    them of each piece's tight denominator raised by the gcd rule on its
+    last z-term's factors, an empty piece skipped, with wide[1] at least
+    the multiplicity of weight 0."""
+    mult_of = Counter(weight_system(rep).weights)
+    weights, mults = list(mult_of), list(mult_of.values())
+    pieces, wide = [], Counter()
+    for alpha, mult in zip(weights, mults):
+        if alpha == 0:
+            wide[1] = max(wide[1], mult)
+        if alpha <= 0:
+            continue
+        terms = [(_times_factors(zc, {2: 1}, len(zc) + 1), zden)
+                 for zc, zden in _coeffs_for_index(weights, mults, weights.index(-alpha))]
+        piece = _dn_sum(terms, alpha)
+        rule = Counter(piece.den.factors)
+        for b, e in terms[-1][1].items() if rule else ():
+            rule[b // gcd(alpha, b)] += (gcd(alpha, b) - 1) * e
+        wide |= rule
+        pieces.append(piece)
+    return dict(wide), pieces
 
 
 def to_rf(f):

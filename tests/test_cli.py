@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import sl2hilb.cli as cli
+import sl2hilb.laurent as laurent_mod
 import sl2hilb.oracle as oracle
 import sl2hilb.series as series_mod
 from sl2hilb.cli import (FIXTURES, FixtureRow, HilbertResult, _int_out,
@@ -547,6 +548,23 @@ def test_gamma_text_and_latex_skip_series_and_cache(isolated_cache, capsys,
         ["\\gamma_%d = \\frac{%d}{%d}" % (i, g.numerator, g.denominator)
          for i, g in enumerate(res.gamma)] + ["a = %d" % res.a_invariant])
     assert not isolated_cache.exists()
+
+
+def test_warm_cache_json_builds_no_series(capsys, monkeypatch):
+    # as a fresh process finds it: the entry on disk, both memos empty; the
+    # hit serves the series, and V8's gamma2 fallback reads the oracle counts
+    stored = run(capsys, "series", "V8", "--format", "json")
+    monkeypatch.setattr(laurent_mod, "_MEMO", {})
+    monkeypatch.setattr(series_mod, "_MEMO", {})
+    computed, loads = [], []
+    monkeypatch.setattr(series_mod, "_compute", computed.append)
+    monkeypatch.setattr(cli, "load_cached",
+                        lambda rep: loads.append(load_cached(rep)) or loads[-1])
+    code, out, err = run(capsys, "series", "V8", "--format", "json")
+    assert (code, out, err) == stored
+    assert computed == [] and len(loads) == 1 and loads[0] is not None
+    assert json.loads(out)["methods"] == ["ClosedForm", "ClosedForm", "SeriesFallback",
+                                          "ClosedForm"]
 
 
 def test_parser_built_once_and_carries_no_state(capsys, monkeypatch):

@@ -5,16 +5,20 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+import make_series_digests
 import sl2hilb.laurent as laurent_mod
 import sl2hilb.series as series_mod
 from references import gamma_raw
-from sl2hilb.exactalg import laurent_at_one
+from sl2hilb.cli import FIXTURES
+from sl2hilb.exactalg import _times_over, laurent_at_one
 from sl2hilb.laurent import (a_invariant, first_coeff_sum, gamma0, gamma1,
                              gamma2, gamma3, gammas, hilbert1893_gamma0,
                              perturbed_params, random_params, sigma_sum_raw,
                              sigma_sum_schur)
-from sl2hilb.repmodel import (FIRST_COEFF_EXCEPTIONS, MAX_DIM, Representation,
-                               classify_case, parse_rep, weight_system)
+from sl2hilb.oracle import SeriesConsistencyError
+from sl2hilb.repmodel import (FIRST_COEFF_EXCEPTIONS, GAMMA0_EXCEPTIONS, GAMMA2_ONLY_EXCEPTIONS,
+                              MAX_DIM, Representation, capped_denominator, classify_case,
+                              parse_rep, weight_system)
 from sl2hilb.schur import power_sum, schur_delta, schur_eval
 from sl2hilb.series import hilbert_series
 
@@ -95,20 +99,103 @@ def test_gammas_method_patterns():
     assert gammas(parse_rep("V1+2V2")).methods == ("ClosedForm",) * 4
 
 
+SMALL_REPS = [Representation(degs) for dim in range(2, 21)
+              for degs in make_series_digests.degree_multisets(dim)]
+TABLED_REPS = [Representation(degs) for degs in sorted(GAMMA0_EXCEPTIONS | GAMMA2_ONLY_EXCEPTIONS)]
+
+
 def test_gammas_match_series_expansion():
-    # Every degree multiset of dim <= 10: closed forms, the exceptions that
-    # fall back to the series, and the pole order and a-invariant gammas
-    # takes from the theorems outside GAMMA0_EXCEPTIONS.
-    reps = [Representation(degs) for n in range(1, 6)
-            for degs in combinations_with_replacement(range(1, 10), n)
-            if n + sum(degs) <= 10]
-    for rep in reps:
+    # Every degree multiset of dim <= 20: closed forms, the exceptions whose
+    # fallback expands H built from the oracle counts, and the pole order
+    # and a-invariant gammas takes from pole_and_a_invariant; two routes
+    # that share no code past the weights on every rep.
+    assert len(SMALL_REPS) == 626
+    for rep in SMALL_REPS:
         series = hilbert_series(rep)
         exp = laurent_at_one(series, 4)
         res = gammas(rep)
         assert res.gamma == exp.coeffs, rep
         assert res.pole_order == exp.pole_order, rep
         assert res.a_invariant == series.degree(), rep
+
+
+def test_tabled_reps_build_no_series(monkeypatch):
+    # the 16 exception reps are the 16 fixture rows; their fallback reads the
+    # oracle counts, and series._compute never runs
+    calls = []
+    monkeypatch.setattr(laurent_mod, "_MEMO", {})
+    monkeypatch.setattr(series_mod, "_MEMO", {})
+    monkeypatch.setattr(series_mod, "_compute", calls.append)
+    assert sorted(row.key for row in FIXTURES) == sorted(rep.key for rep in TABLED_REPS)
+    for row in FIXTURES:
+        assert gammas(parse_rep(row.key)).gamma == row.gamma, row.key
+    assert calls == []
+
+
+def test_capped_denominator_clears_every_small_series():
+    # D H(t) is a polynomial: the cyclotomic valuations of the weights' wide
+    # denominator capped at the pole order at t = 1 still cover H's own
+    for rep in SMALL_REPS:
+        f = hilbert_series(rep)
+        assert _times_over(f.num.c, capped_denominator(rep), f.den.factors) is not None, rep.key
+
+
+@pytest.mark.parametrize("rep", TABLED_REPS, ids=str)
+def test_the_count_past_the_half_is_checked(monkeypatch, rep):
+    # the count one past the half must equal the numerator's mirror: one
+    # more there is a SeriesConsistencyError
+    counts = laurent_mod.truncated_series
+
+    def one_more_at_the_end(rep, max_degree):
+        c = counts(rep, max_degree)
+        c[-1] += 1
+        return c
+
+    monkeypatch.setattr(laurent_mod, "truncated_series", one_more_at_the_end)
+    with pytest.raises(SeriesConsistencyError, match="its mirror"):
+        laurent_mod._series_from_counts(rep)
+
+
+@pytest.mark.parametrize("spec, m, e", [("V8", 7, 0), ("V8", 3, 0), ("V2+V3", 5, 0),
+                                        ("V4", 3, 0), ("V6", 2, 0), ("2V2", 2, 2)])
+def test_a_denominator_short_of_h_fails_the_check(monkeypatch, spec, m, e):
+    # a factor (1 - t^m) of D lowered to the exponent e, so that D no longer
+    # clears H: N is no polynomial, and the count past the half sees it
+    rep = parse_rep(spec)
+    den = {k: v for k, v in capped_denominator(rep).items() if k != m}
+    if e:
+        den[m] = e
+    f = hilbert_series(rep)
+    assert _times_over(f.num.c, den, f.den.factors) is None
+    monkeypatch.setattr(laurent_mod, "capped_denominator", lambda rep: den)
+    with pytest.raises(SeriesConsistencyError):
+        laurent_mod._series_from_counts(rep)
+
+
+def test_a_denominator_that_still_clears_h_gives_the_same_data(monkeypatch):
+    # V1+V2's D = (1 - t^2)^2 (1 - t^3) has a spare 1 - t^2; without it N
+    # is another polynomial, and the Laurent data do not change
+    rep = parse_rep("V1+V2")
+    want = laurent_at_one(laurent_mod._series_from_counts(rep), 4)
+    assert capped_denominator(rep) == {3: 1, 2: 2}
+    monkeypatch.setattr(laurent_mod, "capped_denominator", lambda rep: {3: 1, 2: 1})
+    assert laurent_at_one(laurent_mod._series_from_counts(rep), 4) == want
+
+
+def test_closed_forms_on_the_tabled_reps():
+    # The closed forms forced on the 16 tabled reps: V1+V2 and 2V2 agree
+    # with the series in all four coefficients, although
+    # GAMMA2_ONLY_EXCEPTIONS lists them; each of the other 14 differs in at
+    # least one.  A change to the tables is a decision this test makes
+    # visible.
+    agree = []
+    for rep in TABLED_REPS:
+        forced = classify_case(rep)._replace(in_gamma0_exceptions=False,
+                                             in_gamma2_exceptions=False)
+        want = laurent_at_one(hilbert_series(rep), 4).coeffs
+        if laurent_mod._coefficients(rep, forced)[0] == want:
+            agree.append(rep.key)
+    assert agree == ["V1+V2", "2V2"]
 
 
 def test_no_float_in_the_laurent_data():
@@ -139,8 +226,8 @@ def test_a_invariant():
 
 
 def test_a_invariant_builds_no_series(monkeypatch):
-    # V8 is a gamma2 exception, whose gammas() builds the series; the
-    # a-invariant is read from pole_and_a_invariant alone
+    # V8 is a gamma2 exception; the a-invariant is read from
+    # pole_and_a_invariant alone
     calls = []
     compute = series_mod._compute
 

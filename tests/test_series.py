@@ -16,11 +16,12 @@ import sl2hilb.exactalg as exactalg
 import sl2hilb.series as series_mod
 from references import (coeffs_for_index_div_factors, coeffs_for_index_quadratic,
                         dn_sum_per_term, poly_add, rf_add_poly, rf_derivative_poly, to_rf,
-                        ua_transform_single_stage)
+                        ua_transform_single_stage, wide_per_piece)
 from sl2hilb.exactalg import (FactoredDenominator, Polynomial,
                               RationalFunction, laurent_at_one, rf_equal, taylor_coeffs)
 from sl2hilb.oracle import truncated_series
-from sl2hilb.repmodel import Representation, parse_rep, pole_and_a_invariant, weight_system
+from sl2hilb.repmodel import (Representation, parse_rep, pole_and_a_invariant, weight_system,
+                              wide_denominator)
 from sl2hilb.series import (CHECK_DEPTH, SeriesConsistencyError, ZRationalFunction,
                             _check_functional_equation, _coeffs_for_index, _dn_sum, _theta,
                             dn_apply, hilbert_series, ua_transform)
@@ -610,6 +611,26 @@ def test_series_match_the_recorded_digests(monkeypatch):
     assert len(lines) == len(reps) == 633
     for rep, line in zip(reps, lines):
         assert make_series_digests.digest_line(rep) == line, rep.key
+
+
+# the in-process baselines: single forms, then sums
+LADDER = ("V30", "V40", "V50", "V60", "4V7", "8V8", "6V10", "4V16", "2V30",
+          "V5+V7+V9+V11+V13+V15")
+
+
+def test_wide_denominator_is_the_per_piece_rule():
+    # the weights-derived denominator reduce works over is the one _compute
+    # built from its pieces, on every degree multiset of dim <= 20 and on the
+    # ladder, and every piece denominator divides it factor by factor
+    reps = [Representation(degs) for dim in range(2, 21)
+            for degs in make_series_digests.degree_multisets(dim)]
+    assert len(reps) == 626
+    for rep in reps + [parse_rep(spec) for spec in LADDER]:
+        want, pieces = wide_per_piece(rep)
+        wide = wide_denominator(rep)
+        assert wide == want, rep.key
+        for piece in pieces:
+            assert all(e <= wide.get(m, 0) for m, e in piece.den.factors.items()), rep.key
 
 
 def test_reference_checks_run_on_a_non_tiny_rep():
