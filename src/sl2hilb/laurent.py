@@ -1,14 +1,14 @@
 """Laurent data of the invariant Hilbert series at t = 1.
 
 For a nontrivial representation the series has a pole at t = 1 of order d
-(repmodel.pole_and_a_invariant), and the first four Laurent coefficients
-gamma0..gamma3 carry the asymptotics of the invariant ring.
-Closed forms evaluate them as ratios of Schur polynomials at the positive
-weights, each ratio one divided-difference weight sum (`schur.delta_ratio`,
-O(n^2) in the n positive weights, no determinant); reps outside their range
-fall back to expanding the series, built from a few oracle counts.  Jacobi-Trudi determinants
-(`schur.schur_eval`) remain only in `sigma_sum_schur`, the Schur-side test
-oracle for the raw weight sums.
+(repmodel.pole_and_a_invariant), and its first four Laurent coefficients
+gamma0..gamma3, which `gammas` finds together and gamma0..gamma3 read, carry
+the asymptotics of the invariant ring.  Closed forms evaluate them as Schur
+polynomial ratios at the positive weights, each one divided-difference weight
+sum (`schur.delta_ratio`, O(n^2) in the n positive weights, no determinant);
+reps outside their range fall back to expanding the series, built from a few
+oracle counts.  Jacobi-Trudi determinants (`schur.schur_eval`) remain only in
+`sigma_sum_schur`, the Schur-side test oracle for the raw weight sums.
 """
 
 from collections import defaultdict, namedtuple
@@ -27,51 +27,27 @@ GammaResult = namedtuple("GammaResult", "rep gamma pole_order a_invariant method
 GammaResult.__doc__ = "Laurent coefficients, pole order, a-invariant and how each was found."
 
 
+def _closed(rep, i):
+    res = gammas(rep)
+    if res.methods[i] != "ClosedForm":
+        raise ValueError("no closed gamma%d form for %s" % (i, rep))
+    return res.gamma[i]
+
+
 def gamma0(rep):
-    tag = classify_case(rep)
-    if tag.in_gamma0_exceptions:
-        raise ValueError("no closed gamma0 form for %s" % rep)
-    ws = weight_system(rep)
-    # s_rho0 / s_delta, rho0 = (n-3, n-3, n-3, n-4, ..., 0): rho0 + delta is
-    # 2 delta with 2n-2 replaced by 2n-5, one swap away from sorted.
-    return -ws.sigma * delta_ratio((2 * ws.npos - 5,), ws.a_vec)[0]
+    return _closed(rep, 0)
 
 
 def gamma1(rep):
-    # Uniformly 3/2 of gamma0 wherever the closed form applies.
-    return Fraction(3, 2) * gamma0(rep)
+    return _closed(rep, 1)
 
 
 def gamma2(rep):
-    tag = classify_case(rep)
-    if tag.in_gamma0_exceptions or tag.in_gamma2_exceptions:
-        raise ValueError("no closed gamma2 form for %s" % rep)
-    return _gamma0_gamma2(rep, tag)[1]
-
-
-def _gamma0_gamma2(rep, tag):
-    """gamma0 and gamma2 from one delta_ratio pass over a_vec."""
-    ws = weight_system(rep)
-    # the gamma0 ratio (see gamma0) and s_rho / s_delta for
-    # rho = (n - 6, n - 2, ..., 1, 0); 7/4 gamma0 carries the s_rho term of gamma2
-    r0, r2 = delta_ratio((2 * ws.npos - 5, 2 * ws.npos - 7), ws.a_vec)
-    g0 = -ws.sigma * r0
-    # Power sum over the full weight multiset, zeros and negatives included.
-    p2 = power_sum(ws.weights, 2)
-    g2 = Fraction(7, 4) * g0 + ws.sigma * Fraction(p2 - 8, 24) * r2
-    if tag.one_v1_rest_even:
-        # The V1 summand contributes one extra term built from the even part
-        # alone: the gamma0 ratio over a_vec without its single positive V1
-        # weight (first in a_vec), with n - 1 points.
-        g2 -= delta_ratio((2 * ws.npos - 7,), ws.a_vec[1:])[0] / 4
-    return g0, g2
+    return _closed(rep, 2)
 
 
 def gamma3(rep):
-    tag = classify_case(rep)
-    if tag.in_gamma0_exceptions:
-        raise ValueError("no closed gamma3 form for %s" % rep)
-    return _coefficients(rep, tag)[0][3]
+    return _closed(rep, 3)
 
 
 def a_invariant(rep):
@@ -97,16 +73,34 @@ def _series_from_counts(rep):
 
 
 def _coefficients(rep, tag):
-    """(gamma0..gamma3, methods); SeriesFallback expands H, built from the counts."""
+    """(gamma0..gamma3, methods); SeriesFallback expands H, built from the counts,
+    which must have the pole order d and agree with the closed forms beside it."""
     if tag.in_gamma0_exceptions or tag.in_gamma2_exceptions:
         exp = laurent_at_one(_series_from_counts(rep), 4)
-    if tag.in_gamma0_exceptions:
-        return exp.coeffs, ("SeriesFallback",) * 4
+        if exp.pole_order != (d := pole_and_a_invariant(rep)[0]):
+            raise SeriesConsistencyError(rep, 0, exp.pole_order, d, "the pole order at t = 1")
+        if tag.in_gamma0_exceptions:
+            return exp.coeffs, ("SeriesFallback",) * 4
+    ws = weight_system(rep)
+    # gamma0 = -sigma s_rho0 / s_delta, rho0 = (n-3, n-3, n-3, n-4, ..., 0): rho0 + delta
+    # is 2 delta with 2n-2 replaced by 2n-5, one swap away from sorted
+    r0, r2 = delta_ratio((2 * ws.npos - 5, 2 * ws.npos - 7), ws.a_vec)
+    g0 = -ws.sigma * r0
     if tag.in_gamma2_exceptions:
-        g0, g2, m2 = gamma0(rep), exp.coeffs[2], "SeriesFallback"
+        g2, m2 = exp.coeffs[2], "SeriesFallback"
     else:
-        (g0, g2), m2 = _gamma0_gamma2(rep, tag), "ClosedForm"
+        # r2 = s_rho / s_delta for rho = (n - 6, n - 2, ..., 1, 0); 7/4 gamma0 carries
+        # its s_rho term.  The power sum runs over all weights, zeros and negatives too.
+        p2 = power_sum(ws.weights, 2)
+        g2, m2 = Fraction(7, 4) * g0 + ws.sigma * Fraction(p2 - 8, 24) * r2, "ClosedForm"
+        if tag.one_v1_rest_even:
+            # the V1 summand's extra term: the gamma0 ratio over the even part, a_vec
+            # without its single positive V1 weight (first in a_vec), n - 1 points
+            g2 -= delta_ratio((2 * ws.npos - 7,), ws.a_vec[1:])[0] / 4
     gamma = (g0, Fraction(3, 2) * g0, g2, Fraction(5, 2) * (g2 - g0))
+    if tag.in_gamma2_exceptions and exp.coeffs != gamma:
+        i = next(i for i, (x, y) in enumerate(zip(exp.coeffs, gamma)) if x != y)
+        raise SeriesConsistencyError(rep, i, exp.coeffs[i], gamma[i], "the closed form")
     return gamma, ("ClosedForm", "ClosedForm", m2, "ClosedForm")
 
 

@@ -121,17 +121,13 @@ def ua_transform(f, a):
     adds cost more there.  The stage keeps every p-th coefficient and
     turns b into b/p where p divides b.  The result sits over the tight
     prod (1 - t^(b/gcd(a,b)))^e, whose b/gcd(a,b) is the last stage's b
-    times s/h, as gcd(a/h, s/h) = 1.  U_0 keeps [z^0]f over 1/(1 - t).
-    A negative exponent in f is a ValueError.
+    times s/h, as gcd(a/h, s/h) = 1.  An a < 1 or a negative exponent in f is a ValueError.
     """
-    if a < 0 or any(e < 0 for e in f.num):
-        raise ValueError("a and the numerator exponents must be nonnegative")
+    if a < 1 or any(e < 0 for e in f.num):
+        raise ValueError("a must be positive and the numerator exponents nonnegative")
     nonzero = [e for e, v in f.num.items() if v]
     if not nonzero:
         return RationalFunction()
-    if a == 0:
-        # every denominator factor starts with 1, so [z^0]f is the numerator's
-        return RationalFunction([f.num.get(0, 0)], {1: 1})
     s = gcd(*nonzero, *f.den) or 1
     h = gcd(a, s)
     c = [f.num.get(e, 0) for e in range(0, max(nonzero) + 1, s)]

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -41,10 +42,18 @@ def test_gamma0_exceptions_raise():
 
 
 def test_closed_form_refusals_name_the_rep():
-    # the message formats the rep with "%s" % rep, which a tuple would unpack
-    for closed, text in [(gamma0, "V1"), (gamma2, "V5"), (gamma3, "V1")]:
-        with pytest.raises(ValueError, match="form for %s$" % text):
-            closed(parse_rep(text))
+    # On every tabled rep, gamma_i refuses exactly where gammas found
+    # coefficient i by SeriesFallback, and elsewhere reads gammas.  The
+    # message formats the rep with "%s" % rep, which a tuple would unpack.
+    for rep in TABLED_REPS:
+        res = gammas(rep)
+        for i, closed in enumerate((gamma0, gamma1, gamma2, gamma3)):
+            if res.methods[i] == "ClosedForm":
+                assert closed(rep) == res.gamma[i], (rep, i)
+                continue
+            with pytest.raises(ValueError, match="^no closed gamma%d form for %s$"
+                               % (i, re.escape(str(rep)))):
+                closed(rep)
 
 
 def test_gamma1_is_three_halves_gamma0():
@@ -170,6 +179,21 @@ def test_a_denominator_short_of_h_fails_the_check(monkeypatch, spec, m, e):
     monkeypatch.setattr(laurent_mod, "capped_denominator", lambda rep: den)
     with pytest.raises(SeriesConsistencyError):
         laurent_mod._series_from_counts(rep)
+
+
+@pytest.mark.parametrize("spec, den", [
+    ("V1+V3", {4: 1, 2: 1}), ("V1+V4", {5: 1, 2: 4}), ("2V3", {4: 1, 2: 2}),
+    ("2V3", {4: 2, 2: 2}), ("2V3", {4: 3}), ("V5", {6: 1, 4: 2}), ("V5", {8: 1, 6: 1})])
+def test_wrong_data_past_the_mirror_check_is_caught(monkeypatch, spec, den):
+    # D short of H, yet the count past the half matches its mirror: the
+    # expansion comes out wrong, and gammas sees it in the pole order or
+    # against the closed gamma0, gamma1 and gamma3 computed beside it
+    rep = parse_rep(spec)
+    monkeypatch.setattr(laurent_mod, "capped_denominator", lambda rep: den)
+    monkeypatch.setattr(laurent_mod, "_MEMO", {})
+    laurent_mod._series_from_counts(rep)
+    with pytest.raises(SeriesConsistencyError, match="the (pole order at t = 1|closed form)"):
+        gammas(rep)
 
 
 def test_a_denominator_that_still_clears_h_gives_the_same_data(monkeypatch):
@@ -344,8 +368,11 @@ def test_gammas_computes_once_per_rep(monkeypatch):
 
     monkeypatch.setattr(laurent_mod, "_MEMO", {})
     monkeypatch.setattr(laurent_mod, "_coefficients", counted)
-    first = gammas(parse_rep("V9"))
+    rep = parse_rep("V9")
+    closed = [gamma0(rep), gamma1(rep), gamma2(rep), gamma3(rep)]
+    first = gammas(rep)
     assert gammas(parse_rep("V9")) is first
+    assert list(first.gamma) == closed
     assert calls == ["V9"]
 
 
