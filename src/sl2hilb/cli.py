@@ -207,10 +207,8 @@ def _print_series(rep, args):
         if args.terms:
             payload["coefficients"] = taylor_coeffs(series, args.terms)
         print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.format == "latex":
-        print("H(t) = %s" % format_series(series, LATEX))
     else:
-        print(repr(series))
+        print("H(t) = " + format_series(series, LATEX) if args.format == "latex" else repr(series))
         if args.terms:
             coeffs = taylor_coeffs(series, args.terms)
             print("coefficients: %s" % ", ".join(str(c) for c in coeffs))

@@ -78,7 +78,8 @@ def _coefficients(rep, tag):
     if tag.in_gamma0_exceptions or tag.in_gamma2_exceptions:
         exp = laurent_at_one(_series_from_counts(rep), 4)
         if exp.pole_order != (d := pole_and_a_invariant(rep)[0]):
-            raise SeriesConsistencyError(rep, 0, exp.pole_order, d, "the pole order at t = 1")
+            raise SeriesConsistencyError(rep, None, exp.pole_order, d, "the pole order at t = 1",
+                                         "in the pole order at t = 1")
         if tag.in_gamma0_exceptions:
             return exp.coeffs, ("SeriesFallback",) * 4
     ws = weight_system(rep)
@@ -100,7 +101,8 @@ def _coefficients(rep, tag):
     gamma = (g0, Fraction(3, 2) * g0, g2, Fraction(5, 2) * (g2 - g0))
     if tag.in_gamma2_exceptions and exp.coeffs != gamma:
         i = next(i for i, (x, y) in enumerate(zip(exp.coeffs, gamma)) if x != y)
-        raise SeriesConsistencyError(rep, i, exp.coeffs[i], gamma[i], "the closed form")
+        raise SeriesConsistencyError(rep, None, exp.coeffs[i], gamma[i], "the closed form",
+                                     "in gamma%d" % i)
     return gamma, ("ClosedForm", "ClosedForm", m2, "ClosedForm")
 
 
@@ -110,10 +112,9 @@ _MEMO = {}
 def gammas(rep):
     """The four Laurent coefficients, closed forms first, and pole_and_a_invariant(rep).
 
-    Memoized per rep for the life of the process, with no bound, as
-    hilbert_series is: a GammaResult holds only immutable values, so every
-    call returns the same object.  A call that raises (trivial summands,
-    the zero rep) leaves nothing behind."""
+    Memoized per rep for the life of the process, with no bound; a GammaResult
+    holds only immutable values, so every call returns the same object, and a
+    call that raises (trivial summands, the zero rep) leaves nothing behind."""
     memo_key = (rep.degrees, rep.trivial_count)
     res = _MEMO.get(memo_key)
     if res is None:

@@ -28,11 +28,12 @@ from math import comb
 
 
 class SeriesConsistencyError(RuntimeError):
-    """The assembled series disagrees with the brute force counts."""
+    """A series, or the Laurent data expanded from it, disagrees with an
+    independent source; where, if given, replaces "at degree <degree>"."""
 
-    def __init__(self, rep, degree, got, want, source="direct count"):
-        super().__init__("series check failed for %s at degree %d: series gives %s, "
-                         "%s gives %s" % (rep, degree, got, source, want))
+    def __init__(self, rep, degree, got, want, source="direct count", where=None):
+        super().__init__("series check failed for %s %s: series gives %s, %s gives %s"
+                         % (rep, where or "at degree %d" % degree, got, source, want))
         self.rep, self.degree, self.got, self.want = rep, degree, got, want
 
 

@@ -29,8 +29,8 @@ building that numerator, and tries each 1 - t^m of its own denominator in one pa
 Trivial summands raise the exponent of 1 - t of the assembled series, and
 the result is checked against the functional equation, which covers the
 whole numerator of every rep, and against the brute force monomial counts
-up to CHECK_DEPTH before being returned.  Every RationalFunction here is
-built from a coefficient list and a dict {m: e}.
+up to CHECK_DEPTH before being returned, anew on each call.  Every
+RationalFunction here is built from a coefficient list and a dict {m: e}.
 """
 
 from collections import Counter, namedtuple
@@ -210,8 +210,6 @@ def _div_exact(c, k):
 # Terms of the series compared with the brute force counts, at most.
 CHECK_DEPTH = 30
 
-_MEMO = {}
-
 
 def hilbert_series(rep):
     """Hilbert series of the invariant ring of rep, as num / factored den.
@@ -221,14 +219,10 @@ def hilbert_series(rep):
     1/(1-t), and the result, 1/(1-t)^k for kV0 too, is checked against
     _check_functional_equation and brute force monomial counts up to
     min(CHECK_DEPTH, denominator degree); a mismatch raises
-    SeriesConsistencyError, the zero rep ValueError.  Every call returns a
-    fresh object; the memo keeps its own.
+    SeriesConsistencyError, the zero rep ValueError.  Every call computes
+    and returns a fresh object.
     """
-    memo_key = (rep.degrees, rep.trivial_count)
-    if memo_key not in _MEMO:
-        _MEMO[memo_key] = _compute(rep)
-    f = _MEMO[memo_key]
-    return RationalFunction(f.num.c, f.den.factors)
+    return _compute(rep)
 
 
 def _compute(rep):

@@ -90,6 +90,13 @@ def test_series_with_terms(capsys):
     assert "coefficients: 1, 0, 1, 1, 1, 1, 2, 1, 2, 2" in out
 
 
+def test_latex_series_prints_its_terms(capsys):
+    # --terms prints the same coefficients line in LaTeX as in text
+    code, out, _ = run(capsys, "series", "V5", "--terms", "5", "--format", "latex")
+    assert code == 0
+    assert out.splitlines() == [SERIES_LATEX["V5"].rstrip("\n"), "coefficients: 1, 0, 0, 0, 1"]
+
+
 GOLDEN_V2_2V3 = {
     "a_invariant": -11,
     "denominator": [[2, 2], [3, 2], [4, 3], [5, 2]],
@@ -551,11 +558,11 @@ def test_gamma_text_and_latex_skip_series_and_cache(isolated_cache, capsys,
 
 
 def test_warm_cache_json_builds_no_series(capsys, monkeypatch):
-    # as a fresh process finds it: the entry on disk, both memos empty; the
-    # hit serves the series, and V8's gamma2 fallback reads the oracle counts
+    # as a fresh process finds it: the entry on disk, the gammas() memo
+    # empty; the hit serves the series, and V8's gamma2 fallback reads the
+    # oracle counts
     stored = run(capsys, "series", "V8", "--format", "json")
     monkeypatch.setattr(laurent_mod, "_MEMO", {})
-    monkeypatch.setattr(series_mod, "_MEMO", {})
     computed, loads = [], []
     monkeypatch.setattr(series_mod, "_compute", computed.append)
     monkeypatch.setattr(cli, "load_cached",
@@ -565,6 +572,25 @@ def test_warm_cache_json_builds_no_series(capsys, monkeypatch):
     assert computed == [] and len(loads) == 1 and loads[0] is not None
     assert json.loads(out)["methods"] == ["ClosedForm", "ClosedForm", "SeriesFallback",
                                           "ClosedForm"]
+
+
+@pytest.mark.parametrize("argv, builds, warm", [
+    (("table",), 16, False),
+    (("verify", "V8", "--draws", "0"), 1, False),
+    (("series", "V8", "--format", "json", "--no-cache"), 1, False),
+    (("gamma", "V5", "--format", "json", "--no-cache"), 1, False),
+    (("gamma", "V8"), 0, False),
+    (("series", "V6", "--format", "json"), 0, True)],
+    ids=["table", "verify", "series-json-miss", "gamma-json-miss", "gamma-text", "series-json-hit"])
+def test_a_command_builds_each_series_at_most_once(capsys, monkeypatch, argv, builds, warm):
+    # every hilbert_series call is one computation; warm: the cache entry is
+    # stored by a first run, and the counted run is a hit
+    if warm:
+        run(capsys, *argv)
+    compute, computed = series_mod._compute, []
+    monkeypatch.setattr(series_mod, "_compute", lambda rep: computed.append(rep.key) or compute(rep))
+    assert run(capsys, *argv)[0] == 0
+    assert len(computed) == len(set(computed)) == builds
 
 
 def test_parser_built_once_and_carries_no_state(capsys, monkeypatch):
@@ -638,7 +664,6 @@ def test_verify_functional_equation_failure_exit_code(capsys, monkeypatch):
         return RationalFunction(Polynomial(c), out.den)
 
     monkeypatch.setattr(RationalFunction, "reduce", reduce_perturbed)
-    monkeypatch.setattr(series_mod, "_MEMO", {})
     code, out, err = run(capsys, "verify", "V10", "--draws", "0")
     assert (code, out) == (3, "")
     assert "functional equation gives" in err and "Traceback" not in err

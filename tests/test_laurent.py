@@ -133,7 +133,6 @@ def test_tabled_reps_build_no_series(monkeypatch):
     # oracle counts, and series._compute never runs
     calls = []
     monkeypatch.setattr(laurent_mod, "_MEMO", {})
-    monkeypatch.setattr(series_mod, "_MEMO", {})
     monkeypatch.setattr(series_mod, "_compute", calls.append)
     assert sorted(row.key for row in FIXTURES) == sorted(rep.key for rep in TABLED_REPS)
     for row in FIXTURES:
@@ -192,8 +191,15 @@ def test_wrong_data_past_the_mirror_check_is_caught(monkeypatch, spec, den):
     monkeypatch.setattr(laurent_mod, "capped_denominator", lambda rep: den)
     monkeypatch.setattr(laurent_mod, "_MEMO", {})
     laurent_mod._series_from_counts(rep)
-    with pytest.raises(SeriesConsistencyError, match="the (pole order at t = 1|closed form)"):
+    with pytest.raises(SeriesConsistencyError,
+                       match="the (pole order at t = 1|closed form)") as err:
         gammas(rep)
+    # a pole order or a gamma is no degree of the series: the message names
+    # it in place of "at degree"
+    assert re.fullmatch(r"series check failed for %s (in the pole order at t = 1: series gives "
+                        r"\d+, the pole order at t = 1 gives \d+|in gamma[0-3]: series gives "
+                        r"\S+, the closed form gives \S+)" % re.escape(spec), str(err.value))
+    assert "at degree" not in str(err.value) and err.value.degree is None
 
 
 def test_a_denominator_that_still_clears_h_gives_the_same_data(monkeypatch):
@@ -259,7 +265,6 @@ def test_a_invariant_builds_no_series(monkeypatch):
         calls.append(rep)
         return compute(rep)
 
-    monkeypatch.setattr(series_mod, "_MEMO", {})
     monkeypatch.setattr(series_mod, "_compute", counted)
     assert a_invariant(parse_rep("V8")) == -9
     assert calls == []
@@ -382,7 +387,6 @@ def test_memoized_gammas_equal_a_fresh_computation(monkeypatch, spec):
     # gamma2; V1+2V4 is OneV1RestEven
     memoized = gammas(parse_rep(spec))
     monkeypatch.setattr(laurent_mod, "_MEMO", {})
-    monkeypatch.setattr(series_mod, "_MEMO", {})
     assert gammas(parse_rep(spec)) == memoized
 
 

@@ -147,7 +147,6 @@ def test_single_forms_take_no_theta_pass(monkeypatch):
 
     ua_calls = []
     ua_exact = series_mod.ua_transform
-    monkeypatch.setattr(series_mod, "_MEMO", {})
     monkeypatch.setattr(series_mod, "_theta", theta_unreached)
     monkeypatch.setattr(series_mod, "ua_transform", lambda f, a: ua_calls.append(a) or ua_exact(f, a))
     hilbert_series(parse_rep("V16"))
@@ -288,7 +287,6 @@ def test_hilbert_series_numerator_degree_bounded():
 
 def test_consistency_check_trips_on_bad_oracle(monkeypatch):
     rep = parse_rep("V1+V5")
-    monkeypatch.setattr(series_mod, "_MEMO", {})
     monkeypatch.setattr(series_mod.oracle, "truncated_series",
                         lambda r, n: [0] * (n + 1))
     with pytest.raises(SeriesConsistencyError):
@@ -312,7 +310,6 @@ def test_perturbed_piece_fails_the_functional_equation(monkeypatch):
     def oracle_unreached(rep, n):
         raise AssertionError("an inexact numerator reached the oracle check")
 
-    monkeypatch.setattr(series_mod, "_MEMO", {})
     monkeypatch.setattr(series_mod, "_dn_sum", dn_sum_off_by_one)
     monkeypatch.setattr(series_mod.oracle, "truncated_series", oracle_unreached)
     with pytest.raises(SeriesConsistencyError, match="functional equation gives"):
@@ -337,7 +334,6 @@ def test_perturbed_horner_piece_fails_the_functional_equation(monkeypatch):
     def oracle_unreached(rep, n):
         raise AssertionError("an inexact numerator reached the oracle check")
 
-    monkeypatch.setattr(series_mod, "_MEMO", {})
     monkeypatch.setattr(series_mod, "_dn_sum", dn_sum_off_by_one)
     monkeypatch.setattr(series_mod.oracle, "truncated_series", oracle_unreached)
     with pytest.raises(SeriesConsistencyError, match="functional equation gives"):
@@ -360,7 +356,6 @@ def test_horner_sum_division_must_be_exact(monkeypatch):
         calls.append(k)
         return out
 
-    monkeypatch.setattr(series_mod, "_MEMO", {})
     monkeypatch.setattr(series_mod, "_theta", theta_off_by_one)
     with pytest.raises(RuntimeError, match="D_n sum not divisible by 8"):
         hilbert_series(parse_rep("3V4"))
@@ -406,11 +401,9 @@ def test_functional_equation_sees_past_the_oracle_depth(monkeypatch):
         return RationalFunction(Polynomial(c), out.den)
 
     monkeypatch.setattr(RationalFunction, "reduce", reduce_perturbed)
-    monkeypatch.setattr(series_mod, "_MEMO", {})
     with monkeypatch.context() as m:
         m.setattr(series_mod, "_check_functional_equation", lambda rep, f: None)
         assert hilbert_series(parse_rep("V10")).num.c[35] == true_c35 + 1
-    monkeypatch.setattr(series_mod, "_MEMO", {})
     with pytest.raises(SeriesConsistencyError, match="functional equation gives"):
         hilbert_series(parse_rep("V10"))
 
@@ -459,14 +452,13 @@ def test_zrational_arithmetic():
         ua_transform(ZRationalFunction({0: 3, 2: 5}, {}), 0)
 
 
-def test_memo_hands_out_copies(monkeypatch):
-    monkeypatch.setattr(series_mod, "_MEMO", {})
+def test_each_call_returns_a_fresh_series():
     rep = parse_rep("V5")
-    first = hilbert_series(rep)                     # computed
+    first = hilbert_series(rep)
     num, den = list(first.num.c), dict(first.den.factors)
     first.num.c.append(7)
     first.den.factors[99] = 1
-    second = hilbert_series(rep)                    # served by the memo
+    second = hilbert_series(rep)                    # a new object, untouched by the edits
     assert second.num.c == num and second.den.factors == den
     second.num.c.append(7)
     assert hilbert_series(rep).num.c == num
@@ -541,7 +533,6 @@ def test_pipeline_stays_integer(monkeypatch):
     monkeypatch.setattr(series_mod, "ua_transform", ua_transform_recording)
     monkeypatch.setattr(RationalFunction, "__add__", add_recording)
     for spec in ("V16", "3V6", "7V2", "4V1+2V5", "2V1+2V6"):
-        monkeypatch.setattr(series_mod, "_MEMO", {})
         seen.clear()
         hilbert_series(parse_rep(spec))
         assert seen == {int}, spec
@@ -587,7 +578,6 @@ def test_series_match_the_benchmark_reference(monkeypatch):
     cases = [(json.loads(key)[1], want) for key, want in ops.items()
              if json.loads(key)[0] == "series"]
     assert len(cases) == 28
-    monkeypatch.setattr(series_mod, "_MEMO", {})
     for spec, want in cases:
         f = hilbert_series(parse_rep(spec))
         assert f.num.c == want["numerator"], spec
@@ -601,7 +591,6 @@ def test_series_match_the_recorded_digests(monkeypatch):
     # past the benchmark's dim <= 24 (q at e = 7, 5 and 3, many pieces, and
     # U_2 / U_3 stages on long numerators)
     lines = Path(make_series_digests.DIGESTS).read_text().splitlines()
-    monkeypatch.setattr(series_mod, "_MEMO", {})
     reps = list(make_series_digests.reps())
     assert len(lines) == len(reps) == 633
     for rep, line in zip(reps, lines):
