@@ -6,8 +6,8 @@ the shipped fixture table), expand (series coefficients only).  Only
 series, expand and gamma take --format and --no-cache.  series, expand and
 gamma --format json cache only the checked series, one JSON file per
 canonical representation key, served if the file is, as JSON text, what
-store_cached writes for the series in it and that series passes the
-functional equation check hilbert_series runs.  series and gamma print
+store_cached writes for the series in it and that series passes
+check_series at depth 0 (verify runs it to --max-degree).  series and gamma print
 the JSON record through one path, its gamma and methods from gammas()
 (memoized per rep) and pole order and a-invariant from pole_and_a_invariant
 on every call; gamma in text or latex prints from gammas() alone, series
@@ -25,9 +25,9 @@ from . import __version__
 from .exactalg import (LATEX, RationalFunction, format_series, laurent_at_one, rf_equal,
                        taylor_coeffs)
 from .laurent import gammas, hilbert1893_gamma0, random_params, sigma_sum_raw, sigma_sum_schur
-from .oracle import packed_bits, truncated_series
+from .oracle import packed_bits
 from .repmodel import RepParseError, parse_rep, pole_and_a_invariant
-from .series import SeriesConsistencyError, _check_functional_equation, hilbert_series
+from .series import SeriesConsistencyError, check_series, hilbert_series
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -143,7 +143,7 @@ def _cache_path(rep):
 def load_cached(rep):
     """The checked series cached for rep; None unless the entry parses, is,
     as JSON text, the _entry of the series it holds (so for this rep and
-    version), and that series satisfies the functional equation."""
+    version), and that series passes check_series at depth 0, no oracle."""
     try:
         with open(_cache_path(rep)) as fh:
             data = json.load(fh)
@@ -155,7 +155,7 @@ def load_cached(rep):
     if json.dumps(_entry(rep, series), sort_keys=True) != text:
         return None
     try:
-        _check_functional_equation(rep, series)
+        check_series(rep, series, 0)
     except SeriesConsistencyError:
         return None
     return series
@@ -266,12 +266,13 @@ def cmd_verify(args):
                                             MAX_ORACLE_BYTES >> 30), file=sys.stderr)
         return EXIT_USAGE
     series = hilbert_series(rep)
-    want = truncated_series(rep, max_degree)
-    got = taylor_coeffs(series, max_degree + 1)
-    bad = next((n for n in range(max_degree + 1) if got[n] != want[n]), None)
+    try:
+        check_series(rep, series, max_degree)
+        bad = None
+    except SeriesConsistencyError as exc:
+        bad = exc
     check("oracle to degree %d" % max_degree, bad is None,
-          "degree %s: series %s oracle %s" % (bad, got[bad] if bad is not None else "",
-                                              want[bad] if bad is not None else ""))
+          bad and "degree %d: series %s oracle %s" % (bad.degree, bad.got, bad.want))
 
     pole, a = pole_and_a_invariant(rep)
     exp = laurent_at_one(series, 4)

@@ -18,7 +18,7 @@ from math import comb, factorial
 from .exactalg import RationalFunction, _times_factors, laurent_at_one
 from .oracle import SeriesConsistencyError, truncated_series
 from .repmodel import (FIRST_COEFF_EXCEPTIONS, capped_denominator, classify_case,
-                       pole_and_a_invariant, weight_system)
+                       mirror_rule, pole_and_a_invariant, weight_system)
 from .schur import _scale_to_integers, delta_ratio, power_sum, schur_delta, schur_eval
 from .series import hilbert_series  # unused: perfbench traces this binding by name
 
@@ -59,13 +59,12 @@ def a_invariant(rep):
 
 def _series_from_counts(rep):
     """H = N / D, D = capped_denominator(rep), from the counts to degree
-    top // 2 times D and the functional equation N_j = (-1)^(d + sum e)
-    N_(top - j), top = deg D + a; the count one past the half must match."""
-    (d, a), den = pole_and_a_invariant(rep), capped_denominator(rep)
-    top = sum(m * e for m, e in den.items()) + a
+    top // 2 times D and the functional equation N_j = sign N_(top - j),
+    (top, sign) = mirror_rule(rep, D); the count one past the half must match."""
+    den = capped_denominator(rep)
+    top, sign = mirror_rule(rep, den)
     half = max(top, -1) // 2    # top < 0: no numerator, so the check below fails
     low = _times_factors(truncated_series(rep, half + 1), den, half + 1)
-    sign = (-1) ** (d + sum(den.values()))
     num = low[:half + 1] + [sign * low[top - j] for j in range(half + 1, top + 1)]
     if low[half + 1] != (mirror := num[half + 1] if half < top else 0):
         raise SeriesConsistencyError(rep, half + 1, low[half + 1], mirror, "its mirror")
@@ -115,11 +114,10 @@ def gammas(rep):
     Memoized per rep for the life of the process, with no bound; a GammaResult
     holds only immutable values, so every call returns the same object, and a
     call that raises (trivial summands, the zero rep) leaves nothing behind."""
-    memo_key = (rep.degrees, rep.trivial_count)
-    res = _MEMO.get(memo_key)
+    res = _MEMO.get(rep)
     if res is None:
         gamma, methods = _coefficients(rep, classify_case(rep))
-        res = _MEMO[memo_key] = GammaResult(rep, gamma, *pole_and_a_invariant(rep), methods)
+        res = _MEMO[rep] = GammaResult(rep, gamma, *pole_and_a_invariant(rep), methods)
     return res
 
 
@@ -188,15 +186,13 @@ def random_params(rep, rng):
     return perturbed_params(rep, vals)
 
 
-def _outer(values, skip=()):
-    """Each positive value b outside the positions in skip, with the product
-    of b - b' and the list of the other values b', both over the values
-    outside skip."""
-    kept = [(i, b) for i, b in enumerate(values) if i not in skip]
-    for i, b in kept:
+def _outer(values):
+    """Each positive value b with the product of b - b' and the list of the
+    other values b'."""
+    for i, b in enumerate(values):
         if b <= 0:
             continue
-        others = [b2 for j, b2 in kept if j != i]
+        others = values[:i] + values[i + 1:]
         den = 1
         for b2 in others:
             den *= b - b2

@@ -133,6 +133,13 @@ def pole_and_a_invariant(rep):
     return d + rep.trivial_count, a - rep.trivial_count
 
 
+def mirror_rule(rep, den):
+    """(top, sign), the functional equation N_j = sign N_(top - j) of H = N / Q, Q =
+    prod (1 - t^m)^e over den {m: e}: top = deg Q + a, sign = (-1)^(d + sum e)."""
+    d, a = pole_and_a_invariant(rep)
+    return sum(m * e for m, e in den.items()) + a, (-1) ** (d + sum(den.values()))
+
+
 def wide_denominator(rep):
     """{m: e}, a multiple of every piece denominator of series._compute from
     the weights alone (trivial summands left out): by the gcd rule, the

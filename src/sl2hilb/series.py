@@ -27,9 +27,9 @@ lifted only by the other half's factors.  reduce cancels the sum as if it sat
 over the gcd rule's wider denominator (repmodel.wide_denominator), without
 building that numerator, and tries each 1 - t^m of its own denominator in one pass.
 Trivial summands raise the exponent of 1 - t of the assembled series, and
-the result is checked against the functional equation, which covers the
-whole numerator of every rep, and against the brute force monomial counts
-up to CHECK_DEPTH before being returned, anew on each call.  Every
+check_series, which the cache and verify share, holds it, anew on each call,
+to the functional equation, which covers the whole numerator of every rep,
+and to the brute force monomial counts up to CHECK_DEPTH.  Every
 RationalFunction here is built from a coefficient list and a dict {m: e}.
 """
 
@@ -40,7 +40,7 @@ from operator import add, floordiv, mul
 
 from .exactalg import (RationalFunction, _div_factors, _mul_trunc, _primes, _times_factors,
                        _times_geometric, _times_over, taylor_coeffs)
-from .repmodel import pole_and_a_invariant, weight_system, wide_denominator
+from .repmodel import mirror_rule, weight_system, wide_denominator
 from . import oracle
 from .oracle import SeriesConsistencyError
 
@@ -216,11 +216,9 @@ def hilbert_series(rep):
 
     Each piece is exact in integers, and the pieces are added pairwise in
     a balanced tree.  The sum is reduced, each trivial summand adds
-    1/(1-t), and the result, 1/(1-t)^k for kV0 too, is checked against
-    _check_functional_equation and brute force monomial counts up to
-    min(CHECK_DEPTH, denominator degree); a mismatch raises
-    SeriesConsistencyError, the zero rep ValueError.  Every call computes
-    and returns a fresh object.
+    1/(1-t), and the result, 1/(1-t)^k for kV0 too, passes check_series to
+    min(CHECK_DEPTH, deg den) or raises SeriesConsistencyError; the zero rep
+    raises ValueError.  Every call computes and returns a fresh object.
     """
     return _compute(rep)
 
@@ -244,29 +242,26 @@ def _compute(rep):
     if rep.trivial_count:       # each trivial summand is one more 1/(1 - t)
         den = total.den.factors
         total = RationalFunction(total.num, den | {1: den.get(1, 0) + rep.trivial_count})
-    _check_functional_equation(rep, total)
-    depth = min(CHECK_DEPTH, total.den.degree)
-    got = taylor_coeffs(total, depth + 1)
-    want = oracle.truncated_series(rep, depth)
-    for n, (g, w) in enumerate(zip(got, want)):
-        if g != w:
-            raise SeriesConsistencyError(rep, n, g, w)
+    check_series(rep, total, min(CHECK_DEPTH, total.den.degree))
     return total
 
 
-def _check_functional_equation(rep, f):
-    """H(1/t) = (-1)^d t^(-a) H(t), (d, a) = pole_and_a_invariant(rep), on
-    every rep: for the series f = N / Q, N != 0 and N_j = s N_(deg Q + a - j),
-    s = (-1)^d times the sign of Q(1/t).  Unlike the oracle prefix it reaches
-    all of N, and it bounds deg N by deg Q + a <= deg Q."""
-    c = f.num.c
-    d, a = pole_and_a_invariant(rep)
-    top = f.den.degree + a
-    sign = (-1) ** (sum(f.den.factors.values()) + d)
-    if not c:
-        raise SeriesConsistencyError(rep, 0, 0, 1, "H(0) = 1")
+def check_series(rep, f, depth):
+    """SeriesConsistencyError unless f = N / Q passes, in this order, the
+    functional equation N_j = sign N_(top - j), (top, sign) = mirror_rule(rep,
+    Q), which reaches all of N and bounds deg N by top; N_0 = 1 ("H(0) = 1");
+    and, for depth > 0, the Taylor terms 0..depth against the oracle counts."""
+    c = f.num.c or [0]          # zero meets every mirror relation; N_0 = 1 refuses it
+    top, sign = mirror_rule(rep, f.den.factors)
     for j in range(max(len(c), top + 1)):
         got = c[j] if j < len(c) else 0
         mirror = sign * c[top - j] if 0 <= top - j < len(c) else 0
         if got != mirror:
             raise SeriesConsistencyError(rep, j, got, mirror, "the functional equation")
+    if c[0] != 1:
+        raise SeriesConsistencyError(rep, 0, c[0], 1, "H(0) = 1")
+    if depth > 0:
+        got, want = taylor_coeffs(f, depth + 1), oracle.truncated_series(rep, depth)
+        for n, (g, w) in enumerate(zip(got, want)):
+            if g != w:
+                raise SeriesConsistencyError(rep, n, g, w)

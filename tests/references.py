@@ -470,7 +470,7 @@ def gamma_raw(order, params):
         # Degrees sort ascending, so the V1 pair sits at positions 0 and 1.
         # The raw form also subtracts the sum of that pair, which is 0: the
         # pair is (-b1, b1) like every mirrored pair of values.
-        for b, den, others in _outer(params.values, {0, 1}):
+        for b, den, others in _outer(params.values[2:]):
             total += b ** power * ((3 * b - 2 - sum(others)) / 4) / den
     return total
 

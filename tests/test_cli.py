@@ -495,16 +495,35 @@ def test_big_int_serialization(isolated_cache):
     assert _int_out(big) == str(big)
     assert _int_out(-(2 ** 70)) == str(-(2 ** 70))
     assert _int_out(12) == 12
-    # big times the V2+2V3 series keeps its functional equation, so the
-    # entry is served, coefficients past 64 bits and all
+    # 4V7's own series has 47 numerator coefficients past 64 bits, up to 72
+    # bits; the entry holds them as decimal strings and is served as stored
+    rep = parse_rep("4V7")
+    series = hilbert_series(rep)
+    wide = [v for v in series.num.c if not -2 ** 63 <= v < 2 ** 63]
+    assert len(wide) == 47 and max(abs(v).bit_length() for v in wide) == 72
+    store_cached(rep, series)
+    entry = json.loads((isolated_cache / "4V7.json").read_text())
+    assert entry["numerator"] == [_int_out(v) for v in series.num.c]
+    assert [int(v) for v in entry["numerator"] if isinstance(v, str)] == wide
+    assert (entry["rep"], entry["denominator"]) == ([7] * 4, [[4, 1], [6, 7], [8, 7], [10, 7],
+                                                              [12, 7]])
+    assert load_cached(rep).num.c == series.num.c
+
+
+def test_cache_entry_of_a_scalar_multiple_is_a_miss(isolated_cache, capsys):
+    # twice the V2+2V3 series keeps the functional equation, but H(0) = 2:
+    # the entry is a miss, and series prints what --no-cache prints
     rep = parse_rep("V2+2V3")
-    num = [big * c for c in GOLDEN_V2_2V3["numerator"]]
-    store_cached(rep, RationalFunction(num, hilbert_series(rep).den))
-    entry = json.loads((isolated_cache / "V2+2V3.json").read_text())
-    assert entry["numerator"][:2] == [str(big), 0]
-    assert entry == dict({k: GOLDEN_V2_2V3[k] for k in ENTRY_KEYS},
-                         numerator=[_int_out(v) for v in num])
-    assert load_cached(rep).num.c == num
+    series = hilbert_series(rep)
+    doubled = RationalFunction([2 * v for v in series.num.c], series.den)
+    with pytest.raises(SeriesConsistencyError, match="H\\(0\\) = 1 gives 1"):
+        series_mod.check_series(rep, doubled, 0)
+    store_cached(rep, doubled)
+    assert load_cached(rep) is None
+    want = run(capsys, "series", "V2+2V3", "--no-cache")
+    assert want == (0, SERIES_TEXT["V2+2V3"], "")
+    assert run(capsys, "series", "V2+2V3") == want
+    assert rf_equal(load_cached(rep), series)
 
 
 def test_series_json_with_terms(capsys):
@@ -669,6 +688,25 @@ def test_verify_functional_equation_failure_exit_code(capsys, monkeypatch):
     assert "functional equation gives" in err and "Traceback" not in err
 
 
+def test_verify_prints_the_oracle_failure(capsys, monkeypatch):
+    # one V8 count bumped, 4 to 5 at degree 7, in verify's table to degree 20
+    # alone: hilbert_series' own check, to degree 27, passes, and verify's
+    # oracle line names the first degree that differs
+    counts = oracle.truncated_series
+
+    def bumped(rep, n):
+        out = counts(rep, n)
+        if n == 20:
+            out[7] += 1
+        return out
+
+    monkeypatch.setattr(oracle, "truncated_series", bumped)
+    code, out, err = run(capsys, "verify", "V8", "--max-degree", "20", "--draws", "0")
+    assert (code, err) == (1, "")
+    assert [l for l in out.splitlines() if l.startswith("FAIL")] == [
+        "FAIL oracle to degree 20: degree 7: series 4 oracle 5"]
+
+
 def test_verify_max_degree_over_memory_limit(capsys, monkeypatch):
     # V16 to degree 10000 would need about 16 GiB of oracle rows; the
     # estimate refuses it before the series or the oracle is built
@@ -676,7 +714,7 @@ def test_verify_max_degree_over_memory_limit(capsys, monkeypatch):
         raise AssertionError("verify built something past the memory check")
 
     monkeypatch.setattr(cli, "hilbert_series", unreached)
-    monkeypatch.setattr(cli, "truncated_series", unreached)
+    monkeypatch.setattr(oracle, "truncated_series", unreached)
     monkeypatch.setattr(oracle, "_packed_rows", unreached)
     code, out, err = run(capsys, "verify", "V16", "--max-degree", "10000", "--draws", "0")
     assert (code, out) == (2, "")
