@@ -5,8 +5,8 @@ gamma (Laurent data), verify (oracle and identity checks), table (recompute
 the shipped fixture table), expand (series coefficients only).  Only
 series, expand and gamma take --format and --no-cache.  series, expand and
 gamma --format json cache only the checked series, one JSON file per
-canonical representation key, served if the file is, as JSON text, what
-store_cached writes for the series in it and that series passes
+canonical representation key, served if the file holds, byte for byte, the
+one line store_cached writes for the series in it and that series passes
 check_series at depth 0 (verify runs it to --max-degree).  series and gamma print
 the JSON record through one path, its gamma and methods from gammas()
 (memoized per rep) and pole order and a-invariant from pole_and_a_invariant
@@ -74,14 +74,22 @@ def _rep_degrees(rep):
 
 
 def _entry(rep, series):
-    """The cache entry of rep's series: what store_cached writes, and what
-    load_cached must read back as JSON text to serve it."""
+    """The cache entry of rep's series, whose keys the JSON record holds too; its
+    numerator is series.num.c itself where every coefficient fits in 64 bits."""
+    c = series.num.c
     return {
         "rep": _rep_degrees(rep),
-        "numerator": [_int_out(v) for v in series.num.c],
+        "numerator": c if not c or (-_INT64_MAX <= min(c) and max(c) < _INT64_MAX)
+                     else [_int_out(v) for v in c],
         "denominator": [[m, e] for m, e in series.den.items_sorted()],
         "version": __version__,
     }
+
+
+def _entry_line(entry):
+    """A cache file's one layout, as bytes: one JSON line, sorted keys, default
+    separators, a trailing newline; what store_cached writes, load_cached serves."""
+    return (json.dumps(entry, sort_keys=True) + "\n").encode()
 
 
 def _int_out(v):
@@ -141,18 +149,18 @@ def _cache_path(rep):
 
 
 def load_cached(rep):
-    """The checked series cached for rep; None unless the entry parses, is,
-    as JSON text, the _entry of the series it holds (so for this rep and
-    version), and that series passes check_series at depth 0, no oracle."""
+    """The checked series cached for rep; None unless the file parses, is byte for
+    byte the _entry_line of the series it holds (so for this rep and version),
+    and that series passes check_series at depth 0, no oracle."""
     try:
-        with open(_cache_path(rep)) as fh:
-            data = json.load(fh)
-        series = RationalFunction([int(v) for v in data["numerator"]],
+        with open(_cache_path(rep), "rb") as fh:
+            raw = fh.read()
+        data = json.loads(raw)
+        series = RationalFunction(list(map(int, data["numerator"])),
                                   {int(m): int(e) for m, e in data["denominator"]})
-        text = json.dumps(data, sort_keys=True)
     except (OSError, ValueError, KeyError, TypeError, ArithmeticError, RecursionError):
         return None
-    if json.dumps(_entry(rep, series), sort_keys=True) != text:
+    if _entry_line(_entry(rep, series)) != raw:
         return None
     try:
         check_series(rep, series, 0)
@@ -169,9 +177,8 @@ def store_cached(rep, series):
     tmp = "%s.%s.tmp" % (path, os.urandom(8).hex())
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
     try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(_entry(rep, series), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_entry_line(_entry(rep, series)))
         os.replace(tmp, path)
     except BaseException:
         try:

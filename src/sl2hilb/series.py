@@ -36,7 +36,7 @@ RationalFunction here is built from a coefficient list and a dict {m: e}.
 from collections import Counter, namedtuple
 from itertools import accumulate, repeat
 from math import comb, gcd
-from operator import add, floordiv, mul
+from operator import add, floordiv, mul, neg
 
 from .exactalg import (RationalFunction, _div_factors, _mul_trunc, _primes, _times_factors,
                        _times_geometric, _times_over, taylor_coeffs)
@@ -253,11 +253,13 @@ def check_series(rep, f, depth):
     and, for depth > 0, the Taylor terms 0..depth against the oracle counts."""
     c = f.num.c or [0]          # zero meets every mirror relation; N_0 = 1 refuses it
     top, sign = mirror_rule(rep, f.den.factors)
-    for j in range(max(len(c), top + 1)):
-        got = c[j] if j < len(c) else 0
-        mirror = sign * c[top - j] if 0 <= top - j < len(c) else 0
-        if got != mirror:
-            raise SeriesConsistencyError(rep, j, got, mirror, "the functional equation")
+    # N zero-padded to degree top, against its mirror: N_top..N_0, then zeros
+    size, k = max(len(c), top + 1), max(top + 1, 0)
+    padded = c + [0] * (size - len(c))
+    mirror = (padded[:k][::-1] if sign > 0 else list(map(neg, padded[:k][::-1]))) + [0] * (size - k)
+    if padded != mirror:
+        j = next(j for j, (g, w) in enumerate(zip(padded, mirror)) if g != w)
+        raise SeriesConsistencyError(rep, j, padded[j], mirror[j], "the functional equation")
     if c[0] != 1:
         raise SeriesConsistencyError(rep, 0, c[0], 1, "H(0) = 1")
     if depth > 0:

@@ -35,6 +35,9 @@ poly_add, poly_mul, poly_derivative and poly_reversed are the arithmetic
 Polynomial had, and rf_add_poly, rf_derivative_poly, rf_at_reciprocal_poly
 and rf_equal_poly the RationalFunction methods as they ran on it; the
 package does that arithmetic on coefficient lists.
+functional_equation_loop is check_series's functional equation one degree
+at a time; the package compares the padded numerator with its mirror as two
+lists and looks for the failing degree only when they differ.
 """
 
 from collections import Counter
@@ -48,7 +51,7 @@ from sl2hilb.exactalg import (FactoredDenominator, LaurentExpansion, Polynomial,
 from sl2hilb.laurent import _outer
 from sl2hilb.oracle import _packed_rows, truncated_series
 from sl2hilb.repmodel import (MAX_DIM, RepParseError, Representation, classify_case,
-                              weight_system)
+                              mirror_rule, weight_system)
 from sl2hilb.schur import _scale_to_integers, bareiss_det
 from sl2hilb.series import ZRationalFunction, _coeffs_for_index, _dn_sum, dn_apply, ua_transform
 
@@ -123,6 +126,20 @@ def rf_equal_poly(f, g):
     fs, gs = f.den.factors, g.den.factors
     shared = {m: min(fs.get(m, 0), gs.get(m, 0)) for m in set(fs) & set(gs)}
     return _times_rest_poly(f.num, gs, shared).c == _times_rest_poly(g.num, fs, shared).c
+
+
+def functional_equation_loop(rep, f):
+    """The first (degree, got, want) where N_j = sign N_(top - j), (top, sign)
+    = mirror_rule(rep, Q), fails for f = N / Q, N zero past its length; None
+    if it holds."""
+    c = f.num.c or [0]
+    top, sign = mirror_rule(rep, f.den.factors)
+    for j in range(max(len(c), top + 1)):
+        got = c[j] if j < len(c) else 0
+        mirror = sign * c[top - j] if 0 <= top - j < len(c) else 0
+        if got != mirror:
+            return j, got, mirror
+    return None
 
 
 def weight_counts_walk(ws, max_degree):

@@ -14,7 +14,7 @@ import sl2hilb.cli as cli
 import sl2hilb.laurent as laurent_mod
 import sl2hilb.oracle as oracle
 import sl2hilb.series as series_mod
-from sl2hilb.cli import (FIXTURES, FixtureRow, HilbertResult, _int_out,
+from sl2hilb.cli import (FIXTURES, FixtureRow, HilbertResult, _entry, _entry_line, _int_out,
                          load_cached, main, store_cached)
 from sl2hilb.exactalg import (LaurentExpansion, Polynomial, RationalFunction,
                               laurent_at_one, rf_equal, taylor_coeffs)
@@ -285,15 +285,17 @@ def test_cache_round_trip(isolated_cache, capsys):
 
 
 def test_cache_version_mismatch_recomputes(isolated_cache, capsys):
-    run(capsys, "series", "V4")
+    # the entry store_cached writes, in its layout, but of version 0.0.0
+    stored = run(capsys, "series", "V4")
     path = isolated_cache / "V4.json"
-    data = json.loads(path.read_text())
-    data["version"] = "0.0.0"
-    path.write_text(json.dumps(data))
-    assert load_cached(parse_rep("V4")) is None
-    code, out, _ = run(capsys, "series", "V4")
-    assert code == 0
-    assert json.loads(path.read_text())["version"] != "0.0.0"
+    good = path.read_bytes()
+    rep = parse_rep("V4")
+    path.write_bytes(_entry_line(dict(_entry(rep, load_cached(rep)), version="0.0.0")))
+    assert good.replace(b'"version": "%s"' % cli.__version__.encode(),
+                        b'"version": "0.0.0"') == path.read_bytes()
+    assert load_cached(rep) is None
+    assert run(capsys, "series", "V4") == stored
+    assert path.read_bytes() == good
 
 
 def test_cache_entry_off_the_functional_equation_recomputes(isolated_cache, capsys):
@@ -303,14 +305,18 @@ def test_cache_entry_off_the_functional_equation_recomputes(isolated_cache, caps
     for spec, index in (("V5", 0), ("2V0+V3+V4", 2)):
         run(capsys, "series", spec)
         path = isolated_cache / (spec + ".json")
-        good = json.loads(path.read_text())
-        data = json.loads(path.read_text())
-        data["numerator"][index] += 1
-        path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-        assert load_cached(parse_rep(spec)) is None
+        good = path.read_bytes()
+        rep = parse_rep(spec)
+        c = list(load_cached(rep).num.c)
+        c[index] += 1
+        edited = RationalFunction(c, hilbert_series(rep).den)
+        with pytest.raises(SeriesConsistencyError, match="functional equation gives"):
+            series_mod.check_series(rep, edited, 0)
+        path.write_bytes(_entry_line(_entry(rep, edited)))
+        assert load_cached(rep) is None
         code, out, err = run(capsys, "series", spec)
         assert (code, out, err) == (0, SERIES_TEXT[spec], ""), spec
-        assert json.loads(path.read_text()) == good, spec
+        assert path.read_bytes() == good, spec
 
 
 def test_edited_entries_of_the_small_series_recompute(isolated_cache, capsys):
@@ -341,10 +347,10 @@ def test_gamma_json_prints_the_series_record(capsys):
 
 
 def test_cache_entry_with_edited_derived_fields_recomputes(isolated_cache, capsys):
-    # an entry in the old format, the whole --format json record, with its
-    # gamma, a-invariant, pole order or methods edited: none of them is
-    # read from disk, so the output is the uncached one and the entry is
-    # rewritten with the series alone
+    # an entry in the old format, the whole --format json record, written in
+    # the layout store_cached writes, with its gamma, a-invariant, pole order
+    # or methods edited: none of them is read from disk, so the output is the
+    # uncached one and the entry is rewritten with the series alone
     edits = {
         "V5": {"gamma": ["1/191", "1/128", "199/1152", "965/2304"], "a_invariant": -7,
                "pole_order": 4, "methods": ["MadeUp"] + ["ClosedForm"] * 3},
@@ -361,9 +367,9 @@ def test_cache_entry_with_edited_derived_fields_recomputes(isolated_cache, capsy
             old = json.loads(want)
             assert all(old[k] != v for k, v in edit.items()), spec
             isolated_cache.mkdir(exist_ok=True)
-            path.write_text(json.dumps(dict(old, **edit), indent=2, sort_keys=True) + "\n")
+            path.write_bytes(_entry_line(dict(old, **edit)))
             assert run(capsys, *argv) == (0, want, ""), argv
-            assert json.loads(path.read_text()) == {k: old[k] for k in ENTRY_KEYS}, argv
+            assert path.read_bytes() == _entry_line({k: old[k] for k in ENTRY_KEYS}), argv
 
 
 # every kind of request the benchmark's cli workload sends
@@ -423,15 +429,16 @@ def test_malformed_cache_entry_is_a_miss(isolated_cache, capsys):
     assert sorted(good) == ENTRY_KEYS
     record = json.loads(want)       # the whole record, as entries once held it
 
+    # each in the layout store_cached writes, so each is a miss for what it holds
     def edited(key, value):
-        return json.dumps(dict(good, **{key: value}))
+        return _entry_line(dict(good, **{key: value}))
 
     payloads = [
-        "[]",                                           # not an object
-        json.dumps({k: good[k] for k in ENTRY_KEYS if k != "version"}),    # a key too few
-        json.dumps(record),                             # derived keys too many
+        b"[]\n",                                        # not an object
+        _entry_line({k: good[k] for k in ENTRY_KEYS if k != "version"}),   # a key too few
+        _entry_line(record),                            # derived keys too many
         edited("gamma", ["1/0"] + record["gamma"][1:]),
-        (isolated_cache / "V6.json").read_text(),       # another rep's entry
+        (isolated_cache / "V6.json").read_bytes(),      # another rep's entry
         edited("numerator", [1.5] + good["numerator"][1:]),
         edited("numerator", [float("inf")]),
         edited("denominator", [[0, 1]]),
@@ -446,10 +453,38 @@ def test_malformed_cache_entry_is_a_miss(isolated_cache, capsys):
         edited("version", "0.0.0"),
     ]
     for payload in payloads:
-        path.write_text(payload)
+        path.write_bytes(payload)
         code, out, err = run(capsys, "gamma", "V5", "--format", "json")
         assert (code, out, err) == (0, want, ""), payload
         assert json.loads(path.read_text()) == good, payload
+
+
+# the V5 entry as store_cached writes it, rewritten in another layout with
+# the same values, or one 1 written as true or 1.0, which load as 1
+OTHER_LAYOUTS = {
+    "indent=2": lambda good: (json.dumps(json.loads(good), indent=2, sort_keys=True)
+                              + "\n").encode(),
+    "no trailing newline": lambda good: good[:-1],
+    "true for 1": lambda good: good.replace(b'"numerator": [1,', b'"numerator": [true,'),
+    "1.0 for 1": lambda good: good.replace(b'"numerator": [1,', b'"numerator": [1.0,'),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(OTHER_LAYOUTS))
+def test_entry_in_another_layout_is_a_miss(isolated_cache, capsys, layout):
+    # a miss whatever the values: series prints what --no-cache prints and
+    # rewrites the entry as the one canonical line
+    want = run(capsys, "series", "V5", "--no-cache")
+    run(capsys, "series", "V5")
+    path = isolated_cache / "V5.json"
+    good = path.read_bytes()
+    assert good.count(b"\n") == 1 and good.endswith(b"}\n")
+    other = OTHER_LAYOUTS[layout](good)
+    assert other != good and json.loads(other) == json.loads(good)
+    path.write_bytes(other)
+    assert load_cached(parse_rep("V5")) is None
+    assert run(capsys, "series", "V5") == want == (0, SERIES_TEXT["V5"], "")
+    assert path.read_bytes() == good
 
 
 def test_no_cache_flag(isolated_cache, capsys):
@@ -471,22 +506,38 @@ def test_store_cached_writes_mode_0600(isolated_cache):
     store_cached(rep, series)
     path = isolated_cache / "V2+V3.json"
     assert path.stat().st_mode & 0o777 == 0o600
-    record = HilbertResult.compute(rep, series).to_json_dict()
-    assert path.read_text() == json.dumps({k: record[k] for k in ENTRY_KEYS}, indent=2,
-                                          sort_keys=True) + "\n"
+    # one line: sorted keys, default separators, a trailing newline
+    assert path.read_bytes() == (
+        b'{"denominator": [[2, 1], [3, 1], [4, 1], [5, 1]], "numerator": [1, 0, 0, 0, 0, 0, 0, 1], '
+        b'"rep": [2, 3], "version": "%s"}\n' % cli.__version__.encode())
 
 
 def test_failed_cache_write_leaves_no_temp_file(isolated_cache, monkeypatch):
     rep = parse_rep("V2")
     series = hilbert_series(rep)
+    fdopen, written = os.fdopen, []
 
-    def dump_half(obj, fh, **kwargs):
-        fh.write("{")
-        raise RuntimeError("disk gave out")
+    class HalfWriter:
+        # the temporary file, whose one write stops halfway
+        def __init__(self, fd, mode):
+            self.fh = fdopen(fd, mode)
 
-    monkeypatch.setattr(cli.json, "dump", dump_half)
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            written.append(data)
+            self.fh.write(data[:len(data) // 2])
+            self.fh.flush()
+            raise RuntimeError("disk gave out")
+
+    monkeypatch.setattr(cli.os, "fdopen", HalfWriter)
     with pytest.raises(RuntimeError, match="disk gave out"):
         store_cached(rep, series)
+    assert written == [_entry_line(_entry(rep, series))]
     assert os.listdir(isolated_cache) == []
 
 

@@ -15,13 +15,13 @@ import make_series_digests
 import sl2hilb.exactalg as exactalg
 import sl2hilb.series as series_mod
 from references import (coeffs_for_index_div_factors, coeffs_for_index_quadratic,
-                        dn_sum_per_term, poly_add, rf_add_poly, rf_derivative_poly, to_rf,
-                        ua_transform_single_stage, wide_per_piece)
+                        dn_sum_per_term, functional_equation_loop, poly_add, rf_add_poly,
+                        rf_derivative_poly, to_rf, ua_transform_single_stage, wide_per_piece)
 from sl2hilb.exactalg import (FactoredDenominator, Polynomial,
                               RationalFunction, laurent_at_one, rf_equal, taylor_coeffs)
 from sl2hilb.oracle import truncated_series
-from sl2hilb.repmodel import (Representation, parse_rep, pole_and_a_invariant, weight_system,
-                              wide_denominator)
+from sl2hilb.repmodel import (Representation, mirror_rule, parse_rep, pole_and_a_invariant,
+                              weight_system, wide_denominator)
 from sl2hilb.series import (CHECK_DEPTH, SeriesConsistencyError, ZRationalFunction,
                             _coeffs_for_index, _dn_sum, _theta, check_series, dn_apply,
                             hilbert_series, ua_transform)
@@ -427,6 +427,59 @@ def test_functional_equation_rejects_a_zero_numerator():
         rep = parse_rep(spec)
         with pytest.raises(SeriesConsistencyError, match="H\\(0\\) = 1"):
             check_series(rep, RationalFunction([], hilbert_series(rep).den.factors), 0)
+
+
+def _check_series_failure(rep, f):
+    """(degree, got, want) of check_series's functional-equation failure, or None."""
+    try:
+        check_series(rep, f, 0)
+    except SeriesConsistencyError as exc:
+        if "functional equation gives" in str(exc):
+            return exc.degree, exc.got, exc.want
+    return None
+
+
+def _edited(spec, edit):
+    rep = parse_rep(spec)
+    f = hilbert_series(rep)
+    return rep, RationalFunction(edit(list(f.num.c)), f.den.factors)
+
+
+def _bump(j, by):
+    def edit(c):
+        c[j] += by
+        return c
+    return edit
+
+
+@pytest.mark.parametrize("spec, edit, top, sign, failure", [
+    # a mid-numerator edit at degree 20, whose mirror is degree 22
+    ("V10", _bump(20, 3), 42, 1, (20, 81, 78)),
+    # sign -1: V2+2V3 is antisymmetric about degree 21/2
+    ("V2+2V3", _bump(9, -2), 21, -1, (9, 1, 3)),
+    # top >= len(c): the last three coefficients dropped, so the mirror of
+    # degree 0 is read from the zero padding past len(c).  A degree past
+    # len(c) never fails first: its mirror, below len(c), fails before it
+    ("V10", lambda c: c[:-3], 42, 1, (0, 1, 0)),
+    # top >= len(c), leading zeros: 1 at degree 3 mirrors degree 9, past len(c)
+    ("V5", lambda c: [0, 0, 0, 1], 12, 1, (3, 1, 0)),
+])
+def test_functional_equation_failure_matches_the_loop(spec, edit, top, sign, failure):
+    rep, f = _edited(spec, edit)
+    assert mirror_rule(rep, f.den.factors) == (top, sign)
+    assert _check_series_failure(rep, f) == functional_equation_loop(rep, f) == failure
+
+
+@given(st.lists(st.integers(-3, 3), max_size=12), st.integers(0, 14),
+       st.sampled_from(["V5", "V2+2V3", "2V0+V3+V4", "V1", "V2"]))
+@settings(max_examples=300, deadline=None)
+@example([1], 0, "V5")          # top = -6 < 0: every mirror is zero
+@example([1, 0, 1], 8, "V5")    # top = 2, sign -1
+def test_functional_equation_failure_matches_the_loop_on_any_numerator(c, e, spec):
+    # Q = (1 - t)^e sets top = e + a and sign = (-1)^(d + e), below zero too
+    rep = parse_rep(spec)
+    f = RationalFunction(c, {1: e})
+    assert _check_series_failure(rep, f) == functional_equation_loop(rep, f)
 
 
 def test_pole_and_a_invariant_match_the_series():
