@@ -74,13 +74,10 @@ def _rep_degrees(rep):
 
 
 def _entry(rep, series):
-    """The cache entry of rep's series, whose keys the JSON record holds too; its
-    numerator is series.num.c itself where every coefficient fits in 64 bits."""
-    c = series.num.c
+    """The cache entry of rep's series, whose keys the JSON record holds too."""
     return {
         "rep": _rep_degrees(rep),
-        "numerator": c if not c or (-_INT64_MAX <= min(c) and max(c) < _INT64_MAX)
-                     else [_int_out(v) for v in c],
+        "numerator": [_int_out(v) for v in series.num.c],
         "denominator": [[m, e] for m, e in series.den.items_sorted()],
         "version": __version__,
     }

@@ -253,13 +253,16 @@ def check_series(rep, f, depth):
     and, for depth > 0, the Taylor terms 0..depth against the oracle counts."""
     c = f.num.c or [0]          # zero meets every mirror relation; N_0 = 1 refuses it
     top, sign = mirror_rule(rep, f.den.factors)
-    # N zero-padded to degree top, against its mirror: N_top..N_0, then zeros
-    size, k = max(len(c), top + 1), max(top + 1, 0)
-    padded = c + [0] * (size - len(c))
-    mirror = (padded[:k][::-1] if sign > 0 else list(map(neg, padded[:k][::-1]))) + [0] * (size - k)
-    if padded != mirror:
-        j = next(j for j, (g, w) in enumerate(zip(padded, mirror)) if g != w)
-        raise SeriesConsistencyError(rep, j, padded[j], mirror[j], "the functional equation")
+    # N against its mirror N_top..N_0 (zeros past c, then past degree top) over
+    # degrees below len(c) only: a degree j >= len(c) fails only with top - j,
+    # which is below len(c) and below j, so the first failure is always there
+    n, k = len(c), max(top + 1, 0)
+    mirror = ([0] * min(k - n, n) + c[::-1])[:n] if k > n else c[:k][::-1] + [0] * (n - k)
+    if sign < 0:
+        mirror = list(map(neg, mirror))
+    if c != mirror:
+        j = next(j for j, (g, w) in enumerate(zip(c, mirror)) if g != w)
+        raise SeriesConsistencyError(rep, j, c[j], mirror[j], "the functional equation")
     if c[0] != 1:
         raise SeriesConsistencyError(rep, 0, c[0], 1, "H(0) = 1")
     if depth > 0:

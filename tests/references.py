@@ -36,8 +36,9 @@ Polynomial had, and rf_add_poly, rf_derivative_poly, rf_at_reciprocal_poly
 and rf_equal_poly the RationalFunction methods as they ran on it; the
 package does that arithmetic on coefficient lists.
 functional_equation_loop is check_series's functional equation one degree
-at a time; the package compares the padded numerator with its mirror as two
-lists and looks for the failing degree only when they differ.
+at a time; the package compares the numerator with its mirror as two lists
+over the degrees of N only and looks for the failing degree only when they
+differ.
 """
 
 from collections import Counter

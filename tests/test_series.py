@@ -475,6 +475,10 @@ def test_functional_equation_failure_matches_the_loop(spec, edit, top, sign, fai
 @settings(max_examples=300, deadline=None)
 @example([1], 0, "V5")          # top = -6 < 0: every mirror is zero
 @example([1, 0, 1], 8, "V5")    # top = 2, sign -1
+# top = 10^18 - 6: lists of len(c), not of top + 1, so a cache entry with such
+# a denominator is a quick miss, not a MemoryError
+@example([1], 10 ** 18, "V5")
+@example([0, 2, 5], 10 ** 18 + 1, "V5")
 def test_functional_equation_failure_matches_the_loop_on_any_numerator(c, e, spec):
     # Q = (1 - t)^e sets top = e + a and sign = (-1)^(d + e), below zero too
     rep = parse_rep(spec)
