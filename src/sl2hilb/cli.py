@@ -2,16 +2,16 @@
 
 Subcommands: series (rational function, optionally leading coefficients),
 gamma (Laurent data), verify (oracle and identity checks), table (recompute
-the shipped fixture table), expand (series coefficients only).  Only
-series, expand and gamma take --format and --no-cache.  series, expand and
-gamma --format json cache only the checked series, one JSON file per
-canonical representation key, served if the file holds, byte for byte, the
-one line store_cached writes for the series in it and that series passes
-check_series at depth 0 (verify runs it to --max-degree).  series and gamma print
-the JSON record through one path, its gamma and methods from gammas()
-(memoized per rep) and pole order and a-invariant from pole_and_a_invariant
-on every call; gamma in text or latex prints from gammas() alone, series
-through format_series.
+the shipped fixture table), expand (series coefficients only).  main parses
+the spec once, as args.rep.  Only series, expand and gamma take --format and
+--no-cache; series, expand and gamma --format json cache only the checked series,
+one JSON file per canonical representation key, served if the file holds, byte for
+byte, the one line store_cached writes for the series in it and that series passes
+check_series at depth 0 (verify runs it to --max-degree).  series and gamma
+--format json print the dict HilbertResult.compute returns, its gamma and methods
+from gammas() (memoized per rep) and pole order and a-invariant from
+pole_and_a_invariant on every call; gamma in text or latex prints from gammas()
+alone, series through format_series.
 """
 
 import argparse
@@ -43,30 +43,21 @@ MAX_ORACLE_BYTES = 1 << 30
 MAX_TERMS = 10 ** 6
 
 
-class HilbertResult(namedtuple("HilbertResult", "rep series gamma a_invariant "
-                                                "pole_order methods")):
-    """The JSON record of a checked series: gamma (four Fractions) and methods
-    from gammas(), None with trivial summands; pole_and_a_invariant the rest."""
+class HilbertResult:     # a class only because perfbench traces HilbertResult.compute
+    """compute(rep, series): the --format json record of a checked series, a dict of
+    the _entry keys, gamma (four fractions as text) and methods from gammas(), None
+    with trivial summands, and pole_order and a_invariant from pole_and_a_invariant."""
 
-    __slots__ = ()
-
-    @classmethod
-    def compute(cls, rep, series):
+    @staticmethod
+    def compute(rep, series):
         pole, a = pole_and_a_invariant(rep)
-        if not rep.degrees or rep.trivial_count:
-            return cls(rep, series, None, a, pole, None)
-        res = gammas(rep)
-        return cls(rep, series, res.gamma, a, pole, res.methods)
-
-    def to_json_dict(self):
-        return dict(
-            _entry(self.rep, self.series),
-            gamma=None if self.gamma is None
-                  else ["%d/%d" % (g.numerator, g.denominator) for g in self.gamma],
-            a_invariant=self.a_invariant,
-            pole_order=self.pole_order,
-            methods=None if self.methods is None else list(self.methods),
-        )
+        gamma = methods = None
+        if rep.degrees and not rep.trivial_count:
+            res = gammas(rep)
+            gamma = ["%d/%d" % (g.numerator, g.denominator) for g in res.gamma]
+            methods = list(res.methods)
+        return dict(_entry(rep, series), gamma=gamma, methods=methods,
+                    a_invariant=a, pole_order=pole)
 
 
 def _rep_degrees(rep):
@@ -201,13 +192,9 @@ def _get_series(rep, use_cache):
 
 
 def cmd_series(args):
-    return _print_series(parse_rep(args.spec), args)
-
-
-def _print_series(rep, args):
-    series = _get_series(rep, not args.no_cache)
+    series = _get_series(args.rep, not args.no_cache)
     if args.format == "json":
-        payload = HilbertResult.compute(rep, series).to_json_dict()
+        payload = HilbertResult.compute(args.rep, series)
         if args.terms:
             payload["coefficients"] = taylor_coeffs(series, args.terms)
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -220,10 +207,9 @@ def _print_series(rep, args):
 
 
 def cmd_expand(args):
-    rep = parse_rep(args.spec)
-    coeffs = taylor_coeffs(_get_series(rep, not args.no_cache), args.terms)
+    coeffs = taylor_coeffs(_get_series(args.rep, not args.no_cache), args.terms)
     if args.format == "json":
-        print(json.dumps({"rep": _rep_degrees(rep), "coefficients": coeffs}, sort_keys=True))
+        print(json.dumps({"rep": _rep_degrees(args.rep), "coefficients": coeffs}, sort_keys=True))
     else:
         print(", ".join(str(c) for c in coeffs))
     return EXIT_OK
@@ -231,11 +217,11 @@ def cmd_expand(args):
 
 def cmd_gamma(args):
     """Laurent data; only --format json reads the cached series."""
-    rep = parse_rep(args.spec)
+    rep = args.rep
     if not rep.degrees or rep.trivial_count:
         raise RepParseError("trivial summand not allowed for gamma")
     if args.format == "json":       # the record series --format json prints
-        return _print_series(rep, args)
+        return cmd_series(args)
     res = gammas(rep)
     if args.format == "latex":
         for i, g in enumerate(res.gamma):
@@ -251,7 +237,7 @@ def cmd_gamma(args):
 
 
 def cmd_verify(args):
-    rep = parse_rep(args.spec)
+    rep = args.rep
     failures = []
 
     def check(name, ok, detail=""):
@@ -402,14 +388,23 @@ def build_parser():
 
 _parser = None     # built by the first main() call, then reused
 
+# Python's int/text digit limit (3.10.7+; older 3.10 has none): parse_rep relies on
+# it to reject V and 5000 nines, exact gammas pass it (8V1+V983's run to 4444 digits)
+_get_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+
 
 def main(argv=None):
     global _parser
     if _parser is None:
         _parser = build_parser()
+    limit = _get_digit_limit()
     try:
         try:
             args = _parser.parse_args(argv)
+            if "spec" in args:      # every command but table, under the digit limit
+                args.rep = parse_rep(args.spec)
+            _set_digit_limit(0)
             code = args.func(args)
         except SystemExit as exc:   # argparse printed help (0) or a usage error (2)
             code = EXIT_USAGE if exc.code else EXIT_OK
@@ -423,6 +418,8 @@ def main(argv=None):
     except BrokenPipeError:     # the reader left early; devnull keeps the exit flush quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_OK
+    finally:
+        _set_digit_limit(limit)
     return code
 
 

@@ -127,7 +127,7 @@ def test_json_round_trip(isolated_cache):
     entry = json.loads((isolated_cache / "V2+2V3.json").read_text())
     assert entry == {k: GOLDEN_V2_2V3[k] for k in ENTRY_KEYS}
     series = load_cached(rep)
-    assert HilbertResult.compute(rep, series).to_json_dict() == GOLDEN_V2_2V3
+    assert HilbertResult.compute(rep, series) == GOLDEN_V2_2V3
     assert rf_equal(series, hilbert_series(rep))
 
 
@@ -269,6 +269,64 @@ def test_table_reports_tampered_row(capsys, monkeypatch):
     assert "gamma" in line
 
 
+@pytest.mark.parametrize("field", ["series", "a_invariant"])
+def test_edited_fixture_row_fails_in_table_and_verify(capsys, monkeypatch, field):
+    # the series and a-invariant lines of _fixture_mismatches; the gamma line
+    # is test_table_reports_tampered_row's
+    row = FIXTURES[4]
+    series = hilbert_series(parse_rep(row.key))
+    if field == "series":
+        edited = RationalFunction(series.num.c[:-1] + [2], series.den)
+        row, problem = row._replace(series=edited), "series %r vs %r" % (series, edited)
+    else:
+        row, problem = row._replace(a_invariant=-5), "a -6 vs -5"
+    monkeypatch.setattr(cli, "FIXTURES", FIXTURES[:4] + [row] + FIXTURES[5:])
+    code, out, _ = run(capsys, "table")
+    assert code == 1
+    assert "V5     DIFF " + problem in out.splitlines() and "15/16 rows match" in out
+    code, out, _ = run(capsys, "verify", "V5", "--max-degree", "6", "--draws", "0")
+    assert code == 1
+    assert [l for l in out.splitlines() if l.startswith("FAIL")] == [
+        "FAIL fixture table row: " + problem]
+
+
+def test_verify_reports_the_first_failing_draw(capsys, monkeypatch):
+    # a Schur side that disagrees with the raw sum fails draw 0 at its first
+    # shape, the arity-1 one
+    def off_by_one(exps, params):
+        return laurent_mod.sigma_sum_schur(exps, params) + 1
+
+    monkeypatch.setattr(cli, "sigma_sum_schur", off_by_one)
+    code, out, _ = run(capsys, "verify", "V3+V4", "--max-degree", "6", "--draws", "3")
+    assert code == 1
+    assert [l for l in out.splitlines() if l.startswith("FAIL")] == [
+        "FAIL weight sum identities (3 draws): draw 0 arity 1"]
+
+
+def test_gamma_prints_every_digit_past_the_int_text_limit(capsys):
+    # 8V1+V983's exact gammas run to 4444 digits, past the 4300 that Python
+    # 3.10.7+ converts to text by default; main lifts that limit for the
+    # command, after parse_rep, and restores it on return
+    res = gammas(parse_rep("8V1+V983"))
+    assert max(g.numerator.bit_length() for g in res.gamma) > 4300 * 3.33
+    limit = cli._get_digit_limit()
+    code, text, err = run(capsys, "gamma", "8V1+V983")
+    assert (code, err, cli._get_digit_limit()) == (0, "", limit)
+    code, latex, err = run(capsys, "gamma", "8V1+V983", "--format", "latex")
+    assert (code, err, cli._get_digit_limit()) == (0, "", limit)
+    code, _, err = run(capsys, "series", "V" + "9" * 5000)
+    assert (code, cli._get_digit_limit()) == (2, limit) and "bad integer" in err
+    cli._set_digit_limit(0)
+    try:
+        gamma_lines = [l.split() for l in text.splitlines()[1:5]]
+        want_latex = ["\\gamma_%d = \\frac{%d}{%d}" % (i, g.numerator, g.denominator)
+                      for i, g in enumerate(res.gamma)]
+        assert [Fraction(l[1]) for l in gamma_lines] == list(res.gamma)
+    finally:
+        cli._set_digit_limit(limit)
+    assert latex.splitlines() == want_latex + ["a = %d" % res.a_invariant]
+
+
 def test_cache_round_trip(isolated_cache, capsys):
     code, out1, _ = run(capsys, "series", "V2+V3")
     assert code == 0
@@ -280,8 +338,7 @@ def test_cache_round_trip(isolated_cache, capsys):
     rep = parse_rep("V2+V3")
     cached = load_cached(rep)
     assert rf_equal(cached, hilbert_series(rep))
-    assert HilbertResult.compute(rep, cached).gamma == (Fraction(1, 60), Fraction(1, 40),
-                                                        Fraction(71, 720), Fraction(59, 288))
+    assert HilbertResult.compute(rep, cached)["gamma"] == ["1/60", "1/40", "71/720", "59/288"]
 
 
 def test_cache_version_mismatch_recomputes(isolated_cache, capsys):
@@ -586,7 +643,7 @@ def test_series_json_with_terms(capsys):
     rep = parse_rep("V2+V3")
     payload = json.loads(out)
     assert payload.pop("coefficients") == taylor_coeffs(hilbert_series(rep), 9)
-    assert payload == HilbertResult.compute(rep, hilbert_series(rep)).to_json_dict()
+    assert payload == HilbertResult.compute(rep, hilbert_series(rep))
 
 
 def test_expand_json(capsys):
