@@ -6,13 +6,14 @@ each as a single divided-difference weight sum over the squared points
 (its confluent limit where points repeat), and `schur_delta` gives s_delta
 as a product; neither builds a determinant.
 
-General vectors rho are straightened through the alternant relation
-A_{delta+rho}: sorting delta+rho descending contributes the sign of the
-permutation, a repeated entry kills the term, and a common negative shift
-c comes out as (x_1...x_n)^(-c).  `schur_eval` then takes a Jacobi-Trudi
-determinant in the complete homogeneous basis, well defined at repeated
-points; it is the oracle for `delta_ratio` and the route of
-`laurent.sigma_sum_schur`.
+`schur_eval` takes s_rho for any integer vector rho as one Jacobi-Trudi
+determinant det(h_(rho_i - i + j)) in the complete homogeneous basis, well
+defined at repeated points; it is the oracle for `delta_ratio` and the
+route of `laurent.sigma_sum_schur`.  No sorting of rho is needed: trading
+rho_i, rho_(i+1) for rho_(i+1) - 1, rho_i + 1 swaps two rows, which is the
+alternant's sign rule, and a repeated entry of rho + delta makes two rows
+equal (Macdonald I.3).  A common negative shift c comes out as
+(x_1...x_n)^(-c).
 
 Points are ints or Fractions; anything else (a float included) is a
 TypeError.  The points are scaled to integers by the lcm of their
@@ -21,33 +22,11 @@ Fraction per ratio it returns, and `power_sum` returns a value of the
 points' own type (an int over int points).
 """
 
-from collections import Counter, namedtuple
+from collections import Counter
 from fractions import Fraction
 from itertools import repeat
 from math import lcm, prod
 from operator import floordiv, mul, sub
-
-
-StraightenedSchur = namedtuple("StraightenedSchur", "sign partition shift")
-StraightenedSchur.__doc__ = "sign * (x_1...x_n)^(-shift) * s_partition, or zero when sign == 0."
-
-
-def straighten(rho):
-    n = len(rho)
-    if n == 0:
-        return StraightenedSchur(1, (), 0)
-    v = [rho[i] + n - 1 - i for i in range(n)]
-    if len(set(v)) != n:
-        return StraightenedSchur(0, (), 0)
-    inversions = sum(v[i] < v[j] for i in range(n) for j in range(i + 1, n))
-    w = sorted(v, reverse=True)
-    lam = [w[i] - (n - 1 - i) for i in range(n)]
-    shift = -lam[-1] if lam[-1] < 0 else 0
-    return StraightenedSchur(
-        -1 if inversions % 2 else 1,
-        tuple(x + shift for x in lam),
-        shift,
-    )
 
 
 def complete_homogeneous(points, k):
@@ -102,28 +81,26 @@ def _scale_to_integers(points):
 
 
 def schur_eval(rho, points):
-    """s_rho at the points, via straightening and a Jacobi-Trudi determinant.
+    """s_rho at the points as one n-row determinant det(h_(rho_i + c - i + j))
+    over (x_1...x_n)^c, c the least shift making rho + delta nonnegative.
 
     Points may be integers or Fractions; repeated points are fine.  A
-    zero point is rejected when the straightened form carries a
-    negative monomial shift.
+    zero point is rejected when c > 0.
     """
     if len(rho) != len(points):
         raise ValueError("rho and points must have the same length")
     ints, scale = _scale_to_integers(points)
-    st = straighten(rho)
-    if st.sign == 0:
+    n = len(rho)
+    v = [r + n - 1 - i for i, r in enumerate(rho)]  # rho + delta
+    if len(set(v)) != n:
         return Fraction(0)
-    if st.shift and 0 in ints:
+    c = max(0, -min(v, default=0))
+    if c and 0 in ints:
         raise ValueError("negative exponents need nonzero points")
-    parts = [p for p in st.partition if p]
-    h = complete_homogeneous(ints, parts[0] + len(parts) - 1) if parts else []
-    det = bareiss_det([[h[p - i + j] if p - i + j >= 0 else 0 for j in range(len(parts))]
-                       for i, p in enumerate(parts)])
-    value = Fraction(det, scale ** sum(parts)) * st.sign
-    if st.shift:
-        value /= Fraction(prod(points)) ** st.shift
-    return value
+    h = complete_homogeneous(ints, max(v, default=0) + c)
+    det = bareiss_det([[h[k] if k >= 0 else 0 for k in range(r + c - i, r + c - i + n)]
+                       for i, r in enumerate(rho)])
+    return Fraction(det, scale ** (sum(rho) + n * c)) / Fraction(prod(points)) ** c
 
 
 def schur_delta(points):

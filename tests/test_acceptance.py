@@ -120,7 +120,11 @@ def test_acceptance_5_closed_form_vs_series():
 
 def test_acceptance_6_weight_sum_identities():
     t0 = time.perf_counter()
-    reps = ["V2+V3", "V9", "2V3", "V1+V2+V2", "2V4+V2"]
+    # With three or more positive weights every Schur term has a repeated
+    # entry of rho + delta, so the Schur side is 0 by its indices.  V4 and
+    # 2V2 have two: their draws evaluate rho = (-3, 0), unsorted with shift
+    # c = 2, as a Jacobi-Trudi determinant.
+    reps = ["V2+V3", "V9", "2V3", "V1+V2+V2", "2V4+V2", "V4", "2V2"]
     rng = random.Random(6161)
     for text in reps:
         rep = parse_rep(text)
@@ -131,7 +135,7 @@ def test_acceptance_6_weight_sum_identities():
             for exps in shapes:
                 assert sigma_sum_raw(exps, params) == \
                     sigma_sum_schur(exps, params), (text, exps)
-    report(6, "weight sum identities, 5 reps x 100 draws", t0)
+    report(6, "weight sum identities, 7 reps x 100 draws", t0)
 
 
 def test_acceptance_7_structural_invariants():

@@ -341,6 +341,15 @@ def test_cache_round_trip(isolated_cache, capsys):
     assert HilbertResult.compute(rep, cached)["gamma"] == ["1/60", "1/40", "71/720", "59/288"]
 
 
+def test_cache_dir_defaults_to_home_when_unset_or_empty(tmp_path, monkeypatch):
+    monkeypatch.setenv("HOME", str(tmp_path))
+    want = str(tmp_path / ".cache" / "sl2hilb" / "V2+V3.json")
+    monkeypatch.delenv("SL2HILB_CACHE_DIR")
+    assert cli._cache_path(parse_rep("V2+V3")) == want
+    monkeypatch.setenv("SL2HILB_CACHE_DIR", "")
+    assert cli._cache_path(parse_rep("V2+V3")) == want
+
+
 def test_cache_version_mismatch_recomputes(isolated_cache, capsys):
     # the entry store_cached writes, in its layout, but of version 0.0.0
     stored = run(capsys, "series", "V4")

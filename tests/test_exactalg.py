@@ -172,6 +172,8 @@ def test_taylor_coeffs_quadratic_cubic():
 
 def test_taylor_coeffs_polynomial_only():
     assert taylor_coeffs(rf([1, -1, 4], {}), 5) == [1, -1, 4, 0, 0]
+    with pytest.raises(ValueError, match="nonnegative"):
+        taylor_coeffs(rf([1], {}), -1)
 
 
 def test_rational_add_and_scale():
@@ -231,6 +233,8 @@ def test_rational_derivative():
 def test_degree():
     assert rf([1], {2: 1, 3: 1}).degree() == -5
     assert rf([0, 0, 1], {2: 1}).degree() == 0
+    with pytest.raises(ValueError, match="no degree"):
+        RationalFunction().degree()
 
 
 def test_at_reciprocal():

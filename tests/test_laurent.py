@@ -319,6 +319,31 @@ def test_sigma_sums_match_schur_side():
                 assert sigma_sum_raw(exps, params) == sigma_sum_schur(exps, params)
 
 
+def test_only_two_positive_weights_reach_a_jacobi_trudi_determinant(monkeypatch):
+    # A term of sigma_sum_schur is nonzero only if its power sums have even
+    # exponents 2k, k <= 1 on verify's four shapes; then rho + delta is
+    # (2n - 4 - 2k, 2n - 4, 2n - 6, ..., 0) over the n positive weights, which
+    # repeats an entry once n >= 3.  So there the Schur side is 0 and
+    # `verify --draws` checks that the raw nested weight sums vanish.
+    reached = []
+
+    def spy(rho, points):
+        n = len(rho)
+        if len({r + n - 1 - i for i, r in enumerate(rho)}) == n:
+            reached.append((len(points), rho))
+        return schur_eval(rho, points)
+
+    monkeypatch.setattr(laurent_mod, "schur_eval", spy)
+    rng = random.Random(1)
+    for rep in (r for r in SMALL_REPS if r.dim <= 12):
+        dim = rep.dim
+        params = random_params(rep, rng)
+        for exps in [(dim - 3,), (dim - 4, 1), (dim - 5, 1, 1), (dim - 6, 1, 1, 1)]:
+            sigma_sum_schur(exps, params)
+    assert reached and all(npos <= 2 for npos, _ in reached)
+    assert (2, (-3, 0)) in reached
+
+
 def test_gamma_raw_recombines_into_weight_sums():
     rng = random.Random(77)
     for text in ["V2+V3", "2V3", "V2+V4"]:

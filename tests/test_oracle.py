@@ -41,6 +41,8 @@ def test_dim_invariants():
 
 def test_truncated_series_empty():
     assert truncated_series(parse_rep("V2"), -1) == []
+    with pytest.raises(ValueError, match="zero rep"):
+        truncated_series(Representation(()), 3)
 
 
 def test_multigraded_sums_to_single_grading():

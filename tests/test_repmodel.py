@@ -66,6 +66,8 @@ def test_representation_is_an_immutable_sorted_record():
         rep.label = "V1+V3"
     same = parse_rep("V3+V1+2V0")
     assert same == rep and hash(same) == hash(rep)
+    # only another Representation compares equal, not a tuple of its fields
+    assert (Representation((3,)) == ((3,), 0)) is False
     assert str(rep) == "%s" % rep == rep.key == "2V0+V1+V3"
     assert pickle.loads(pickle.dumps(rep)) == rep
 
@@ -75,6 +77,9 @@ def test_parse_errors_carry_position():
         with pytest.raises(RepParseError) as err:
             parse_rep(text)
         assert "position" in str(err.value)
+    # a spec that is not a string has no position to report
+    with pytest.raises(RepParseError, match="must be a string"):
+        parse_rep(None)
 
 
 def test_empty_term_positions():
@@ -189,6 +194,8 @@ def test_classify_rejects_trivial():
         classify_case(parse_rep("V0"))
     with pytest.raises(ValueError):
         classify_case(parse_rep("V0+V2"))
+    with pytest.raises(ValueError, match="nonzero rep"):
+        classify_case(Representation(()))
 
 
 def _mults(text):

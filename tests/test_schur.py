@@ -7,22 +7,8 @@ from hypothesis import strategies as st
 
 from references import bialternant_eval, power_sum_fractions
 from sl2hilb.repmodel import parse_rep, weight_system
-from sl2hilb.schur import (StraightenedSchur, bareiss_det, complete_homogeneous, delta_ratio,
-                           power_sum, schur_delta, schur_eval, straighten)
-
-
-def test_straighten_examples():
-    assert straighten((0, 2, 1, 0)) == StraightenedSchur(-1, (1, 1, 1, 0), 0)
-    assert straighten((-1, 2, 1, 0)).sign == 0
-    assert straighten(()) == StraightenedSchur(1, (), 0)
-    assert straighten((3, 1, 0)) == StraightenedSchur(1, (3, 1, 0), 0)
-
-
-def test_straighten_negative_shift():
-    out = straighten((-1, -1))
-    assert out.sign == 1
-    assert out.shift == 1
-    assert out.partition == (0, 0)
+from sl2hilb.schur import (bareiss_det, complete_homogeneous, delta_ratio, power_sum,
+                           schur_delta, schur_eval)
 
 
 def test_complete_homogeneous():
@@ -36,15 +22,32 @@ def test_schur_small_closed_forms():
     assert schur_eval((1, 0), (x, y)) == x + y
     assert schur_eval((1, 1), (x, y)) == x * y
     assert schur_eval((2, 1), (x, y)) == x * y * (x + y)
+    assert schur_eval((), ()) == 1
+    # (0, 2, 1, 0) + delta is (1, 1, 1, 0) + delta with two rows swapped
+    pts = (x, y, Fraction(5, 2), Fraction(7))
+    assert schur_eval((0, 2, 1, 0), pts) == -schur_eval((1, 1, 1, 0), pts) != 0
 
 
 def test_schur_negative_index():
     assert schur_eval((-1, -1), (1, 3)) == Fraction(1, 3)
+    # (-3, 0) + delta = (-2, 0): one row swap and the shift c = 2,
+    # s = -(x + y) / (xy)^2
+    assert schur_eval((-3, 0), (2, 3)) == Fraction(-5, 36)
 
 
 def test_schur_vanishing():
-    # repeated entries in the shifted exponent vector
+    # repeated entries in the shifted exponent vector, at a zero point too
     assert schur_eval((0, 1, 0), (1, 2, 3)) == 0
+    assert schur_eval((0, 1, 0), (0, 2, 3)) == 0
+    assert schur_eval((-1, 2, 1, 0), (1, 2, 3, 5)) == 0
+
+
+def test_schur_eval_value_errors():
+    with pytest.raises(ValueError, match="same length"):
+        schur_eval((1,), (1, 2))
+    # the shift c = 1 divides by the product of the points
+    with pytest.raises(ValueError, match="nonzero points"):
+        schur_eval((-1, -1), (0, 3))
 
 
 def test_bialternant_example():
@@ -61,6 +64,12 @@ def _random_rho(rng, n):
     return tuple(vec)
 
 
+def _unsorted_rho(rng, n):
+    # any order: rho + delta may repeat an entry (s_rho = 0), need a row
+    # swap, or need a negative shift
+    return tuple(rng.randint(-4, 6) for _ in range(n))
+
+
 def _random_points(rng, n):
     pts = set()
     while len(pts) < n:
@@ -74,7 +83,8 @@ def test_bialternant_matches_jacobi_trudi():
         n = rng.randint(1, 4)
         rho = _random_rho(rng, n)
         pts = _random_points(rng, n)
-        assert bialternant_eval(rho, pts) == schur_eval(rho, pts)
+        for vec in (rho, _unsorted_rho(rng, n)):
+            assert bialternant_eval(vec, pts) == schur_eval(vec, pts), vec
 
 
 def test_shift_identity():
@@ -85,11 +95,12 @@ def test_shift_identity():
         rho = _random_rho(rng, n)
         pts = _random_points(rng, n)
         c = rng.randint(-2, 3)
-        shifted = tuple(r + c for r in rho)
         prod = Fraction(1)
         for p in pts:
             prod *= p
-        assert schur_eval(shifted, pts) == prod ** c * schur_eval(rho, pts)
+        for vec in (rho, _unsorted_rho(rng, n)):
+            shifted = tuple(r + c for r in vec)
+            assert schur_eval(shifted, pts) == prod ** c * schur_eval(vec, pts), vec
 
 
 def test_staircase_product_formula():
@@ -111,6 +122,8 @@ def test_power_sum():
     assert power_sum((2, 3, 5), 0) == 3
     assert power_sum((), 4) == 0
     assert power_sum((Fraction(1, 2),), 3) == Fraction(1, 8)
+    with pytest.raises(ValueError, match="nonnegative"):
+        power_sum((1, 2), -1)
 
 
 @given(st.lists(st.one_of(st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9),

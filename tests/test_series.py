@@ -77,6 +77,8 @@ def test_dn_first_order():
 def test_dn_zero_is_identity():
     f = rf([1, 2], {3: 1})
     assert rf_equal(dn_apply(f, 0), f)
+    with pytest.raises(ValueError, match="nonnegative"):
+        dn_apply(f, -1)
 
 
 @given(st.lists(st.integers(-5, 5), max_size=6),
