@@ -18,7 +18,10 @@ theta_t U_alpha = U_alpha theta_z / alpha (theta = x d/dx) sums the terms
 of one weight by Horner in theta into one series, and one U_alpha of it
 gives the weight's piece.  Factors of weight >= 0 contribute nothing:
 their coefficient functions have strictly positive valuation in z, at
-weight 0 since the even V_d it comes from has weight -2 as well.
+weight 0 since the even V_d it comes from has weight -2 as well.  As -I acts
+on V_d by (-1)^d, weights of one parity make the z side a series in w = z^2,
+U_(alpha/2) of it for even alpha, and all odd ones put H in even degrees: the
+pieces, U_alpha of the halved series, their sum and reduce run in u = t^2.
 
 All arithmetic is exact and runs on integers: every piece is an exact
 integer rational function as it is built, so the pieces are added over
@@ -109,31 +112,27 @@ def _coeffs_for_index(weights, mults, i):
 def ua_transform(f, a):
     """Extract every a-th z-coefficient of the power series f into t.
 
-    U_a sends sum c_n z^n to sum c_{an} t^n.  With f = g(z^s), s the gcd of
-    the exponents of the nonzero terms and the factors b, and h = gcd(a, s),
-    U_a f is (U_(a/h) g)(t^(s/h)), and U_(a/h) runs as U_p for each prime p
-    of a/h in ascending order.  In each stage, ascending in b, a factor
+    U_a sends sum c_n z^n to sum c_{an} t^n, and runs as U_p for each prime
+    p of a in ascending order.  In each stage, ascending in b, a factor
     (1 - z^b)^e with p not dividing b is completed to a series in z^p by
     the conjugates ((1 - z^(pb)) / (1 - z^b))^e (G. Xin, Electron. J.
     Combin. 11 (2004)): for p <= 3 the product by (1 + z^b + ... + z^((p-1)b))^e,
-    p - 1 shifted adds per power (_times_over there made hilbert_series 12-18 % slower
-    on V8..V16 and 8 % on V30, Python 3.11, 2 cores); for p >= 5 one multiply pass and
+    p - 1 shifted adds per power (the one-list _times_over there made hilbert_series 13-15 %
+    slower on V8, V12, V14, V16 and V30, Python 3.11, 2 cores); for p >= 5 one multiply and
     one divide pass, whose last b e terms must be zero, as p - 1 adds cost more there.
     The stage keeps every p-th coefficient and turns b into b/p where p divides b.
-    The result sits over the tight prod (1 - t^(b/gcd(a,b)))^e, whose b/gcd(a,b) is
-    the last stage's b times s/h, as gcd(a/h, s/h) = 1.  An a < 1 or a negative
-    exponent in f is a ValueError.
+    The result sits over the tight prod (1 - t^(b/gcd(a,b)))^e.  f's period is
+    not looked for (_compute halves it first); an a < 1 or a negative exponent
+    in f is a ValueError.
     """
     if a < 1 or any(e < 0 for e in f.num):
         raise ValueError("a must be positive and the numerator exponents nonnegative")
-    nonzero = [e for e, v in f.num.items() if v]
-    if not nonzero:
+    top = max((e for e, v in f.num.items() if v), default=-1)
+    if top < 0:
         return RationalFunction()
-    s = gcd(*nonzero, *f.den) or 1
-    h = gcd(a, s)
-    c = [f.num.get(e, 0) for e in range(0, max(nonzero) + 1, s)]
-    den = [(b // s, e) for b, e in f.den.items()]
-    for p in _primes(a // h):
+    c = [f.num.get(e, 0) for e in range(top + 1)]
+    den = list(f.den.items())
+    for p in _primes(a):
         for b, e in sorted(den):
             if b % p and p <= 3:
                 c = _times_geometric(c, p, b, e)
@@ -142,10 +141,8 @@ def ua_transform(f, a):
         c, den = c[::p], [(b // p if b % p == 0 else b, e) for b, e in den]
     den_t = Counter()
     for b, e in den:
-        den_t[b * (s // h)] += e
-    out = [0] * ((len(c) - 1) * (s // h) + 1)
-    out[::s // h] = c
-    return RationalFunction(out, den_t)
+        den_t[b] += e
+    return RationalFunction(c, den_t)
 
 
 def dn_apply(f, n):
@@ -163,37 +160,39 @@ def dn_apply(f, n):
     return RationalFunction(_times_factors(c, den, top), den)
 
 
-def _theta(c, den, k):
-    """The numerator of (theta + k)(c / Q) over Q E, theta = z d/dz, for Q
-    = prod (1 - z^b)^e over den {b: e} and E = prod (1 - z^b) over its b.
-    As theta E = -E sum b z^b / (1 - z^b), it is (theta + k)(c E) + sum
-    (e + 1) b z^b (c E) / (1 - z^b): one pass by E and one exact division
-    per b."""
+def _theta(c, den, k, q):
+    """The numerator of (q theta + k)(c / Q) over Q E, theta = w d/dw, for Q
+    = prod (1 - w^b)^e over den {b: e} and E = prod (1 - w^b) over its b;
+    on w = z^q, theta_z = q theta.  As theta E = -E sum b w^b / (1 - w^b), it
+    is (q theta + k)(c E) + sum q (e + 1) b w^b (c E) / (1 - w^b): one pass
+    by E and one exact division per b."""
     top = len(c) - 1 + sum(den)
     ce = _times_factors(c, dict.fromkeys(den, 1), top)
-    out = list(map(mul, range(k, k + top + 1), ce))
+    out = list(map(mul, range(k, k + q * top + 1, q), ce))
     for b, e in den.items():
-        out[b:] = map(add, out[b:], map(mul, _div_factors(ce, {b: 1}, top + 1 - b), repeat((e + 1) * b)))
+        out[b:] = map(add, out[b:], map(mul, _div_factors(ce, {b: 1}, top + 1 - b), repeat(q * (e + 1) * b)))
     return out
 
 
-def _dn_sum(terms, alpha):
+def _dn_sum(terms, alpha, q):
     """sum_j D_(m-1-j)/(m-1-j)! U_alpha(g_j) over the terms g_j = (numerator,
-    {b: e}), j = 0..m-1, alpha > 0, as one U_alpha.  theta_t U_alpha =
-    U_alpha theta_z / alpha and D_n/n! = prod_(i=1..n) (theta + i)/i make
-    the sum U_alpha(S) / ((m-1)! alpha^(m-1)), S by Horner in integers: S =
-    g_0, then S <- (theta_z + (n+1) alpha) S + (m-1)!/n! alpha^(m-1-n)
-    g_(m-1-n) for n = m-2, ..., 0.  theta_z of g_j sits over g_(j+1)'s
-    denominator, so every add is over one denominator; the last division
-    must be exact, one floor-division pass checked by one multiply pass."""
+    {b: e}), j = 0..m-1, alpha > 0, as one U_alpha; the g_j are series in w
+    = z^q, q = 1 or 2.  theta_t U_alpha = U_alpha theta_z / alpha and D_n/n!
+    = prod_(i=1..n) (theta + i)/i make the sum U_alpha(S) / ((m-1)!
+    alpha^(m-1)), S by Horner in integers: S = g_0, then S <- (theta_z + (n+1)
+    alpha) S + (m-1)!/n! alpha^(m-1-n) g_(m-1-n) for n = m-2, ..., 0, with
+    theta_z = q theta_w.  theta_z of g_j sits over g_(j+1)'s denominator, so
+    every add is over one denominator; the last division must be exact, one
+    floor-division pass checked by one multiply pass.  U_alpha of S(z^q) is
+    U_(alpha/q) of S for q | alpha, else U_alpha of S read in t^q."""
     s, den = terms[0]
     m, scale = len(terms), 1
     for n in range(m - 2, -1, -1):
-        s = _theta(s, den, (n + 1) * alpha)
+        s = _theta(s, den, (n + 1) * alpha, q)
         scale *= (n + 1) * alpha                # (m-1)!/n! alpha^(m-1-n)
         c, den = terms[m - 1 - n]
         s = list(map(add, s, map(mul, c, repeat(scale))))
-    out = ua_transform(ZRationalFunction(dict(enumerate(s)), den), alpha)
+    out = ua_transform(ZRationalFunction(dict(enumerate(s)), den), alpha // gcd(alpha, q))
     if m == 1:
         return out
     if (num := _div_exact(out.num.c, scale)) is None:
@@ -226,23 +225,28 @@ def hilbert_series(rep):
 
 def _compute(rep):
     mult_of = Counter(weight_system(rep).weights)
-    weights, mults = list(mult_of), list(mult_of.values())
+    parities = {w % 2 for w in mult_of}     # the z side in w = z^q, H(t) = G(t^g)
+    q, g = (2 if len(parities) == 1 else 1), (2 if parities == {1} else 1)
+    weights, mults = [w // q for w in mult_of], list(mult_of.values())
     pieces = []
     # weight 0 comes from an even V_d, d >= 2, with weight -2 too: each alpha = 0 term has
     # valuation > 0 in z, so U_0 of it is 0, and it builds no piece
-    for alpha in (w for w in weights if w > 0):
-        # times the factor 1 - z^2 of the integrand
-        terms = [(_times_factors(zc, {2: 1}, len(zc) + 1), zden)
-                 for zc, zden in _coeffs_for_index(weights, mults, weights.index(-alpha))]
-        pieces.append(_dn_sum(terms, alpha))    # D_n before U_alpha, by Horner in theta
+    for alpha in (w for w in mult_of if w > 0):
+        # times the factor 1 - z^2 = 1 - w^(2/q) of the integrand
+        terms = [(_times_factors(zc, {2 // q: 1}, len(zc) - 1 + 2 // q), zden)
+                 for zc, zden in _coeffs_for_index(weights, mults, weights.index(-alpha // q))]
+        pieces.append(_dn_sum(terms, alpha, q))     # D_n before U_alpha, by Horner in theta
     while len(pieces) > 1:      # pairwise, so no operand is lifted by more than half the rest
-        pieces = [f + g for f, g in zip(pieces[::2], pieces[1::2])] + pieces[len(pieces) // 2 * 2:]
-    # reduce cancels best effort, over the gcd rule's wide denominator; no weight: the
-    # integrand 1 - z^2 has constant term 1, and no piece
-    total = pieces[0].reduce(over=wide_denominator(rep)) if pieces else RationalFunction([1])
+        pieces = [x + y for x, y in zip(pieces[::2], pieces[1::2])] + pieces[len(pieces) // 2 * 2:]
+    # reduce cancels best effort, over the gcd rule's wide denominator, in u = t^g, where
+    # every key is even for g = 2; no weight: the integrand 1 - z^2 has constant term 1
+    total = (pieces[0].reduce(over={m // g: e for m, e in wide_denominator(rep).items()})
+             if pieces else RationalFunction([1]))
+    num, den = [0] * (g * total.num.degree + 1), {g * m: e for m, e in total.den.factors.items()}
+    num[::g] = total.num.c
     if rep.trivial_count:       # each trivial summand is one more 1/(1 - t)
-        den = total.den.factors
-        total = RationalFunction(total.num, den | {1: den.get(1, 0) + rep.trivial_count})
+        den[1] = den.get(1, 0) + rep.trivial_count
+    total = RationalFunction(num, den)
     check_series(rep, total, min(CHECK_DEPTH, total.den.degree))
     return total
 

@@ -14,6 +14,9 @@ to_rf reads a z-side record as a RationalFunction.
 wide_per_piece is the denominator series._compute reduced over when it
 built it piece by piece, with the pieces; the package reads it off the
 weights (repmodel.wide_denominator) before any piece exists.
+hilbert_series_unhalved is series._compute on the full weights, every
+z-series in z and every piece in t; the package runs on the parity lattice,
+in z^2 when the weights share a parity and in t^2 when they are all odd.
 dn_sum_per_term is the D_n step as one U_alpha and one D_n/n! per
 partial-fraction term; the package applies D_n before U_alpha, by Horner
 in theta on the z side, with one U_alpha per weight.
@@ -52,7 +55,7 @@ from sl2hilb.exactalg import (FactoredDenominator, LaurentExpansion, Polynomial,
 from sl2hilb.laurent import _outer
 from sl2hilb.oracle import _packed_rows, truncated_series
 from sl2hilb.repmodel import (MAX_DIM, RepParseError, Representation, classify_case,
-                              mirror_rule, weight_system)
+                              mirror_rule, weight_system, wide_denominator)
 from sl2hilb.schur import _scale_to_integers, bareiss_det
 from sl2hilb.series import ZRationalFunction, _coeffs_for_index, _dn_sum, dn_apply, ua_transform
 
@@ -307,22 +310,42 @@ def dn_sum_per_term(terms, alpha):
     return total
 
 
+def unhalved_pieces(rep):
+    """[(alpha, terms, piece)] for each weight alpha > 0, as series._compute
+    built them on the full weights: the partial-fraction terms of weight
+    -alpha times 1 - z^2, and their piece _dn_sum(terms, alpha, 1), every
+    series in z and every piece in t (q = g = 1)."""
+    mult_of = Counter(weight_system(rep).weights)
+    weights, mults = list(mult_of), list(mult_of.values())
+    out = []
+    for alpha in (w for w in weights if w > 0):
+        terms = [(_times_factors(zc, {2: 1}, len(zc) + 1), zden)
+                 for zc, zden in _coeffs_for_index(weights, mults, weights.index(-alpha))]
+        out.append((alpha, terms, _dn_sum(terms, alpha, 1)))
+    return out
+
+
+def hilbert_series_unhalved(rep):
+    """series._compute off the parity lattice: the pieces of unhalved_pieces
+    added pairwise in a balanced tree, reduced over wide_denominator in t,
+    and one 1/(1 - t) per trivial summand; no check."""
+    pieces = [piece for _, _, piece in unhalved_pieces(rep)]
+    while len(pieces) > 1:
+        pieces = [f + g for f, g in zip(pieces[::2], pieces[1::2])] + pieces[len(pieces) // 2 * 2:]
+    total = pieces[0].reduce(over=wide_denominator(rep)) if pieces else RationalFunction([1])
+    if rep.trivial_count:
+        den = total.den.factors
+        total = RationalFunction(total.num, den | {1: den.get(1, 0) + rep.trivial_count})
+    return total
+
+
 def wide_per_piece(rep):
-    """(wide, pieces): the pieces of series._compute, and the maximum over
+    """(wide, pieces): the pieces of unhalved_pieces, and the maximum over
     them of each piece's tight denominator raised by the gcd rule on its
     last z-term's factors, an empty piece skipped, with wide[1] at least
     the multiplicity of weight 0."""
-    mult_of = Counter(weight_system(rep).weights)
-    weights, mults = list(mult_of), list(mult_of.values())
-    pieces, wide = [], Counter()
-    for alpha, mult in zip(weights, mults):
-        if alpha == 0:
-            wide[1] = max(wide[1], mult)
-        if alpha <= 0:
-            continue
-        terms = [(_times_factors(zc, {2: 1}, len(zc) + 1), zden)
-                 for zc, zden in _coeffs_for_index(weights, mults, weights.index(-alpha))]
-        piece = _dn_sum(terms, alpha)
+    wide, pieces = +Counter({1: Counter(weight_system(rep).weights)[0]}), []
+    for alpha, terms, piece in unhalved_pieces(rep):
         rule = Counter(piece.den.factors)
         for b, e in terms[-1][1].items() if rule else ():
             rule[b // gcd(alpha, b)] += (gcd(alpha, b) - 1) * e

@@ -15,8 +15,9 @@ import make_series_digests
 import sl2hilb.exactalg as exactalg
 import sl2hilb.series as series_mod
 from references import (coeffs_for_index_div_factors, coeffs_for_index_quadratic,
-                        dn_sum_per_term, functional_equation_loop, poly_add, rf_add_poly,
-                        rf_derivative_poly, to_rf, ua_transform_single_stage, wide_per_piece)
+                        dn_sum_per_term, functional_equation_loop, hilbert_series_unhalved,
+                        poly_add, rf_add_poly, rf_derivative_poly, to_rf,
+                        ua_transform_single_stage, wide_per_piece)
 from sl2hilb.exactalg import (FactoredDenominator, Polynomial,
                               RationalFunction, laurent_at_one, rf_equal, taylor_coeffs)
 from sl2hilb.oracle import truncated_series
@@ -54,19 +55,21 @@ def test_ua_denominator_gcd_rule():
 
 
 def test_ua_conjugate_division_is_checked(monkeypatch):
-    # a divide pass one factor short leaves a remainder in its top b e
-    # terms, which U_a reports instead of returning a wrong series; U_10's
-    # p = 5 stage divides (its p = 2 stage is shifted adds and divides not)
-    div_exact = exactalg._div_factors
+    # a divide pass one power short leaves a remainder in the top b e terms,
+    # which U_a reports instead of returning a wrong series; U_10's p = 5
+    # stage divides (its p = 2 stage is shifted adds and divides not), first
+    # by (1 - z^2)^2, so skipping its first two running sums, the residue
+    # classes mod 2, drops one power of that divide
+    accumulate_exact, sums = exactalg.accumulate, []
 
-    def div_one_pass_short(c, factors, count):
-        factors = dict(factors)
-        factors[max(factors)] -= 1
-        return div_exact(c, factors, count)
+    def accumulate_one_power_short(xs):
+        sums.append(1)
+        return xs if len(sums) <= 2 else accumulate_exact(xs)
 
-    monkeypatch.setattr(exactalg, "_div_factors", div_one_pass_short)
+    monkeypatch.setattr(exactalg, "accumulate", accumulate_one_power_short)
     with pytest.raises(RuntimeError, match="not divisible"):
         ua_transform(ZRationalFunction({0: 1, 3: 2}, {4: 2, 3: 1}), 10)
+    assert len(sums) == 4       # both powers of 1 - z^2, two classes each
 
 
 def test_dn_first_order():
@@ -102,49 +105,68 @@ def test_dn_matches_derivatives(num, den, n):
     assert all(type(v) is int for v in out.num.c)
 
 
+def _spread(c, q):
+    """The coefficient list of c(t^q)."""
+    out = [0] * (q * (len(c) - 1) + 1) if c else []
+    out[::q] = c
+    return out
+
+
 @given(st.lists(st.integers(-5, 5), min_size=1, max_size=6),
        st.dictionaries(st.integers(1, 4), st.integers(1, 3), max_size=3),
-       st.integers(0, 12))
-@example([1], {1: 1}, 0)
-@example([0, 2, -1], {2: 2, 3: 1}, 6)
-@example([3, 0, -1], {}, 4)
+       st.integers(0, 12), st.sampled_from([1, 2]))
+@example([1], {1: 1}, 0, 1)
+@example([0, 2, -1], {2: 2, 3: 1}, 6, 1)
+@example([3, 0, -1], {}, 4, 1)
+@example([0, 2, -1], {1: 2, 3: 1}, 5, 2)
 @settings(max_examples=80, deadline=None)
-def test_theta_matches_the_derivative(num, den, k):
-    # (theta + k) f = t f' + k f over den times one more of each factor;
+def test_theta_matches_the_derivative(num, den, k, q):
+    # (theta + k) f = t f' + k f over den times one more of each factor, for
+    # f = c(t^q) / Q(t^q) given in w = t^q, where theta_t = q theta_w;
     # rf_derivative_poly is the independent reference for f'
-    f = rf(num, den)
+    f = rf(_spread(num, q), {q * b: e for b, e in den.items()})
     ref = rf_derivative_poly(f)
     ref = rf_add_poly(RationalFunction(ref.num.shifted(1), ref.den), RationalFunction(f.num * k, f.den))
-    out = _theta(num, den, k)
+    out = _theta(num, den, k, q)
     assert len(out) == len(num) + sum(den)
-    assert rf_equal(rf(out, {b: e + 1 for b, e in den.items()}), ref)
+    assert rf_equal(rf(_spread(out, q), {q * b: e + 1 for b, e in den.items()}), ref)
 
 
-def _terms(spec, alpha):
-    # the terms g_j of weight -alpha, times the factor 1 - z^2, as _compute builds them
+def _terms(spec, alpha, q=1):
+    # the terms g_j of weight -alpha, times the factor 1 - z^2, as _compute
+    # builds them, on the weights w // q: q = 2 needs weights of one parity
     mult_of = Counter(weight_system(parse_rep(spec)).weights)
-    ws, ms = list(mult_of), list(mult_of.values())
-    return [(exactalg._times_factors(zc, {2: 1}, len(zc) + 1), zden)
-            for zc, zden in _coeffs_for_index(ws, ms, ws.index(-alpha))]
+    ws, ms = [w // q for w in mult_of], list(mult_of.values())
+    return [(exactalg._times_factors(zc, {2 // q: 1}, len(zc) - 1 + 2 // q), zden)
+            for zc, zden in _coeffs_for_index(ws, ms, ws.index(-alpha // q))]
 
 
 @pytest.mark.parametrize("spec", ["7V2", "5V3", "4V4", "3V8", "4V1+2V5", "2V11", "3V3+V6", "8V8"])
 def test_horner_piece_matches_the_per_term_sum(spec):
     # one U_alpha of the theta-Horner sum S against one U_alpha and one
-    # D_n/n! per partial-fraction term, for every alpha > 0
-    alphas = [a for a in set(weight_system(parse_rep(spec)).weights) if a > 0]
+    # D_n/n! per partial-fraction term, for every alpha > 0; where the
+    # weights share a parity, the piece from the halved terms, spread from
+    # t^2 to t for odd alpha, is the same numerator over the same factors
+    weights = set(weight_system(parse_rep(spec)).weights)
+    alphas = [a for a in weights if a > 0]
     assert any(len(_terms(spec, a)) > 1 for a in alphas)
     for alpha in alphas:
         terms = _terms(spec, alpha)
-        out = _dn_sum(terms, alpha)
+        out = _dn_sum(terms, alpha, 1)
         assert rf_equal(out, dn_sum_per_term(terms, alpha)), (spec, alpha)
         assert all(type(v) is int for v in out.num.c), (spec, alpha)
+        if len({w % 2 for w in weights}) == 1:
+            g = 2 // gcd(alpha, 2)
+            half = _dn_sum(_terms(spec, alpha, 2), alpha, 2)
+            assert _spread(half.num.c, g) == out.num.c, (spec, alpha)
+            assert {g * b: e for b, e in half.den.factors.items()} == out.den.factors, (spec, alpha)
 
 
 def test_single_forms_take_no_theta_pass(monkeypatch):
     # every weight of V16 has multiplicity 1: one U_alpha per weight alpha >
-    # 0, no theta pass and no division; alpha = 0 adds no piece
-    def theta_unreached(c, den, k):
+    # 0, no theta pass and no division; alpha = 0 adds no piece.  The
+    # weights are even, so the z side runs in z^2 and U_alpha is U_(alpha/2)
+    def theta_unreached(c, den, k, q):
         raise AssertionError("a theta pass at multiplicity 1")
 
     ua_calls = []
@@ -152,7 +174,41 @@ def test_single_forms_take_no_theta_pass(monkeypatch):
     monkeypatch.setattr(series_mod, "_theta", theta_unreached)
     monkeypatch.setattr(series_mod, "ua_transform", lambda f, a: ua_calls.append(a) or ua_exact(f, a))
     hilbert_series(parse_rep("V16"))
-    assert sorted(ua_calls) == list(range(2, 17, 2))
+    assert sorted(ua_calls) == list(range(1, 9))
+
+
+def _lattice_reps():
+    # every degree multiset of dim <= 14, and trivial summands beside an
+    # all-odd and an all-even part
+    return ([Representation(degs) for dim in range(2, 15)
+             for degs in make_series_digests.degree_multisets(dim)]
+            + [parse_rep(spec) for spec in ("2V0+V3+V5", "V0+V4")])
+
+
+def test_series_equal_the_unhalved_pipeline():
+    # the pipeline on the parity lattice returns the numerator list and the
+    # denominator dict of the same pipeline run on the full weights
+    parities = Counter()
+    for rep in _lattice_reps():
+        f, want = hilbert_series(rep), hilbert_series_unhalved(rep)
+        assert f.num.c == want.num.c and f.den.factors == want.den.factors, rep.key
+        parities[frozenset(d % 2 for d in rep.degrees)] += 1
+    assert parities == {frozenset({0}): 22, frozenset({1}): 45, frozenset({0, 1}): 69}
+
+
+def test_ua_transform_inputs_have_period_one(monkeypatch):
+    # on the lattice no U_alpha input is a series in z^s for some s > 1: the
+    # gcd of its exponents and factors is 1, so ua_transform needs no period step
+    periods, ua_exact = Counter(), series_mod.ua_transform
+
+    def ua_recording(f, a):
+        periods[gcd(*(e for e, v in f.num.items() if v), *f.den)] += 1
+        return ua_exact(f, a)
+
+    monkeypatch.setattr(series_mod, "ua_transform", ua_recording)
+    for rep in _lattice_reps():
+        hilbert_series(rep)
+    assert periods == {1: 448}
 
 
 def test_weight_zero_terms_have_no_constant_term():
@@ -302,10 +358,10 @@ def test_perturbed_piece_fails_the_functional_equation(monkeypatch):
     dn_sum_exact = series_mod._dn_sum
     perturbed = []
 
-    def dn_sum_off_by_one(terms, alpha):
-        out = dn_sum_exact(terms, alpha)
+    def dn_sum_off_by_one(terms, alpha, q):
+        out = dn_sum_exact(terms, alpha, q)
         if not perturbed:
-            perturbed.append((alpha, len(terms)))
+            perturbed.append((alpha, len(terms), q))
             out = RationalFunction(poly_add(out.num, Polynomial([1])), out.den)
         return out
 
@@ -316,7 +372,7 @@ def test_perturbed_piece_fails_the_functional_equation(monkeypatch):
     monkeypatch.setattr(series_mod.oracle, "truncated_series", oracle_unreached)
     with pytest.raises(SeriesConsistencyError, match="functional equation gives"):
         hilbert_series(parse_rep("V4+V5"))
-    assert perturbed == [(2, 1)]
+    assert perturbed == [(2, 1, 1)]     # mixed parities: the z side in z
 
 
 def test_perturbed_horner_piece_fails_the_functional_equation(monkeypatch):
@@ -326,10 +382,10 @@ def test_perturbed_horner_piece_fails_the_functional_equation(monkeypatch):
     dn_sum_exact = series_mod._dn_sum
     perturbed = []
 
-    def dn_sum_off_by_one(terms, alpha):
-        out = dn_sum_exact(terms, alpha)
+    def dn_sum_off_by_one(terms, alpha, q):
+        out = dn_sum_exact(terms, alpha, q)
         if not perturbed:
-            perturbed.append((alpha, len(terms)))
+            perturbed.append((alpha, len(terms), q))
             out = RationalFunction(poly_add(out.num, Polynomial([1])), out.den)
         return out
 
@@ -340,28 +396,29 @@ def test_perturbed_horner_piece_fails_the_functional_equation(monkeypatch):
     monkeypatch.setattr(series_mod.oracle, "truncated_series", oracle_unreached)
     with pytest.raises(SeriesConsistencyError, match="functional equation gives"):
         hilbert_series(parse_rep("3V4"))
-    assert perturbed[0][0] > 0 and perturbed[0][1] == 3
+    assert perturbed[0][0] > 0 and perturbed[0][1:] == (3, 2)     # even weights: in z^2
 
 
 def test_horner_sum_division_must_be_exact(monkeypatch):
     # 1 more in the constant term of the first theta step of 3V4 (alpha =
     # 2, multiplicity 3) leaves U_alpha(S) off the multiple of (m - 1)!
     # alpha^(m - 1) = 2! 2^2 that the exact division needs; it is
-    # reported, not truncated
+    # reported, not truncated.  The weights are even, so S is a series in
+    # z^2 and U_alpha is U_1
     theta_exact = series_mod._theta
     calls = []
 
-    def theta_off_by_one(c, den, k):
-        out = theta_exact(c, den, k)
+    def theta_off_by_one(c, den, k, q):
+        out = theta_exact(c, den, k, q)
         if not calls:
             out[0] += 1
-        calls.append(k)
+        calls.append((k, q))
         return out
 
     monkeypatch.setattr(series_mod, "_theta", theta_off_by_one)
     with pytest.raises(RuntimeError, match="D_n sum not divisible by 8"):
         hilbert_series(parse_rep("3V4"))
-    assert calls == [4, 2]      # theta + 2 alpha, then theta + alpha
+    assert calls == [(4, 2), (2, 2)]      # theta + 2 alpha, then theta + alpha
 
 
 def test_partial_fraction_division_must_be_exact(monkeypatch):
@@ -559,8 +616,9 @@ z_functions = st.builds(
 @example(ZRationalFunction({0: 1, 3: 0, 4: 1}, {2: 1}))
 @settings(max_examples=80, deadline=None)
 def test_z_side_matches_brute_force(f):
-    # prime by prime, and through the period s of f, U_a gives the
-    # brute-force a-section and the single-stage reference's numerator
+    # prime by prime, on f of period s = 1, 2 or 3, which U_a does not look
+    # for, U_a gives the brute-force a-section and the single-stage
+    # reference's numerator
     top = 90
     ef = _expand(f, top)
     for a in (1, 2, 3, 4, 6, 8, 9, 12, 30):
